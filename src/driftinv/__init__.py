@@ -6,7 +6,6 @@ plus Poisson-timed jumps, together with an exact event-driven Monte
 Carlo oracle and a rolling-forecast baseline experiment.
 """
 
-from ._accel import JIT_ENABLED
 from .cost import (
     CostBreakdown,
     CostCurve,
@@ -52,7 +51,6 @@ from .renewal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "JIT_ENABLED",
     "ArimaModel",
     "CostBreakdown",
     "CostCurve",

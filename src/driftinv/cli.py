@@ -229,6 +229,10 @@ def run_validation(cfg, rate_scale: float = 1.0):
 
 
 def cmd_validate(cfg, out_dir, rate_scale: float = 1.0):
+    if cfg.n_paths < 2:
+        raise ParameterError(
+            f"validate needs at least 2 paths for a standard error, got {cfg.n_paths}"
+        )
     if cfg.n_paths < 1000:
         print(
             f"warning: {cfg.n_paths} paths give little statistical power; "
@@ -296,7 +300,7 @@ def cmd_fpt_diag(cfg, out_dir):
                 f"n={n}: KS(gamma approx, empirical) = {ks:.4f}; "
                 f"KS between independent batches = {ks_self:.4f}"
             )
-            for t, g, l, e in zip(grid, gcdf, lit, emp_a):
+            for t, g, l, e in zip(grid.tolist(), gcdf.tolist(), lit.tolist(), emp_a.tolist()):
                 fh.write(f"{n},{spec.shape!r},{spec.rate!r},{t!r},{g!r},{l!r},{e!r}\n")
             if n == 1:
                 chart_series = [
@@ -343,7 +347,7 @@ def cmd_compare(cfg, out_dir):
     csv_file = out_dir / "compare.csv"
     with open(csv_file, "w") as fh:
         fh.write("period,t,analytical_total,forecast_sim_cum_cost\n")
-        for p, t, a, c in zip(periods, times, ana, cum):
+        for p, t, a, c in zip(periods, times, ana, cum.tolist()):
             fh.write(f"{int(p)},{float(t)!r},{a!r},{c!r}\n")
     line_chart(
         out_dir / "compare.svg",

@@ -3,11 +3,14 @@
 The shipped defaults are the reference scenario (x0=100, mu=5,
 alpha=10, lam=1, a=50, Q=50, C_h=1 <= C_o=5 <= C_so=10), so every
 command runs meaningfully with no config at all.  CLI flags override
-individual fields.
+individual fields.  Keys and value kinds are checked against the
+defaults, so a misspelled key or a value of the wrong kind is an error
+rather than a silent default.
 """
 
 import copy
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +52,42 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base, override):
+def _kind(default):
+    """What may replace ``default``, as error messages name it."""
+    if isinstance(default, dict):
+        return "an object"
+    if isinstance(default, str):
+        return "a string"
+    if isinstance(default, list):
+        return "a list of " + ("integers" if isinstance(default[0], int) else "finite numbers")
+    return "an integer" if isinstance(default, int) else "a finite number"
+
+
+def _fits(default, value) -> bool:
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(default, (dict, str)):
+        return isinstance(value, type(default))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond any float
+        return False
+    # 9.0 passes for an integer key; 9.5 would be truncated silently
+    return not isinstance(default, int) or float(value).is_integer()
+
+
+def _merge(base, override, prefix=""):
+    """``base`` updated from ``override``; every key must already be in
+    ``base`` and every value must be of its default's kind."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if key in out and isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+        name = prefix + key
+        if key not in base:
+            raise ParameterError(f"unknown config key {name!r}")
+        default = base[key]
+        if not _fits(default, value):
+            raise ParameterError(f"config key {name!r} must be {_kind(default)}, got {value!r}")
+        out[key] = _merge(default, value, name + ".") if isinstance(default, dict) else value
     return out
 
 
@@ -140,7 +172,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
     raw = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
-            raw = _merge(raw, json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ParameterError("a config file must hold a JSON object")
+        raw = _merge(raw, loaded)
     if overrides:
         raw = _merge(raw, overrides)
     return build_config(raw)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .cost import CostBreakdown
 from .demand import period_increments, sample_path
 from .errors import InsufficientDataError, ParameterError
@@ -112,7 +111,7 @@ class TableRow:
     stockout_rate: float
 
 
-def _ge_solve(A, b):
+def ge_solve(A, b):
     """Gaussian elimination with partial pivoting; flags singularity."""
     n = A.shape[0]
     M = A.copy()
@@ -154,10 +153,7 @@ def _ge_solve(A, b):
     return x, True
 
 
-ge_solve = maybe_njit(_ge_solve)
-
-
-def _ols(X, y):
+def ols(X, y):
     """Least squares via normal equations; returns (beta, rss, ok)."""
     Xt = np.ascontiguousarray(X.T)
     A = Xt @ X
@@ -166,16 +162,10 @@ def _ols(X, y):
     if not ok:
         return beta, 0.0, False
     resid = y - X @ beta
-    rss = 0.0
-    for i in range(resid.shape[0]):
-        rss += resid[i] * resid[i]
-    return beta, rss, True
+    return beta, resid @ resid, True
 
 
-ols = maybe_njit(_ols)
-
-
-def _ar_stationary(p, phi1, phi2):
+def ar_stationary(p, phi1, phi2):
     """Roots of the AR polynomial strictly outside the unit disk
     (closed-form conditions, valid for p <= 2)."""
     if p == 0:
@@ -185,23 +175,15 @@ def _ar_stationary(p, phi1, phi2):
     return abs(phi2) < 1.0 and (phi1 + phi2) < 1.0 and (phi2 - phi1) < 1.0
 
 
-ar_stationary = maybe_njit(_ar_stationary)
-
-
-def _fit_candidate(z, p, q):
+def fit_candidate(z, p, q):
     """Two-stage conditional least squares for one (p, q) candidate.
 
     Returns (ok, intercept, phi1, phi2, th1, th2, rss, rows)."""
     n = z.shape[0]
     if p == 0 and q == 0:
-        m = 0.0
-        for i in range(n):
-            m += z[i]
-        m /= n
-        rss = 0.0
-        for i in range(n):
-            rss += (z[i] - m) * (z[i] - m)
-        return True, m, 0.0, 0.0, 0.0, 0.0, rss, n
+        m = np.mean(z)
+        resid = z - m
+        return True, m, 0.0, 0.0, 0.0, 0.0, resid @ resid, n
     ehat = np.zeros(n)
     if q > 0:
         half = (n - 2) // 2
@@ -212,17 +194,14 @@ def _fit_candidate(z, p, q):
             return False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0
         rows_a = n - L
         XA = np.empty((rows_a, L + 1))
-        for r in range(rows_a):
-            XA[r, 0] = 1.0
+        XA[:, 0] = 1.0
         for i in range(1, L + 1):
             XA[:, i] = z[L - i : n - i]
         ya = z[L:n].copy()
         beta_a, _, ok_a = ols(XA, ya)
         if not ok_a:
             return False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0
-        fit = XA @ beta_a
-        for r in range(rows_a):
-            ehat[L + r] = ya[r] - fit[r]
+        ehat[L:] = ya - XA @ beta_a
         s = L + (p if p > q else q)
     else:
         s = p
@@ -231,8 +210,7 @@ def _fit_candidate(z, p, q):
     if rows < k + 1:
         return False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0
     X = np.empty((rows, k))
-    for r in range(rows):
-        X[r, 0] = 1.0
+    X[:, 0] = 1.0
     for i in range(1, p + 1):
         X[:, i] = z[s - i : n - i]
     for j in range(1, q + 1):
@@ -250,10 +228,7 @@ def _fit_candidate(z, p, q):
     return True, beta[0], phi1, phi2, th1, th2, rss, rows
 
 
-fit_candidate = maybe_njit(_fit_candidate)
-
-
-def _fit_window(z, p_max, q_max):
+def fit_window(z, p_max, q_max):
     """AIC-selected (p, q) fit; candidates scanned in tie-break order
     (smaller p+q first, then smaller p).  Returns
     (found, p, q, intercept, phi1, phi2, th1, th2, aic)."""
@@ -292,10 +267,7 @@ def _fit_window(z, p_max, q_max):
     return best_found, bp, bq, bc, b1, b2, bt1, bt2, best_aic
 
 
-fit_window = maybe_njit(_fit_window)
-
-
-def _one_step(z, p, q, c, phi1, phi2, th1, th2):
+def one_step(z, p, q, c, phi1, phi2, th1, th2):
     """Conditional one-step-ahead prediction (pre-sample residuals 0)."""
     n = z.shape[0]
     ehat = np.zeros(n)
@@ -322,27 +294,11 @@ def _one_step(z, p, q, c, phi1, phi2, th1, th2):
     return pred
 
 
-one_step = maybe_njit(_one_step)
+def sample_var(v):
+    return np.var(v, ddof=1) if v.shape[0] > 1 else 0.0
 
 
-def _sample_var(v):
-    n = v.shape[0]
-    if n < 2:
-        return 0.0
-    m = 0.0
-    for i in range(n):
-        m += v[i]
-    m /= n
-    s = 0.0
-    for i in range(n):
-        s += (v[i] - m) * (v[i] - m)
-    return s / (n - 1)
-
-
-sample_var = maybe_njit(_sample_var)
-
-
-def _pick_d(w, allow_d0, allow_d1):
+def pick_d(w, allow_d0, allow_d1):
     if allow_d0 and not allow_d1:
         return 0
     if allow_d1 and not allow_d0:
@@ -353,38 +309,21 @@ def _pick_d(w, allow_d0, allow_d1):
     return 0
 
 
-pick_d = maybe_njit(_pick_d)
-
-
-def _forecast_window(w, p_max, q_max, allow_d0, allow_d1):
+def forecast_window(w, p_max, q_max, allow_d0, allow_d1):
     """One-step forecast from one trailing window, clamped to
     [0, max(window)]."""
-    n = w.shape[0]
-    wmax = w[0]
-    wsum = 0.0
-    for i in range(n):
-        if w[i] > wmax:
-            wmax = w[i]
-        wsum += w[i]
     d = pick_d(w, allow_d0, allow_d1)
     z = np.diff(w) if d == 1 else w
     found, p, q, c, phi1, phi2, th1, th2, _ = fit_window(z, p_max, q_max)
     if not found:
-        yhat = wsum / n
+        yhat = w.mean()
     else:
         zhat = one_step(z, p, q, c, phi1, phi2, th1, th2)
-        yhat = w[n - 1] + zhat if d == 1 else zhat
-    if yhat < 0.0:
-        yhat = 0.0
-    if yhat > wmax:
-        yhat = wmax
-    return yhat
+        yhat = w[-1] + zhat if d == 1 else zhat
+    return min(max(yhat, 0.0), w.max())
 
 
-forecast_window = maybe_njit(_forecast_window)
-
-
-def _rolling_kernel(series, window, start0, count, p_max, q_max, allow_d0, allow_d1):
+def rolling_kernel(series, window, start0, count, p_max, q_max, allow_d0, allow_d1):
     out = np.empty(count)
     for k in range(count):
         w = series[start0 + k - window : start0 + k].copy()
@@ -392,10 +331,7 @@ def _rolling_kernel(series, window, start0, count, p_max, q_max, allow_d0, allow
     return out
 
 
-rolling_kernel = maybe_njit(_rolling_kernel)
-
-
-def _discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand, per_period):
+def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand, per_period):
     """Period loop: maybe order (arrives immediately), subtract demand,
     accrue costs on the end-of-period level.  Backorders go negative."""
     inv = x0
@@ -422,9 +358,6 @@ def _discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand
         shortage += s
         per_period[k] = cost_k + h + s
     return ordering, holding, shortage, orders, stockout
-
-
-discrete_sim = maybe_njit(_discrete_sim)
 
 
 def fit_arima(series, p_max: int = 2, q_max: int = 2, d_set=(0, 1)) -> ArimaModel:

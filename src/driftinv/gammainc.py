@@ -6,14 +6,14 @@ x < a + 1 and a modified-Lentz continued fraction for the complement
 otherwise.  Absolute error is well below 1e-10 over the shapes used here
 (verified against quadrature and scipy in the test suite).
 
-log Gamma is a local Lanczos (g=7) evaluation rather than math.lgamma:
-CPython and numba lower math.lgamma to different implementations, and a
-shared formula keeps the jit and fallback paths bit-identical.
+log Gamma is a local Lanczos (g=7) evaluation rather than math.lgamma.
+Both are accurate, but they round differently: math.lgamma moves the
+default expected-cost curve by up to 2.4e-14 relative, and the exact
+ordering-mode identity (c_o*Q)*E[R] == Q*(c_o*E[R]) that the tests
+assert at t=6 holds only with the Lanczos roundings.
 """
 
 import math
-
-from ._accel import maybe_njit
 
 _MAX_ITER = 20000
 _EPS = 1e-16
@@ -35,7 +35,7 @@ _HALF_LOG_2PI = 0.9189385332046727
 _LOG_PI = 1.1447298858494002
 
 
-def _lgamma_core(z):
+def lgamma_core(z):
     # valid for z >= 0.5
     z -= 1.0
     acc = _LANCZOS_C0
@@ -45,20 +45,14 @@ def _lgamma_core(z):
     return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-lgamma_core = maybe_njit(_lgamma_core)
-
-
-def _lgamma(z):
+def lgamma(z):
     if z < 0.5:
         # reflection: log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
         return _LOG_PI - math.log(math.sin(math.pi * z)) - lgamma_core(1.0 - z)
     return lgamma_core(z)
 
 
-lgamma = maybe_njit(_lgamma)
-
-
-def _reg_lower_gamma(a, x):
+def reg_lower_gamma(a, x):
     if x <= 0.0:
         return 0.0
     # log prefactor x^a e^-x / Gamma(a); underflows cleanly to 0.
@@ -104,6 +98,3 @@ def _reg_lower_gamma(a, x):
     if p < 0.0:
         return 0.0
     return 1.0 if p > 1.0 else p
-
-
-reg_lower_gamma = maybe_njit(_reg_lower_gamma)

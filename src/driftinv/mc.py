@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .cost import CostBreakdown
 from .demand import SamplePath, batch_jump_times, sample_path
 from .errors import ParameterError
@@ -26,7 +25,7 @@ KIND_ORDER = 1
 KIND_LABELS = ("jump", "order")
 
 
-def _simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
+def simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
     """Fill event arrays (time, kind, inventory after) and return the count.
 
     Drift crossings are t = (threshold - alpha*jumps_so_far) / mu; a
@@ -68,10 +67,7 @@ def _simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
     return m
 
 
-simulate_events = maybe_njit(_simulate_events)
-
-
-def _cost_integrals(times, kinds, inv, n_events, mu, x0, horizon):
+def cost_integrals(times, kinds, inv, n_events, mu, x0, horizon):
     """Exact path functionals on [0, horizon].
 
     Returns (integral of max(X,0), integral of max(-X,0), integral of
@@ -127,10 +123,7 @@ def _cost_integrals(times, kinds, inv, n_events, mu, x0, horizon):
     return pos, neg, int_r, orders, v1, min_inv
 
 
-cost_integrals = maybe_njit(_cost_integrals)
-
-
-def _batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon, times, kinds, inv, out):
+def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon, times, kinds, inv, out):
     n_paths = offsets.shape[0] - 1
     for i in range(n_paths):
         jumps = flat[offsets[i] : offsets[i + 1]]
@@ -144,9 +137,6 @@ def _batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon, times, kinds, inv,
         out[i, 3] = pos
         out[i, 4] = neg
         out[i, 5] = min_inv
-
-
-batch_stats = maybe_njit(_batch_stats)
 
 
 def _event_capacity(n_jumps, params, policy, horizon):

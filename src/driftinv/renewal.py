@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .demand import batch_jump_times
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
 from .gammainc import reg_lower_gamma
@@ -109,7 +108,7 @@ def truncated_mean(spec: GammaSpec, t: float) -> float:
     return spec.mean * float(reg_lower_gamma(spec.shape + 1.0, spec.rate * t))
 
 
-def _renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
+def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     """Sum CDF terms and their integrated counterparts until the CDF
     term drops below tail_tol.  Returns (sum_cdf, sum_integrated,
     n_terms, last_term, converged)."""
@@ -130,9 +129,6 @@ def _renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
         total_cdf += cdf
         total_int += term_int
     return total_cdf, total_int, n_max, last, False
-
-
-renewal_series = maybe_njit(_renewal_series)
 
 
 def _series_sums(params, policy, t, cfg):
@@ -172,7 +168,7 @@ def expected_integrated_renewals(
     return _series_sums(params, policy, t, cfg)[1]
 
 
-def _first_passage_times(flat, offsets, mu, alpha, level):
+def first_passage_times(flat, offsets, mu, alpha, level):
     """Exact first time mu*t + alpha*(jumps so far) reaches ``level``
     for each packed jump path; inf when the path never reaches it."""
     n_paths = offsets.shape[0] - 1
@@ -201,9 +197,6 @@ def _first_passage_times(flat, offsets, mu, alpha, level):
             fpt = (level - jumps) / mu
         out[i] = fpt
     return out
-
-
-first_passage_times = maybe_njit(_first_passage_times)
 
 
 def fpt_empirical_cdf(

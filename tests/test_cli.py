@@ -28,6 +28,13 @@ def read_header(path):
     return path.read_text().splitlines()[0]
 
 
+def assert_numeric_cells(lines):
+    # every data cell is a plain number, not a repr such as np.float64(0.4)
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)
+
+
 def test_defaults_are_reference_scenario():
     cfg = load_config()
     assert (cfg.process.mu, cfg.process.alpha, cfg.process.lam) == (5.0, 10.0, 1.0)
@@ -148,6 +155,7 @@ def test_fpt_diag_outputs(tmp_path, small_config, capsys):
     lines = (out / "fpt_diag.csv").read_text().strip().splitlines()
     assert lines[0] == "n,shape,rate,t,gamma_cdf,literal_integrand,empirical"
     assert len(lines) == 1 + 2 * 9  # n in {1, 2} on a 9-point grid
+    assert_numeric_cells(lines)
     ks_lines = (out / "fpt_ks.csv").read_text().strip().splitlines()
     assert ks_lines[0] == "n,ks_gamma_vs_empirical,ks_batch_self"
     assert len(ks_lines) == 3
@@ -168,6 +176,7 @@ def test_compare_outputs(tmp_path, small_config):
     lines = (out / "compare.csv").read_text().strip().splitlines()
     assert lines[0] == "period,t,analytical_total,forecast_sim_cum_cost"
     assert len(lines) == 1 + 38
+    assert_numeric_cells(lines)
     assert (out / "compare.svg").exists()
 
 
@@ -200,6 +209,42 @@ def test_bad_config_exit_code(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"policy": {"a": -5.0}}))
     assert main(["expected-cost", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"proces": {"mu": 5.0}}, "unknown config key 'proces'"),
+        ({"policy": {"reorder": 40.0}}, "unknown config key 'policy.reorder'"),
+        (
+            {"experiment": {"croston_smoothing": 0.5}},
+            "unknown config key 'experiment.croston_smoothing'",
+        ),
+        ({"policy": {"Q": "abc"}}, "'policy.Q' must be a finite number"),
+        ({"process": {"mu": None}}, "'process.mu' must be a finite number"),
+        ({"process": {"lam": float("inf")}}, "'process.lam' must be a finite number"),
+        ({"process": {"mu": 10**400}}, "'process.mu' must be a finite number"),
+        ({"mc": {"n_paths": True}}, "'mc.n_paths' must be an integer"),
+        ({"grid": {"steps": 9.5}}, "'grid.steps' must be an integer"),
+        ({"validate": {"times": [2.0, "5"]}}, "'validate.times' must be a list of finite numbers"),
+        ({"experiment": {"d_set": [0.5]}}, "'experiment.d_set' must be a list of integers"),
+        ({"grid": 12.0}, "'grid' must be an object"),
+        ([1, 2], "must hold a JSON object"),
+    ],
+)
+def test_strict_config_exit_code(tmp_path, capsys, config, message):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(config))
+    assert main(["expected-cost", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and message in err
+
+
+def test_validate_single_path_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["validate", "--paths", "1", "--out", str(out)]) == 2
+    assert "at least 2 paths" in capsys.readouterr().err
+    assert not (out / "validation.csv").exists()
 
 
 def test_default_config_documented_keys():

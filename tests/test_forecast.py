@@ -21,7 +21,10 @@ from driftinv.forecast import (
     cumulative_cost_profile,
     generate_demand_series,
     experiment_forecasts,
+    fit_candidate,
+    ols,
     one_step_forecast,
+    sample_var,
     write_table_csv,
 )
 
@@ -251,3 +254,32 @@ def test_experiment_replay_determinism():
     rows_a = run_table_experiment(cfg, [(40.0, 50.0, 1.0, 5.0, 10.0)])
     rows_b = run_table_experiment(cfg, [(40.0, 50.0, 1.0, 5.0, 10.0)])
     assert rows_a == rows_b
+
+
+def _loop_sum(v):
+    total = 0.0
+    for x in v:
+        total += x
+    return total
+
+
+def test_numpy_reductions_match_scalar_loops():
+    # sample_var, the mean model and the ols rss are numpy reductions,
+    # which sum in another order than a left-to-right loop: they agree
+    # with it to a few ulps, not bit for bit
+    tol = 64 * np.finfo(np.float64).eps
+    rng = np.random.default_rng(11)
+    assert sample_var(np.array([3.0])) == 0.0
+    for n in (2, 5, 11, 12, 30):
+        v = 0.7 + 3.3 * rng.poisson(0.4, n)  # per-period demand, low-intensity process
+        m = _loop_sum(v) / n
+        ss = _loop_sum((v - m) ** 2)
+        assert sample_var(v) == pytest.approx(ss / (n - 1), rel=tol, abs=tol)
+        ok, c, _, _, _, _, rss, rows = fit_candidate(v, 0, 0)
+        assert ok and rows == n
+        assert c == pytest.approx(m, rel=tol)
+        assert rss == pytest.approx(ss, rel=tol, abs=tol)
+        X = np.column_stack([np.ones(n), np.arange(n, dtype=np.float64)])
+        beta, rss, ok = ols(X, v)
+        assert ok
+        assert rss == pytest.approx(_loop_sum((v - X @ beta) ** 2), rel=tol, abs=tol)
