@@ -118,7 +118,27 @@ def _build_grid(spec) -> np.ndarray:
     return np.linspace(t_start, t_end, steps)
 
 
+def _require(ok: bool, key: str, what: str, value) -> None:
+    if not ok:
+        raise ParameterError(f"config key {key!r} must be {what}, got {value!r}")
+
+
+def _check_domains(raw: dict) -> None:
+    """Ranges the kind check cannot see: seeds numpy accepts, and
+    validate/fpt runs that compare something."""
+    for section in ("mc", "experiment"):
+        seed = raw[section]["base_seed"]
+        _require(seed >= 0, f"{section}.base_seed", "a non-negative integer", seed)
+    times = raw["validate"]["times"]
+    _require(len(times) > 0, "validate.times", "a non-empty list", times)
+    fpt = raw["fpt"]
+    _require(fpt["n_values"] >= 1, "fpt.n_values", "at least 1", fpt["n_values"])
+    _require(fpt["steps"] >= 1, "fpt.steps", "at least 1", fpt["steps"])
+    _require(fpt["t_end"] >= 0, "fpt.t_end", "non-negative", fpt["t_end"])
+
+
 def build_config(raw: dict) -> RunConfig:
+    _check_domains(raw)
     process = ProcessParams(**raw["process"])
     policy = PolicyParams(**raw["policy"])
     costs_raw = dict(raw["costs"])

@@ -5,7 +5,8 @@ expected total cost decomposes into ordering, holding and shortage
 components.  Two closed forms of E[orders] are kept side by side:
 
 - the paper's gamma first-passage series (``renewal.py``), used by
-  ``expected_total_cost``, ``cost_curve`` and ``sweep``;
+  ``expected_total_cost``, ``cost_curve`` and ``sweep``, which sum it
+  once per (a, Q, t) and derive every cost from that one pass;
 - the exact Poisson-law form (``exact_moments``).  With zero lead time
   cumulative demand D_t = mu*t + alpha*N_t is monotone, so the order
   count is R_t = max(floor((D_t - a)/Q) + 1, 0) and E[R_t], E[X_t] and
@@ -25,9 +26,10 @@ import numpy as np
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
 from .gammainc import reg_lower_gamma
 from .params import CostParams, PolicyParams, ProcessParams
-from .renewal import (
+from .renewal import (  # expected_integrated_renewals: a name perfbench/layers.py traces here
     RenewalSeriesConfig,
-    expected_integrated_renewals,
+    expected_integrated_renewals,  # noqa: F401
+    expected_renewal_sums,
     expected_renewals,
 )
 
@@ -45,8 +47,12 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class CostCurve:
+    """Cost breakdowns on a grid; ``orders`` holds E[R_t] at each grid
+    time when the curve comes from ``cost_curve``."""
+
     grid: np.ndarray
     points: list = field(default_factory=list)
+    orders: np.ndarray = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -57,6 +63,13 @@ class CostCurve:
             raise ParameterError(
                 f"curve has {len(self.points)} points for {grid.size} grid times"
             )
+        if self.orders is not None:
+            orders = np.asarray(self.orders, dtype=np.float64)
+            object.__setattr__(self, "orders", orders)
+            if orders.size != grid.size:
+                raise ParameterError(
+                    f"curve has {orders.size} order counts for {grid.size} grid times"
+                )
 
     def totals(self) -> np.ndarray:
         return np.array([p.total for p in self.points])
@@ -110,8 +123,7 @@ def expected_total_cost(
     cfg: RenewalSeriesConfig,
 ) -> CostBreakdown:
     """Expected cost breakdown at t (gamma-series form)."""
-    er = expected_renewals(params, policy, t, cfg)
-    ei = expected_integrated_renewals(params, policy, t, cfg)
+    er, ei = expected_renewal_sums(params, policy, t, cfg)
     return _breakdown(params, policy, costs, t, er, ei)
 
 
@@ -224,9 +236,13 @@ def cost_curve(
     grid,
     cfg: RenewalSeriesConfig,
 ) -> CostCurve:
+    """Expected cost breakdowns and E[R_t] on ``grid``, one renewal
+    series per grid time."""
     grid = np.asarray(grid, dtype=np.float64)
-    points = [expected_total_cost(params, policy, costs, float(t), cfg) for t in grid]
-    return CostCurve(grid=grid, points=points)
+    times = grid.tolist()
+    sums = [expected_renewal_sums(params, policy, t, cfg) for t in times]
+    points = [_breakdown(params, policy, costs, t, er, ei) for t, (er, ei) in zip(times, sums)]
+    return CostCurve(grid=grid, points=points, orders=[er for er, _ in sums])
 
 
 def argmax_time(curve: CostCurve):
@@ -241,17 +257,19 @@ def argmax_time(curve: CostCurve):
 def negative_inventory_times(
     params: ProcessParams,
     policy: PolicyParams,
-    grid,
-    cfg: RenewalSeriesConfig,
+    curve: CostCurve,
 ) -> list:
-    """Grid times where the closed-form expected inventory is negative.
+    """Grid times of ``curve`` (from ``cost_curve`` with this process and
+    policy) where the closed-form expected inventory is negative.
 
     Late times can go negative once the quadratic demand term outruns
     the truncated series; flagged so reports can mark them."""
+    if curve.orders is None:
+        raise ParameterError("the curve carries no expected order counts")
     return [
-        float(t)
-        for t in np.asarray(grid, dtype=np.float64)
-        if expected_inventory(params, policy, float(t), cfg) < 0
+        t
+        for t, er in zip(curve.grid.tolist(), curve.orders.tolist())
+        if _inventory(params, policy, t, er) < 0
     ]
 
 
@@ -265,20 +283,25 @@ def sweep(
     x0: float = 100.0,
 ):
     """Cross-product evaluation over (a, Q, costs, t), in that
-    lexicographic order.  Yields (a, Q, costs, t, CostBreakdown) rows."""
+    lexicographic order.  Yields (a, Q, costs, t, CostBreakdown) rows.
+
+    The renewal series does not depend on the costs, so it is summed
+    once per (a, Q, t) and every entry of ``costs_list`` is applied to
+    that one (E[R_t], E[int_0^t R]) pair."""
     if not (len(costs_list) and len(a_list) and len(Q_list)):
         raise ParameterError("sweep lists must be non-empty")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ParameterError("sweep grid must be non-empty")
+    times = grid.tolist()
     rows = []
     for a in a_list:
         for Q in Q_list:
             policy = PolicyParams(x0=x0, a=a, Q=Q)
+            sums = [expected_renewal_sums(params, policy, t, cfg) for t in times]
             for costs in costs_list:
-                for t in grid:
-                    bd = expected_total_cost(params, policy, costs, float(t), cfg)
-                    rows.append((a, Q, costs, float(t), bd))
+                for t, (er, ei) in zip(times, sums):
+                    rows.append((a, Q, costs, t, _breakdown(params, policy, costs, t, er, ei)))
     return rows
 
 

@@ -29,7 +29,10 @@ def simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
     """Fill event arrays (time, kind, inventory after) and return the count.
 
     Drift crossings are t = (threshold - alpha*jumps_so_far) / mu; a
-    crossing exactly at the horizon still fires.
+    crossing exactly at the horizon still fires.  The next threshold is
+    a + Q*orders from the order count, not a running sum of Q: a running
+    sum drifts by an ulp or so per order, and the left-limit inventory
+    x0 - threshold + Q*(orders before) would drift below x0 - a with it.
     """
     nj = jumps.shape[0]
     thr = a
@@ -43,7 +46,7 @@ def simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
             if t_cross > t_next:
                 break
             orders += 1
-            thr += Q
+            thr = a + Q * orders
             times[m] = t_cross
             kinds[m] = KIND_ORDER
             inv[m] = x0 - (mu * t_cross + jsum) + Q * orders
@@ -59,7 +62,7 @@ def simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
         m += 1
         while d >= thr:
             orders += 1
-            thr += Q
+            thr = a + Q * orders
             times[m] = tj
             kinds[m] = KIND_ORDER
             inv[m] = x0 - d + Q * orders

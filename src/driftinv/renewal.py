@@ -131,7 +131,11 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     return total_cdf, total_int, n_max, last, False
 
 
-def _series_sums(params, policy, t, cfg):
+def expected_renewal_sums(
+    params: ProcessParams, policy: PolicyParams, t: float, cfg: RenewalSeriesConfig
+):
+    """(E[orders by t], E[integral of the order count over [0, t]]) from
+    one pass of the renewal series (gamma-series form)."""
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     er, ei, n_terms, last, converged = renewal_series(
@@ -158,14 +162,14 @@ def expected_renewals(
     params: ProcessParams, policy: PolicyParams, t: float, cfg: RenewalSeriesConfig
 ) -> float:
     """Expected number of orders placed by time t (gamma-series form)."""
-    return _series_sums(params, policy, t, cfg)[0]
+    return expected_renewal_sums(params, policy, t, cfg)[0]
 
 
 def expected_integrated_renewals(
     params: ProcessParams, policy: PolicyParams, t: float, cfg: RenewalSeriesConfig
 ) -> float:
     """Expected integral of the order count over [0, t]."""
-    return _series_sums(params, policy, t, cfg)[1]
+    return expected_renewal_sums(params, policy, t, cfg)[1]
 
 
 def first_passage_times(flat, offsets, mu, alpha, level):

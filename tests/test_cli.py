@@ -240,6 +240,39 @@ def test_strict_config_exit_code(tmp_path, capsys, config, message):
     assert "bad configuration" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("validate", {"validate": {"times": []}}, "'validate.times' must be a non-empty list"),
+        ("fpt-diag", {"fpt": {"n_values": 0}}, "'fpt.n_values' must be at least 1"),
+        ("fpt-diag", {"fpt": {"steps": 0}}, "'fpt.steps' must be at least 1"),
+        ("fpt-diag", {"fpt": {"t_end": -5.0}}, "'fpt.t_end' must be non-negative"),
+        ("simulate", {"mc": {"base_seed": -5}}, "'mc.base_seed' must be a non-negative integer"),
+        (
+            "table1",
+            {"experiment": {"base_seed": -1}},
+            "'experiment.base_seed' must be a non-negative integer",
+        ),
+    ],
+)
+def test_config_domain_exit_code(tmp_path, capsys, command, config, message):
+    # values of the right kind but outside what the command can run on
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and message in err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exit_code(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["simulate", "--seed", "-3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "'mc.base_seed' must be a non-negative integer" in err
+
+
 def test_validate_single_path_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["validate", "--paths", "1", "--out", str(out)]) == 2

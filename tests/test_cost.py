@@ -21,6 +21,9 @@ from driftinv import (
     expected_total_cost,
     sweep,
 )
+import driftinv.renewal
+from driftinv.cli import cmd_expected_cost
+from driftinv.config import load_config
 from driftinv.cost import CostBreakdown, CostCurve, negative_inventory_times, write_sweep_csv
 
 from conftest import exact_expected_orders
@@ -164,12 +167,28 @@ def test_negative_inventory_flagging(series_cfg):
     # drift-dominated process: expected inventory goes negative past x0/mu
     p = ProcessParams(mu=100.0, alpha=0.001, lam=0.001)
     pol = PolicyParams(x0=100.0, a=50.0, Q=10.0)
-    flagged = negative_inventory_times(p, pol, [0.5, 0.9, 1.5, 3.0], series_cfg)
+    costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0)
+    curve = cost_curve(p, pol, costs, [0.5, 0.9, 1.5, 3.0], series_cfg)
+    flagged = negative_inventory_times(p, pol, curve)
     assert flagged == [1.5, 3.0]
     # nothing to flag with the reference setup
     ref_p = ProcessParams(mu=5.0, alpha=10.0, lam=1.0)
     ref_pol = PolicyParams(x0=100.0, a=50.0, Q=50.0)
-    assert negative_inventory_times(ref_p, ref_pol, np.linspace(0, 12, 25), series_cfg) == []
+    ref_curve = cost_curve(ref_p, ref_pol, costs, np.linspace(0, 12, 25), series_cfg)
+    assert negative_inventory_times(ref_p, ref_pol, ref_curve) == []
+
+
+def test_curve_orders_are_expected_renewals(ref_process, ref_policy, ref_costs, series_cfg):
+    grid = np.linspace(0.0, 12.0, 13)
+    curve = cost_curve(ref_process, ref_policy, ref_costs, grid, series_cfg)
+    want = [expected_renewals(ref_process, ref_policy, float(t), series_cfg) for t in grid]
+    assert curve.orders.tolist() == want
+    # a hand-built curve has no order counts to flag from
+    bare = CostCurve(grid=curve.grid, points=curve.points)
+    with pytest.raises(ParameterError):
+        negative_inventory_times(ref_process, ref_policy, bare)
+    with pytest.raises(ParameterError):
+        CostCurve(grid=curve.grid, points=curve.points, orders=want[:-1])
 
 
 def test_sweep_singletons_match_single_eval(ref_process, ref_policy, ref_costs, series_cfg):
@@ -207,6 +226,48 @@ def test_sweep_row_order_and_csv(tmp_path, ref_process, series_cfg):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "a,Q,c_h,c_o,c_so,mode,t,ordering,holding,shortage,total"
     assert len(lines) == 1 + len(rows)
+
+
+@pytest.mark.parametrize("mode", list(OrderingMode))
+def test_sweep_rows_equal_pointwise_cost(ref_process, series_cfg, mode):
+    # one series per (a, Q, t) shared by every costs entry must give the
+    # same bits as a full evaluation per row
+    costs_list = [CostParams(c_o=c, c_h=1.0, c_so=10.0, ordering_mode=mode) for c in (2.5, 7.0)]
+    a_list, q_list, grid = [40.0, 55.5], [45.0, 60.0], [0.0, 1.7, 6.0]
+    rows = sweep(ref_process, costs_list, a_list, q_list, grid, series_cfg, x0=100.0)
+    assert len(rows) == len(a_list) * len(q_list) * len(costs_list) * len(grid)
+    keys = [(a, Q, c, t) for a in a_list for Q in q_list for c in costs_list for t in grid]
+    assert [(a, Q, c, t) for (a, Q, c, t, _) in rows] == keys
+    for a, Q, costs, t, bd in rows:
+        policy = PolicyParams(x0=100.0, a=a, Q=Q)
+        assert bd == expected_total_cost(ref_process, policy, costs, t, series_cfg)
+
+
+@pytest.fixture()
+def series_calls(monkeypatch):
+    """Counts the renewal series summed while a test runs."""
+    calls = []
+    original = driftinv.renewal.renewal_series
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(driftinv.renewal, "renewal_series", counted)
+    return calls
+
+
+def test_sweep_sums_one_series_per_a_q_t(ref_process, series_cfg, series_calls):
+    costs_list = [CostParams(c_o=c, c_h=1.0, c_so=10.0) for c in (5.0, 7.5, 10.0)]
+    a_list, q_list, grid = [40.0, 50.0, 60.0], [50.0, 60.0], np.linspace(0.0, 6.0, 7)
+    sweep(ref_process, costs_list, a_list, q_list, grid, series_cfg)
+    assert len(series_calls) == len(a_list) * len(q_list) * grid.size
+
+
+def test_expected_cost_sums_one_series_per_grid_time(tmp_path, series_calls):
+    cfg = load_config(overrides={"grid": {"t_start": 0.0, "t_end": 6.0, "steps": 13}})
+    assert cmd_expected_cost(cfg, tmp_path) == 0
+    assert len(series_calls) == cfg.grid.size
 
 
 def test_sweep_empty_lists_rejected(ref_process, ref_costs, series_cfg):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftinv import (
     CostParams,
@@ -263,3 +265,37 @@ def test_trajectory_csv_and_summary_json(tmp_path, ref_process, ref_policy, ref_
         "shortage_fraction",
     }
     assert data["n_paths"] == 200
+
+
+# float tolerance of the inventory bounds: 4 ulps of x0 + Q*orders, the
+# largest magnitude in x0 - D + Q*R.  The left limit at a drift crossing
+# is x0 - a in exact arithmetic and lands within about 2 ulps of it.
+BOUND_ULPS = 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.05, 20.0),
+    alpha=st.floats(0.05, 30.0),
+    lam=st.floats(0.01, 5.0),
+    x0=st.floats(1.0, 200.0),
+    a_share=st.floats(0.01, 0.99),
+    Q=st.floats(0.1, 100.0),
+    horizon=st.floats(0.01, 20.0),
+    seed=st.integers(0, 2**31),
+)
+def test_path_inventory_bounds(mu, alpha, lam, x0, a_share, Q, horizon, seed):
+    # with zero lead time X_t = x0 - D_t + Q R_t and R_t counts the
+    # thresholds a + (n-1)Q that D_t has reached, so the inventory never
+    # falls below x0 - a and ends in (x0 - a, x0 - a + Q] once an order
+    # has been placed, in (x0 - a, x0] before
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    policy = PolicyParams(x0=x0, a=a_share * x0, Q=Q)
+    stats = path_stats(process, policy, horizon, 8, seed)
+    orders = stats["orders"]
+    tol = BOUND_ULPS * np.spacing(x0 + Q * orders)
+    low = x0 - policy.a
+    high = np.where(orders > 0, low + Q, x0)
+    assert np.all(stats["min_inv"] >= low - tol)
+    assert np.all(stats["inv_end"] > low - tol)
+    assert np.all(stats["inv_end"] <= high + tol)
