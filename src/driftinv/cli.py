@@ -147,12 +147,13 @@ def cmd_sweep(cfg, out_dir):
 
 def cmd_simulate(cfg, out_dir):
     horizon = float(cfg.grid[-1]) if cfg.grid[-1] > 0 else 10.0
-    traj = simulate(cfg.process, cfg.policy, horizon, cfg.base_seed)
-    traj_file = out_dir / "trajectory.csv"
-    save_trajectory_csv(traj, traj_file)
+    # the batch first: a run beyond the jump budget stops before writing
     summary = mc_summary(
         cfg.process, cfg.policy, cfg.costs, horizon, cfg.n_paths, cfg.base_seed
     )
+    traj = simulate(cfg.process, cfg.policy, horizon, cfg.base_seed)
+    traj_file = out_dir / "trajectory.csv"
+    save_trajectory_csv(traj, traj_file)
     summary_file = out_dir / "summary.json"
     save_summary_json(summary, summary_file)
     print(
@@ -182,11 +183,12 @@ def run_validation(cfg, rate_scale: float = 1.0):
             mu=cfg.process.mu, alpha=cfg.process.alpha * rate_scale, lam=cfg.process.lam
         )
     rows = []
-    for t in cfg.validate_times:
-        stats = path_stats(cfg.process, cfg.policy, t, cfg.n_paths, cfg.base_seed)
-        ordering = cfg.costs.order_cost(cfg.policy.Q) * stats["orders"]
-        holding = cfg.costs.c_h * stats["pos_integral"]
-        shortage = cfg.costs.c_so * stats["neg_integral"]
+    # one batch to the latest time; each time keeps the jumps before it
+    stats = path_stats(cfg.process, cfg.policy, cfg.validate_times, cfg.n_paths, cfg.base_seed)
+    for k, t in enumerate(cfg.validate_times):
+        ordering = cfg.costs.order_cost(cfg.policy.Q) * stats["orders"][k]
+        holding = cfg.costs.c_h * stats["pos_integral"][k]
+        shortage = cfg.costs.c_so * stats["neg_integral"][k]
         total = ordering + holding + shortage
         mean_shortage = float(np.mean(shortage))
         slack = mean_shortage * (
@@ -200,9 +202,9 @@ def run_validation(cfg, rate_scale: float = 1.0):
             "total_cost": exact.cost.total,
         }
         mc = {
-            "expected_orders": stats["orders"],
-            "expected_inventory": stats["inv_end"],
-            "integrated_orders": stats["int_renewals"],
+            "expected_orders": stats["orders"][k],
+            "expected_inventory": stats["inv_end"][k],
+            "integrated_orders": stats["int_renewals"][k],
             "total_cost": total,
         }
         for name in ("expected_orders", "expected_inventory", "integrated_orders", "total_cost"):
@@ -279,20 +281,20 @@ def cmd_fpt_diag(cfg, out_dir):
     grid = np.linspace(0.0, float(fpt_raw["t_end"]), int(fpt_raw["steps"]))
     diag_file = out_dir / "fpt_diag.csv"
     ks_file = out_dir / "fpt_ks.csv"
+    # two independent batches, each sampled once for every threshold
+    ns = list(range(1, n_values + 1))
+    emp_a_all = fpt_empirical_cdf(cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed)
+    emp_b_all = fpt_empirical_cdf(
+        cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed + cfg.n_paths
+    )
     chart_series = []
     with open(diag_file, "w") as fh, open(ks_file, "w") as kh:
         fh.write("n,shape,rate,t,gamma_cdf,literal_integrand,empirical\n")
         kh.write("n,ks_gamma_vs_empirical,ks_batch_self\n")
-        for n in range(1, n_values + 1):
+        for n, emp_a, emp_b in zip(ns, emp_a_all, emp_b_all):
             spec = fpt_gamma_spec(cfg.process, cfg.policy, n)
             gcdf = np.array([gamma_cdf(spec, t) for t in grid])
             lit = np.array([literal_integrand_cdf(spec, t) for t in grid])
-            emp_a = fpt_empirical_cdf(
-                cfg.process, cfg.policy, n, grid, cfg.n_paths, cfg.base_seed
-            )
-            emp_b = fpt_empirical_cdf(
-                cfg.process, cfg.policy, n, grid, cfg.n_paths, cfg.base_seed + cfg.n_paths
-            )
             ks = float(np.max(np.abs(gcdf - emp_a)))
             ks_self = float(np.max(np.abs(emp_a - emp_b)))
             kh.write(f"{n},{ks!r},{ks_self!r}\n")

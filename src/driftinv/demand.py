@@ -4,6 +4,9 @@ A path is drift mu*t plus alpha per jump, with jump times sampled
 exactly from exponential inter-arrivals (no time discretization).
 Paths are immutable and fully determined by (params, horizon, seed);
 the PRNG is numpy's PCG64, so identical seeds replay identical paths.
+Jump times are prefix-consistent: a shorter horizon keeps exactly the
+jumps of a longer one that fall before it, so one batch sampled to the
+longest horizon serves every shorter one (``truncate_batch``).
 """
 
 import json
@@ -13,6 +16,17 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .params import ProcessParams
+
+# Most jump times one sampling call may ask for, counted as the expected
+# n_paths * lam * horizon: 2**25 float64 times are 256 MiB, and packing a
+# batch briefly holds them twice.
+JUMP_BUDGET = 2**25
+
+# Segments per chunk in ``path_segments``: the vectorised kernels hold
+# about twenty temporaries of this length at once, so their memory does
+# not grow with the batch.  At 4096 a 2000-path command peaks no higher
+# than the per-event loops did, where 8192 added about 1 MB.
+CHUNK_SEGMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -50,10 +64,21 @@ def _draw_jump_times(rng, lam, horizon):
     return times[times < horizon]
 
 
+def _check_jump_budget(lam, horizon, n_paths):
+    expected = n_paths * lam * horizon
+    if expected > JUMP_BUDGET:
+        raise ParameterError(
+            f"{n_paths} paths at jump rate {lam:g} to horizon {horizon:g} need about "
+            f"{expected:.3g} jump times, more than the budget of {JUMP_BUDGET}; "
+            f"use fewer paths or a shorter horizon"
+        )
+
+
 def sample_path(params: ProcessParams, horizon: float, seed: int) -> SamplePath:
     """Sample one path; bit-reproducible for identical (params, horizon, seed)."""
     if not horizon > 0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
+    _check_jump_budget(params.lam, horizon, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     times = _draw_jump_times(rng, params.lam, horizon)
     return SamplePath(params=params, jump_times=times, horizon=horizon, seed=seed)
@@ -68,6 +93,7 @@ def batch_jump_times(params: ProcessParams, horizon: float, base_seed: int, n_pa
         raise ParameterError(f"horizon must be positive, got {horizon}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
+    _check_jump_budget(params.lam, horizon, n_paths)
     chunks = []
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
     for i in range(n_paths):
@@ -77,6 +103,65 @@ def batch_jump_times(params: ProcessParams, horizon: float, base_seed: int, n_pa
         offsets[i + 1] = offsets[i] + t.size
     flat = np.concatenate(chunks) if chunks else np.empty(0)
     return flat, offsets
+
+
+def truncate_batch(flat, offsets, horizon: float):
+    """The packed batch cut to the jumps before ``horizon``; by prefix
+    consistency, the batch ``batch_jump_times`` samples to that horizon."""
+    keep = flat < horizon
+    nonempty = np.flatnonzero(np.diff(offsets))
+    kept = np.zeros_like(offsets)
+    if nonempty.size:
+        kept[nonempty + 1] = np.add.reduceat(keep, offsets[nonempty], dtype=np.int64)
+    return flat[keep], np.cumsum(kept, out=kept)
+
+
+@dataclass(frozen=True)
+class Segments:
+    """Paths ``first``, ``first + 1``, ... of a packed batch, cut at their jumps.
+
+    Path p (numbered from 0 within the chunk) owns segments
+    ``start[p]`` to ``last[p]``: one ending at each of its jumps, then one
+    ending at the horizon.  For segment s, ``path[s]`` is its path,
+    ``t_end[s]`` its end time and ``s_before[s]``/``s_after[s]`` the jump
+    demand alpha*(jumps so far) before and after its jump, summed one jump
+    at a time as a walk along the path sums it.
+    """
+
+    first: int
+    path: np.ndarray
+    start: np.ndarray
+    last: np.ndarray
+    is_jump: np.ndarray
+    t_end: np.ndarray
+    s_before: np.ndarray
+    s_after: np.ndarray
+
+
+def path_segments(flat, offsets, alpha: float, horizon: float):
+    """Yield the ``Segments`` of a packed batch, whole paths at a time and
+    at most ``CHUNK_SEGMENTS`` segments per chunk unless one path has more."""
+    n_paths = offsets.shape[0] - 1
+    counts = np.diff(offsets)
+    # sums[k]: k jumps of alpha added in sequence
+    sums = np.concatenate(([0.0], np.cumsum(np.full(int(counts.max(initial=0)) + 1, alpha))))
+    through = offsets[1:] + np.arange(1, n_paths + 1)  # segments of paths 0..p
+    p0 = 0
+    while p0 < n_paths:
+        done = int(through[p0 - 1]) if p0 else 0
+        p1 = max(int(np.searchsorted(through, done + CHUNK_SEGMENTS, side="right")), p0 + 1)
+        m = counts[p0:p1]
+        start = offsets[p0:p1] - offsets[p0] + np.arange(p1 - p0)
+        last = start + m
+        path = np.repeat(np.arange(p1 - p0), m + 1)
+        local = np.arange(int(through[p1 - 1]) - done) - start[path]
+        is_jump = np.ones(local.size, dtype=bool)
+        is_jump[last] = False
+        t_end = np.empty(local.size)
+        t_end[is_jump] = flat[offsets[p0] : offsets[p1]]
+        t_end[last] = horizon
+        yield Segments(p0, path, start, last, is_jump, t_end, sums[local], sums[local + 1])
+        p0 = p1
 
 
 def demand_at(path: SamplePath, t: float) -> float:

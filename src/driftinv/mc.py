@@ -1,13 +1,18 @@
-"""Event-driven Monte Carlo of the controlled inventory process.
+"""Exact Monte Carlo of the controlled inventory process.
 
 Between jumps the inventory falls at the drift rate, so threshold
 crossing times solve in closed form and no time grid is involved.  An
 order of Q arrives the instant cumulative demand reaches the next
 threshold a + (n-1)Q; one jump may fire several orders when it clears
-several thresholds.  Per-segment integrals of the positive and negative
-inventory parts are exact trapezoids, so realized costs carry no
-quadrature error.  This module is the brute-force oracle for every
-closed-form quantity and the only measurement of the shortage term.
+several thresholds.  ``simulate_events`` walks one path event by event
+and writes its log.  ``batch_stats`` computes the path functionals of a
+whole batch with array operations over its jumps: demand is monotone,
+so the orders of each stretch between two jumps are a run of
+consecutive thresholds, the integral of the order count is a sum of
+arithmetic series, and X = x0 - D + Q*R gives the inventory integral,
+all without quadrature error.  This module is the brute-force oracle
+for every closed-form quantity and the only measurement of the
+shortage term.
 """
 
 import json
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostBreakdown
-from .demand import SamplePath, batch_jump_times, sample_path
+from .demand import SamplePath, batch_jump_times, path_segments, sample_path, truncate_batch
 from .errors import ParameterError
 from .params import CostParams, PolicyParams, ProcessParams
 
@@ -126,20 +131,86 @@ def cost_integrals(times, kinds, inv, n_events, mu, x0, horizon):
     return pos, neg, int_r, orders, v1, min_inv
 
 
-def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon, times, kinds, inv, out):
-    n_paths = offsets.shape[0] - 1
-    for i in range(n_paths):
-        jumps = flat[offsets[i] : offsets[i + 1]]
-        m = simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv)
-        pos, neg, int_r, orders, v_end, min_inv = cost_integrals(
-            times, kinds, inv, m, mu, x0, horizon
+def _first_true(pred, x):
+    """Smallest k >= 0 with pred(k), for pred monotone in k: start at
+    floor(x) + 1, which only a rounding can put off, and step to it."""
+    k = np.maximum(np.floor(x) + 1.0, 0.0).astype(np.int64)
+    while True:
+        up = ~pred(k)
+        if not up.any():
+            break
+        k += up
+    while True:
+        down = (k > 0) & pred(k - 1)
+        if not down.any():
+            break
+        k -= down
+    return k
+
+
+def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
+    """Exact path functionals on [0, horizon] of each packed jump path.
+
+    Returns an (n_paths, 6) array with the columns of ``path_stats``:
+    orders, final inventory, integral of the order count, of max(X, 0)
+    and of max(-X, 0), and the minimum inventory.
+
+    Demand is monotone, so the orders placed in each segment between two
+    jumps are a run of consecutive thresholds.  The orders standing after
+    the segment's drift and after its jump are the smallest k with
+    (a + Q*k - jsum)/mu > t_end and with a + Q*k > demand, the predicates
+    ``simulate_events`` stops on, so the counts match it exactly.  The
+    drift run adds an arithmetic series to the integral of R, and the
+    inventory integral is x0*T - (integral of D) + Q*(integral of R).
+    Since 0 < a < x0 the inventory never falls below x0 - a > 0, so the
+    negative-part integral is 0.  Paths go through in chunks of about
+    ``CHUNK_SEGMENTS`` segments (see ``demand.path_segments``).
+    """
+    out = np.empty((offsets.shape[0] - 1, 6))
+    for seg in path_segments(flat, offsets, alpha, horizon):
+        t_end, s_before = seg.t_end, seg.s_before
+        drift = _first_true(
+            lambda k: (a + Q * k - s_before) / mu > t_end, (mu * t_end + s_before - a) / Q
         )
-        out[i, 0] = orders
-        out[i, 1] = v_end
-        out[i, 2] = int_r
-        out[i, 3] = pos
-        out[i, 4] = neg
-        out[i, 5] = min_inv
+        demand = mu * t_end[seg.is_jump] + seg.s_after[seg.is_jump]
+        jump = np.zeros_like(drift)
+        jump[seg.is_jump] = _first_true(lambda k: a + Q * k > demand, (demand - a) / Q)
+        # orders standing after each segment: a running maximum per path
+        shift = seg.path * (int(max(drift.max(), jump.max())) + 1)
+        after = np.maximum.accumulate(np.maximum(drift, jump) + shift) - shift
+        before = np.empty_like(after)
+        before[1:] = after[:-1]
+        before[seg.start] = 0
+        t_prev = np.empty_like(t_end)
+        t_prev[1:] = t_end[:-1]
+        t_prev[seg.start] = 0.0
+        drifted = np.maximum(before, drift)
+        n_drift = drifted - before
+        t_first = (a + Q * before - s_before) / mu
+        # each order adds horizon - (its time) to the integral of R
+        order_ages = (
+            n_drift * (horizon - t_first)
+            - (Q / mu) * (n_drift * (n_drift - 1) // 2)
+            + (after - drifted) * (horizon - t_end)
+        )
+        int_r = np.bincount(seg.path, order_ages, minlength=seg.start.size)
+        jump_ages = np.bincount(
+            seg.path[seg.is_jump], horizon - t_end[seg.is_jump], minlength=seg.start.size
+        )
+        # inventory just before each jump and at the horizon; a drift
+        # crossing held over positive time leaves x0 - a as its left limit,
+        # and the run has one unless it rounded onto the event before it
+        inv = x0 - (mu * t_end + s_before) + Q * drifted
+        t_last = (a + Q * (drifted - 1) - s_before) / mu
+        low = np.where((n_drift > 0) & (t_last > t_prev), np.minimum(inv, x0 - a), inv)
+        rows = out[seg.first : seg.first + seg.start.size]
+        rows[:, 0] = after[seg.last]
+        rows[:, 1] = inv[seg.last]
+        rows[:, 2] = int_r
+        rows[:, 3] = x0 * horizon - (0.5 * mu * horizon * horizon + alpha * jump_ages) + Q * int_r
+        rows[:, 4] = 0.0
+        rows[:, 5] = np.minimum(np.minimum.reduceat(low, seg.start), x0)
+    return out
 
 
 def _event_capacity(n_jumps, params, policy, horizon):
@@ -233,7 +304,7 @@ def realized_cost(traj: Trajectory, costs: CostParams) -> CostBreakdown:
 def path_stats(
     params: ProcessParams,
     policy: PolicyParams,
-    horizon: float,
+    horizon,
     n_paths: int,
     base_seed: int,
     seed_stride: int = 1,
@@ -241,49 +312,44 @@ def path_stats(
     """Per-path functionals for n_paths paths seeded base_seed + i*stride.
 
     Keys: orders, inv_end, int_renewals, pos_integral, neg_integral,
-    min_inv (each an array of length n_paths).
+    min_inv (each an array of length n_paths).  ``horizon`` may also be
+    a sequence: one batch is then sampled to the longest horizon, each
+    shorter one keeps its jumps before it (the batch it would sample
+    itself), and every array has one row per horizon.
     """
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
+    horizons = np.atleast_1d(np.asarray(horizon, dtype=np.float64))
+    if horizons.size == 0 or not np.all(horizons > 0):
+        raise ParameterError(f"horizons must be positive, got {horizon}")
+    longest = float(horizons.max())
     if seed_stride == 1:
-        flat, offsets = batch_jump_times(params, horizon, base_seed, n_paths)
+        flat, offsets = batch_jump_times(params, longest, base_seed, n_paths)
     else:
         # test hook: stride 0 replays one seed n_paths times
         chunks = [
-            batch_jump_times(params, horizon, base_seed + i * seed_stride, 1)[0]
+            batch_jump_times(params, longest, base_seed + i * seed_stride, 1)[0]
             for i in range(n_paths)
         ]
         offsets = np.zeros(n_paths + 1, dtype=np.int64)
         for i, c in enumerate(chunks):
             offsets[i + 1] = offsets[i] + c.size
         flat = np.concatenate(chunks)
-    max_jumps = int(np.max(np.diff(offsets))) if n_paths else 0
-    cap = _event_capacity(max_jumps, params, policy, horizon)
-    times = np.empty(cap)
-    kinds = np.empty(cap, dtype=np.int8)
-    inv = np.empty(cap)
-    out = np.empty((n_paths, 6))
-    batch_stats(
-        flat,
-        offsets,
-        params.mu,
-        params.alpha,
-        policy.x0,
-        policy.a,
-        policy.Q,
-        horizon,
-        times,
-        kinds,
-        inv,
-        out,
-    )
+    out = np.empty((horizons.size, n_paths, 6))
+    for row, h in zip(out, horizons.tolist()):
+        jumps = (flat, offsets) if h == longest else truncate_batch(flat, offsets, h)
+        row[...] = batch_stats(
+            *jumps, params.mu, params.alpha, policy.x0, policy.a, policy.Q, h
+        )
+    if np.ndim(horizon) == 0:
+        out = out[0]
     return {
-        "orders": out[:, 0],
-        "inv_end": out[:, 1],
-        "int_renewals": out[:, 2],
-        "pos_integral": out[:, 3],
-        "neg_integral": out[:, 4],
-        "min_inv": out[:, 5],
+        "orders": out[..., 0],
+        "inv_end": out[..., 1],
+        "int_renewals": out[..., 2],
+        "pos_integral": out[..., 3],
+        "neg_integral": out[..., 4],
+        "min_inv": out[..., 5],
     }
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import batch_jump_times
+from .demand import batch_jump_times, path_segments
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
 from .gammainc import reg_lower_gamma
 from .params import PolicyParams, ProcessParams
@@ -172,55 +172,59 @@ def expected_integrated_renewals(
     return expected_renewal_sums(params, policy, t, cfg)[1]
 
 
-def first_passage_times(flat, offsets, mu, alpha, level):
-    """Exact first time mu*t + alpha*(jumps so far) reaches ``level``
-    for each packed jump path; inf when the path never reaches it."""
-    n_paths = offsets.shape[0] - 1
-    out = np.empty(n_paths)
-    for i in range(n_paths):
-        lo = offsets[i]
-        hi = offsets[i + 1]
-        fpt = np.inf
-        jumps = 0.0
-        found = False
-        for j in range(lo, hi):
-            tj = flat[j]
-            # drift alone may reach the level before this jump
-            t_cross = (level - jumps) / mu
-            if t_cross <= tj:
-                fpt = t_cross
-                found = True
-                break
-            jumps += alpha
-            if mu * tj + jumps >= level:
-                fpt = tj
-                found = True
-                break
-        if not found:
-            # drift beyond the last jump
-            fpt = (level - jumps) / mu
-        out[i] = fpt
+def first_passage_times(flat, offsets, mu, alpha, levels):
+    """Exact first time mu*t + alpha*(jumps so far) reaches each of
+    ``levels`` on each packed jump path, as a (len(levels), n_paths) array.
+
+    Every time is finite: past its last jump a path is extended by drift
+    alone, which reaches any level since mu > 0.  Events are taken in
+    path order, the drift reaching a level at a jump time before the
+    jump itself.
+    """
+    levels = np.asarray(levels, dtype=np.float64)
+    out = np.empty((levels.size, offsets.shape[0] - 1))
+    for seg in path_segments(flat, offsets, alpha, np.inf):
+        index = np.arange(seg.t_end.size)
+        after_jump = mu * seg.t_end + seg.s_after
+        for row, level in zip(out, levels.tolist()):
+            t_drift = (level - seg.s_before) / mu
+            by_drift = t_drift <= seg.t_end
+            # each path's last segment ends at inf, so it always hits
+            hit = np.where(by_drift | (after_jump >= level), index, index.size)
+            first = np.minimum.reduceat(hit, seg.start)
+            row[seg.first : seg.first + first.size] = np.where(
+                by_drift[first], t_drift[first], seg.t_end[first]
+            )
     return out
 
 
 def fpt_empirical_cdf(
     params: ProcessParams,
     policy: PolicyParams,
-    n: int,
+    n,
     t_grid,
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
     """Empirical CDF of the exact first passage to the n-th threshold,
-    evaluated on ``t_grid`` from ``n_paths`` simulated paths."""
-    if n < 1:
-        raise ParameterError(f"threshold index must be >= 1, got {n}")
+    evaluated on ``t_grid`` from ``n_paths`` simulated paths.
+
+    ``n`` may also be a sequence of threshold indices: one batch, sampled
+    to the horizon of the highest threshold, then serves them all, and
+    the result has one row per index.  A path's first passage to a lower
+    threshold falls before that threshold's own horizon, so it does not
+    depend on the longer horizon.
+    """
+    ns = np.atleast_1d(n)
+    if ns.size == 0 or np.any(ns < 1):
+        raise ParameterError(f"threshold indices must be >= 1, got {n}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     grid = np.asarray(t_grid, dtype=np.float64)
-    level = policy.threshold(n)
+    levels = [policy.threshold(int(k)) for k in ns]
     # horizon long enough that censoring only affects times beyond the grid
-    horizon = max(float(grid.max()), level / params.mu) + 1.0
+    horizon = max(float(grid.max()), max(levels) / params.mu) + 1.0
     flat, offsets = batch_jump_times(params, horizon, seed, n_paths)
-    fpt = first_passage_times(flat, offsets, params.mu, params.alpha, level)
-    return np.searchsorted(np.sort(fpt), grid, side="right") / float(n_paths)
+    fpt = np.sort(first_passage_times(flat, offsets, params.mu, params.alpha, levels), axis=1)
+    cdf = np.stack([np.searchsorted(row, grid, side="right") for row in fpt]) / float(n_paths)
+    return cdf if np.ndim(n) else cdf[0]

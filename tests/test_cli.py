@@ -273,6 +273,33 @@ def test_negative_seed_flag_exit_code(tmp_path, capsys):
     assert "bad configuration" in err and "'mc.base_seed' must be a non-negative integer" in err
 
 
+@pytest.mark.parametrize(
+    "command, config, horizon",
+    [
+        ("simulate", {"grid": {"t_start": 0.0, "t_end": 1e6, "steps": 5}}, "1e+06"),
+        ("validate", {"validate": {"times": [2.0, 1e6]}}, "1e+06"),
+        ("fpt-diag", {"fpt": {"n_values": 5, "t_end": 1e6, "steps": 5}}, "1e+06"),
+        ("fpt-diag", {"process": {"lam": 100.0}}, "51"),
+    ],
+)
+def test_jump_budget_exit_code(tmp_path, capsys, monkeypatch, command, config, horizon):
+    # about n_paths * lam * horizon jump times past the budget: refused
+    # before a single path is drawn, with the sizes named
+    def no_sampling(*args):
+        raise AssertionError("jump times were sampled")
+
+    monkeypatch.setattr("driftinv.demand._draw_jump_times", no_sampling)
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "parameter error" in err and "budget" in err
+    assert f"100000 paths at jump rate {config.get('process', {}).get('lam', 1.0):g}" in err
+    assert f"to horizon {horizon} " in err
+    assert list(out.iterdir()) == []
+
+
 def test_validate_single_path_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["validate", "--paths", "1", "--out", str(out)]) == 2

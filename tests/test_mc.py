@@ -1,5 +1,7 @@
 """Event-driven Monte Carlo: pathwise identities and exact-law checks."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -18,8 +20,17 @@ from driftinv import (
     realized_cost,
     simulate,
 )
-from driftinv.demand import SamplePath
-from driftinv.mc import path_stats, save_summary_json, save_trajectory_csv, trajectory_from_path
+from driftinv.demand import SamplePath, batch_jump_times
+from driftinv.mc import (
+    KIND_ORDER,
+    batch_stats,
+    cost_integrals,
+    path_stats,
+    save_summary_json,
+    save_trajectory_csv,
+    simulate_events,
+    trajectory_from_path,
+)
 
 from conftest import exact_expected_orders
 
@@ -299,3 +310,177 @@ def test_path_inventory_bounds(mu, alpha, lam, x0, a_share, Q, horizon, seed):
     assert np.all(stats["min_inv"] >= low - tol)
     assert np.all(stats["inv_end"] > low - tol)
     assert np.all(stats["inv_end"] <= high + tol)
+
+
+def event_kernel_stats(jumps, mu, alpha, x0, a, Q, horizon):
+    """Scalar reference for one path: the functionals of the event log
+    that ``simulate_events`` writes, in the column order of ``batch_stats``.
+
+    ``cost_integrals`` adds its terms in sequence, which after thousands
+    of orders is off by hundreds of ulps; the two integrals here sum the
+    same terms exactly (``math.fsum``), so only the kernel is compared.
+    """
+    cap = jumps.size + max(int((mu * horizon + alpha * jumps.size - a) / Q), 0) + 8
+    times, kinds, inv = np.empty(cap), np.empty(cap, dtype=np.int8), np.empty(cap)
+    m = simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv)
+    _, neg, _, orders, v_end, min_inv = cost_integrals(times, kinds, inv, m, mu, x0, horizon)
+    ends = np.append(times[:m], horizon)
+    starts = np.append(0.0, times[:m])
+    values = np.append(x0, inv[:m])
+    pos = math.fsum(
+        0.5 * (v0 + (v0 - mu * (t1 - t0))) * (t1 - t0)
+        for t0, t1, v0 in zip(starts.tolist(), ends.tolist(), values.tolist())
+        if t1 > t0
+    )
+    int_r = math.fsum(horizon - t for t in times[:m][kinds[:m] == KIND_ORDER].tolist())
+    return orders, v_end, int_r, pos, neg, min_inv
+
+
+def assert_matches_event_kernel(flat, offsets, mu, alpha, x0, a, Q, horizon):
+    got = batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon)
+    for i, row in enumerate(got):
+        jumps = flat[offsets[i] : offsets[i + 1]]
+        orders, v_end, int_r, pos, neg, min_inv = event_kernel_stats(
+            jumps, mu, alpha, x0, a, Q, horizon
+        )
+        assert row[0] == orders
+        ulp = np.spacing(x0 + Q * orders)
+        assert abs(row[1] - v_end) <= BOUND_ULPS * ulp
+        assert abs(row[5] - min_inv) <= BOUND_ULPS * ulp
+        # an order time (a + Q*k - jsum)/mu carries the rounding of its
+        # threshold over mu; the integrals may err by that once per order
+        t_ulp = ulp / mu + np.spacing(horizon)
+        n = max(orders, 1)
+        assert abs(row[2] - int_r) <= BOUND_ULPS * n * t_ulp
+        assert abs(row[3] - pos) <= BOUND_ULPS * (horizon * ulp + Q * n * t_ulp)
+        assert row[4] == neg == 0.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.05, 20.0),
+    alpha=st.floats(0.05, 30.0),
+    lam=st.floats(0.01, 5.0),
+    x0=st.floats(1.0, 200.0),
+    a_share=st.floats(0.01, 0.99),
+    Q=st.one_of(st.floats(0.1, 100.0), st.floats(0.01, 0.5)),
+    horizon=st.floats(0.01, 20.0),
+    seed=st.integers(0, 2**31),
+)
+def test_batch_stats_matches_event_kernel(mu, alpha, lam, x0, a_share, Q, horizon, seed):
+    # sampled paths, with many orders per jump when Q << alpha
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    flat, offsets = batch_jump_times(process, horizon, seed, 6)
+    assert_matches_event_kernel(flat, offsets, mu, alpha, x0, a_share * x0, Q, horizon)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    mu=st.integers(1, 6),
+    alpha=st.integers(1, 25),
+    x0=st.integers(2, 120),
+    a_share=st.floats(0.0, 1.0),
+    Q=st.integers(1, 40),
+    horizon=st.integers(1, 20),
+    steps=st.lists(st.lists(st.integers(0, 79), unique=True, max_size=12), min_size=1, max_size=4),
+)
+def test_batch_stats_matches_event_kernel_on_lattice(mu, alpha, x0, a_share, Q, horizon, steps):
+    # integer a, Q, mu and alpha with jumps on a quarter-unit lattice: demand
+    # is exact, so crossings fall exactly on jumps and on the horizon
+    a = min(max(round(a_share * x0), 1), x0 - 1)
+    paths = [np.array(sorted(k for k in ks if k < 4 * horizon), dtype=float) / 4.0 for ks in steps]
+    offsets = np.concatenate(([0], np.cumsum([p.size for p in paths])))
+    flat = np.concatenate(paths)
+    assert_matches_event_kernel(
+        flat, offsets, float(mu), float(alpha), float(x0), float(a), float(Q), float(horizon)
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.05, 20.0),
+    alpha=st.floats(0.05, 30.0),
+    x0=st.floats(1.0, 200.0),
+    a_share=st.floats(0.01, 0.99),
+    Q=st.floats(0.01, 50.0),
+    picks=st.lists(st.tuples(st.sampled_from([0, 0, 1, 2]), st.floats(0.01, 1.0)), max_size=15),
+)
+def test_batch_stats_matches_event_kernel_at_float_ties(mu, alpha, x0, a_share, Q, picks):
+    # jumps, and the horizon, put exactly on the next drift crossing
+    # (a + Q*k - jsum)/mu as the kernel rounds it (tie 1), or where the
+    # jump itself lifts demand onto a threshold (tie 2); there a floor
+    # estimate of the order count misses by one and the exact predicates
+    # decide, and a crossing may round onto the jump before it
+    a = a_share * x0
+
+    def next_crossing(t, jsum):
+        k = max(math.floor((mu * t + jsum - a) / Q) + 1, 0)
+        return (a + Q * k - jsum) / mu
+
+    times, t, jsum = [], 0.0, 0.0
+    for tie, gap in picks:
+        t_next = t + gap
+        if tie:
+            t_tie = next_crossing(t, jsum + alpha * (tie - 1))
+            t_next = t_tie if t_tie > t else t_next
+        if t_next > t:
+            times.append(t_next)
+            t, jsum = t_next, jsum + alpha
+    tie = next_crossing(t, jsum)
+    horizon = tie if tie > t else t + 1.0
+    flat = np.array(times)
+    assert_matches_event_kernel(flat, np.array([0, flat.size]), mu, alpha, x0, a, Q, horizon)
+
+
+def test_batch_stats_ties_at_jump_and_horizon():
+    # thresholds 5, 10, 15, 20: drift reaches 5 exactly at the jump at
+    # t=1, the jump lifts demand to 15 and clears 10 and 15, and drift
+    # reaches 20 exactly at the horizon
+    flat = np.array([1.0])
+    offsets = np.array([0, 1])
+    row = batch_stats(flat, offsets, 5.0, 10.0, 20.0, 5.0, 5.0, 2.0)[0]
+    want = event_kernel_stats(flat, 5.0, 10.0, 20.0, 5.0, 5.0, 2.0)
+    assert row[0] == want[0] == 4
+    assert row.tolist() == pytest.approx(list(want), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mu, alpha, x0, a, Q, horizon, jumps, k",
+    [
+        # the only jump lifts demand to just below a, so no order fires
+        # at it, but the drift crossing of a rounds onto the jump time:
+        # that order is held over no time and the inventory never rests
+        # at x0 - a
+        (
+            10.92027297676691, 17.4864491818054, 129.4644372012411,
+            55.197578789679675, 8.104458905834363, 3.6968774172569034,
+            [3.453313821742865], 0,
+        ),
+        # the same at the third jump with a + 4Q, but the crossing of
+        # a + 5Q at t = 7.635 does leave the inventory at x0 - a
+        (
+            14.57418049483272, 7.026708533379493, 108.31290563172361,
+            104.23585536410452, 5.624711280011589, 8.02042531548375,
+            [6.669956287778278, 6.9596956681942705, 7.2494350486102626], 4,
+        ),
+    ],
+    ids=["never-rests", "rests-later"],
+)
+def test_batch_stats_crossing_rounded_onto_a_jump(mu, alpha, x0, a, Q, horizon, jumps, k):
+    flat = np.array(jumps)
+    jsum = 0.0
+    for _ in jumps:
+        jsum += alpha
+    assert (a + Q * k - jsum) / mu == flat[-1]
+    assert_matches_event_kernel(flat, np.array([0, flat.size]), mu, alpha, x0, a, Q, horizon)
+
+
+def test_stats_from_longest_horizon_equal_fresh_batches(ref_process, ref_policy):
+    # one batch to the latest time, cut at each earlier one, gives the
+    # bits of a batch sampled to that time
+    times = [2.0, 10.0, 5.0]
+    shared = path_stats(ref_process, ref_policy, times, 3000, base_seed=61)
+    for k, t in enumerate(times):
+        fresh = path_stats(ref_process, ref_policy, t, 3000, base_seed=61)
+        for key, values in fresh.items():
+            assert np.array_equal(shared[key][k], values), (key, t)

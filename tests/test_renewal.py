@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftinv import (
     ParameterError,
@@ -17,6 +19,8 @@ from driftinv import (
     fpt_gamma_spec,
     gamma_cdf,
 )
+from driftinv.demand import batch_jump_times
+from driftinv.renewal import first_passage_times
 
 
 def test_fpt_spec_reference_values(ref_process, ref_policy):
@@ -145,3 +149,68 @@ def test_empirical_cdf_matches_exact_law(ref_process, ref_policy):
         want = float(scipy.stats.poisson.sf(need - 1, ref_process.lam * t))
         stderr = np.sqrt(max(want * (1 - want), 1e-12) / n_paths)
         assert abs(est - want) <= 4 * stderr
+
+
+def scalar_first_passage_times(flat, offsets, mu, alpha, level):
+    """Reference: walk each path's events in order."""
+    out = np.empty(offsets.shape[0] - 1)
+    for i in range(out.size):
+        jumps = 0.0
+        fpt = None
+        for tj in flat[offsets[i] : offsets[i + 1]].tolist():
+            # drift alone may reach the level before this jump
+            t_cross = (level - jumps) / mu
+            if t_cross <= tj:
+                fpt = t_cross
+                break
+            jumps += alpha
+            if mu * tj + jumps >= level:
+                fpt = tj
+                break
+        # drift beyond the last jump
+        out[i] = (level - jumps) / mu if fpt is None else fpt
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mu=st.one_of(st.floats(0.05, 20.0), st.integers(1, 6).map(float)),
+    alpha=st.one_of(st.floats(0.05, 30.0), st.integers(1, 25).map(float)),
+    lam=st.floats(0.05, 5.0),
+    levels=st.lists(
+        st.one_of(st.floats(0.01, 300.0), st.integers(1, 300).map(float)), min_size=1, max_size=4
+    ),
+    horizon=st.floats(0.1, 30.0),
+    seed=st.integers(0, 2**31),
+)
+def test_first_passage_times_match_scalar_walk(mu, alpha, lam, levels, horizon, seed):
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    flat, offsets = batch_jump_times(process, horizon, seed, 7)
+    got = first_passage_times(flat, offsets, mu, alpha, levels)
+    for row, level in zip(got, levels):
+        want = scalar_first_passage_times(flat, offsets, mu, alpha, level)
+        assert np.array_equal(row, want)
+
+
+def test_first_passage_times_ties_on_a_lattice():
+    # integer drift and jumps on whole times: levels hit exactly at a jump,
+    # exactly by drift at a jump time, and after the last jump
+    flat = np.array([1.0, 2.0, 3.0, 1.0, 4.0, 0.0])
+    offsets = np.array([0, 3, 5, 5, 6])
+    levels = [2.0, 5.0, 8.0, 12.0, 30.0]
+    got = first_passage_times(flat, offsets, 2.0, 3.0, levels)
+    for row, level in zip(got, levels):
+        assert np.array_equal(row, scalar_first_passage_times(flat, offsets, 2.0, 3.0, level))
+    assert got[1].tolist() == [1.0, 1.0, 2.5, 1.0]
+    assert np.all(np.isfinite(got))
+
+
+def test_shared_batch_cdf_equals_batch_per_threshold(ref_process, ref_policy):
+    # one batch to the highest threshold's horizon gives every lower
+    # threshold the CDF of a batch drawn for it alone
+    grid = np.linspace(0.0, 12.0, 25)
+    shared = fpt_empirical_cdf(ref_process, ref_policy, [1, 2, 3, 4], grid, n_paths=3000, seed=8)
+    assert shared.shape == (4, grid.size)
+    for n, row in zip([1, 2, 3, 4], shared):
+        fresh = fpt_empirical_cdf(ref_process, ref_policy, n, grid, n_paths=3000, seed=8)
+        assert np.array_equal(row, fresh)
