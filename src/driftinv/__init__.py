@@ -15,6 +15,7 @@ from .cost import (
     exact_moments,
     expected_inventory,
     expected_total_cost,
+    long_run_rate,
     sweep,
 )
 from .demand import SamplePath, demand_at, period_increments, sample_path
@@ -85,6 +86,7 @@ __all__ = [
     "gamma_cdf",
     "mc_summary",
     "literal_integrand_cdf",
+    "long_run_rate",
     "period_increments",
     "realized_cost",
     "reorder_sim_discrete",

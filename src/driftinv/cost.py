@@ -229,6 +229,20 @@ def exact_moments(
     )
 
 
+def long_run_rate(params: ProcessParams, policy: PolicyParams, costs: CostParams) -> float:
+    """Long-run expected cost per unit time, lim total(t)/t.
+
+    The renewal-reward rate of the (r, Q) policy: orders arrive at rate
+    (mu + alpha*lam)/Q, and with mu > 0 demand is non-lattice, so the
+    inventory tends to the uniform law on (x0 - a, x0 - a + Q] with mean
+    x0 - a + Q/2 (Hadley & Whitin 1963; Zipkin 2000, ch. 6).  Nothing
+    is ever short, so the rate is
+    c_o(Q)*(mu + alpha*lam)/Q + c_h*(x0 - a + Q/2)."""
+    return costs.order_cost(policy.Q) * params.demand_rate / policy.Q + costs.c_h * (
+        policy.x0 - policy.a + policy.Q / 2
+    )
+
+
 def cost_curve(
     params: ProcessParams,
     policy: PolicyParams,

@@ -18,6 +18,7 @@ to within Monte Carlo noise; the forecast-projected variant lands far
 outside it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,32 +332,53 @@ def rolling_kernel(series, window, start0, count, p_max, q_max, allow_d0, allow_
     return out
 
 
-def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand, per_period):
-    """Period loop: maybe order (arrives immediately), subtract demand,
-    accrue costs on the end-of-period level.  Backorders go negative."""
-    inv = x0
-    ordering = 0.0
-    holding = 0.0
-    shortage = 0.0
-    orders = 0
-    stockout = False
-    n = actuals.shape[0]
-    for k in range(n):
-        cost_k = 0.0
-        proj = inv if on_hand else inv - forecasts[k]
-        if proj <= R:
-            inv += Q
-            orders += 1
-            ordering += order_charge
-            cost_k += order_charge
-        inv -= actuals[k]
-        h = c_h * inv if inv > 0.0 else 0.0
-        s = -c_so * inv if inv < 0.0 else 0.0
-        if inv < 0.0:
-            stockout = True
+def discrete_sim(
+    actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand, period_cost=None
+):
+    """Replay the reorder-point policy for every (grid row, series) pair.
+
+    ``actuals`` and ``forecasts`` are (S, P) arrays over the simulated
+    periods of S series; ``R``, ``Q``, ``c_h``, ``c_so`` and
+    ``order_charge`` hold one value per grid row, shape (G,).  Each
+    period: order Q (it arrives immediately) when the trigger is at or
+    below R, subtract the demand, then accrue holding on positive and
+    shortage on negative end-of-period inventory; backorders go
+    negative.  The loop runs over the P periods on (G, S) state, and
+    every elementwise step is the one a per-pair scalar loop takes, in
+    the same order, so each pair gets that loop's bits.
+
+    Returns (G, S) arrays: ordering, holding and shortage cost, order
+    count and whether the inventory ever went negative.  A (G, P)
+    ``period_cost`` receives each period's cost summed over the series
+    left to right, as a running sum over them would give it.
+    """
+    act = np.ascontiguousarray(np.asarray(actuals, dtype=np.float64).T)
+    if not on_hand:
+        fc = np.ascontiguousarray(np.asarray(forecasts, dtype=np.float64).T)
+    R, Q, c_h, c_so, charge = (
+        np.asarray(v, dtype=np.float64).reshape(-1, 1) for v in (R, Q, c_h, c_so, order_charge)
+    )
+    shape = (R.shape[0], act.shape[1])
+    inv = np.full(shape, float(x0))
+    ordering = np.zeros(shape)
+    holding = np.zeros(shape)
+    shortage = np.zeros(shape)
+    orders = np.zeros(shape, dtype=np.int64)
+    stockout = np.zeros(shape, dtype=bool)
+    for k in range(act.shape[0]):
+        order = (inv if on_hand else inv - fc[k]) <= R
+        np.add(inv, Q, out=inv, where=order)
+        orders += order
+        np.add(ordering, charge, out=ordering, where=order)
+        inv -= act[k]
+        h = np.where(inv > 0.0, c_h * inv, 0.0)
+        s = np.where(inv < 0.0, -c_so * inv, 0.0)
+        stockout |= inv < 0.0
         holding += h
         shortage += s
-        per_period[k] = cost_k + h + s
+        if period_cost is not None:
+            cost = np.where(order, charge, 0.0) + h + s
+            period_cost[:, k] = np.cumsum(cost, axis=1)[:, -1]
     return ordering, holding, shortage, orders, stockout
 
 
@@ -460,10 +482,9 @@ def reorder_sim_discrete(
         )
     if trigger not in ("forecast_projected", "on_hand"):
         raise ParameterError(f"unknown trigger rule {trigger!r}")
-    per_period = np.empty(act.size)
-    ordering, holding, shortage, _, _ = discrete_sim(
-        act,
-        fc,
+    replay = discrete_sim(
+        act[None, :],
+        fc[None, :],
         policy.x0,
         policy.reorder_point,
         policy.Q,
@@ -471,8 +492,8 @@ def reorder_sim_discrete(
         costs.c_so,
         costs.order_cost(policy.Q),
         trigger == "on_hand",
-        per_period,
     )
+    ordering, holding, shortage = (float(v[0, 0]) for v in replay[:3])
     return CostBreakdown(
         ordering=ordering,
         holding=holding,
@@ -512,65 +533,60 @@ def _experiment_arrays(cfg: ExperimentConfig):
     return actuals_mat, forecasts_mat
 
 
+def _grid_rows(cfg: ExperimentConfig, param_grid):
+    """Per-row (R, Q, c_h, c_so, order charge) arrays of the grid, every
+    row checked before any series is generated."""
+    if not len(param_grid):
+        raise ParameterError("parameter grid must be non-empty")
+    cols = []
+    for i, (R, Q, c_h, c_o, c_so) in enumerate(param_grid):
+        if not 0 < R < cfg.policy.x0:
+            raise ParameterError(
+                f"grid row {i}: reorder level R={R} must lie strictly between 0 "
+                f"and x0={cfg.policy.x0}"
+            )
+        if not (Q > 0 and math.isfinite(Q)):
+            raise ParameterError(f"grid row {i}: order quantity Q={Q} must be finite and positive")
+        costs = CostParams(c_o=c_o, c_h=c_h, c_so=c_so, ordering_mode=cfg.costs.ordering_mode)
+        cols.append((R, Q, c_h, c_so, costs.order_cost(Q)))
+    return np.array(cols, dtype=np.float64).T
+
+
 def run_table_experiment(cfg: ExperimentConfig, param_grid=None):
     """Average total cost per (R, Q, C_h, C_o, C_so) grid row.
 
     Demand series and forecasts are generated once (seeds shared across
-    rows, which also serves as variance reduction) and replayed through
-    the discrete simulation for every row."""
+    rows, which also serves as variance reduction) and every (row,
+    series) pair is replayed in one pass of the discrete simulation."""
     if param_grid is None:
         param_grid = TABLE1_GRID
-    if not len(param_grid):
-        raise ParameterError("parameter grid must be non-empty")
+    grid_rows = _grid_rows(cfg, param_grid)
     actuals_mat, forecasts_mat = _experiment_arrays(cfg)
     n_series = actuals_mat.shape[0]
-    on_hand = cfg.trigger == "on_hand"
-    per_period = np.empty(actuals_mat.shape[1])
-    rows = []
-    for R, Q, c_h, c_o, c_so in param_grid:
-        if not 0 < R < cfg.policy.x0:
-            raise ParameterError(
-                f"reorder level R={R} must lie strictly between 0 and x0={cfg.policy.x0}"
-            )
-        costs = CostParams(
-            c_o=c_o, c_h=c_h, c_so=c_so, ordering_mode=cfg.costs.ordering_mode
+    ordering, holding, shortage, orders, stockout = discrete_sim(
+        actuals_mat, forecasts_mat, cfg.policy.x0, *grid_rows, cfg.trigger == "on_hand"
+    )
+    # each row's statistics come from a contiguous 1-D slice: a reduction
+    # along an axis of the 2-D arrays may sum in another order
+    totals = ordering + holding + shortage
+    orders = orders.astype(np.float64)
+    stockout = stockout.astype(np.float64)
+    return [
+        TableRow(
+            R=R,
+            Q=Q,
+            c_h=c_h,
+            c_o=c_o,
+            c_so=c_so,
+            mean_total=float(np.mean(totals[g])),
+            stderr_total=float(
+                np.std(totals[g], ddof=1) / np.sqrt(n_series) if n_series > 1 else 0.0
+            ),
+            mean_orders=float(np.mean(orders[g])),
+            stockout_rate=float(np.mean(stockout[g])),
         )
-        order_charge = costs.order_cost(Q)
-        totals = np.empty(n_series)
-        orders = np.empty(n_series)
-        stockouts = np.empty(n_series)
-        for i in range(n_series):
-            ordering, holding, shortage, n_orders, stockout = discrete_sim(
-                actuals_mat[i],
-                forecasts_mat[i],
-                cfg.policy.x0,
-                R,
-                Q,
-                c_h,
-                c_so,
-                order_charge,
-                on_hand,
-                per_period,
-            )
-            totals[i] = ordering + holding + shortage
-            orders[i] = n_orders
-            stockouts[i] = 1.0 if stockout else 0.0
-        rows.append(
-            TableRow(
-                R=R,
-                Q=Q,
-                c_h=c_h,
-                c_o=c_o,
-                c_so=c_so,
-                mean_total=float(np.mean(totals)),
-                stderr_total=float(
-                    np.std(totals, ddof=1) / np.sqrt(n_series) if n_series > 1 else 0.0
-                ),
-                mean_orders=float(np.mean(orders)),
-                stockout_rate=float(np.mean(stockouts)),
-            )
-        )
-    return rows
+        for g, (R, Q, c_h, c_o, c_so) in enumerate(param_grid)
+    ]
 
 
 def cumulative_cost_profile(cfg: ExperimentConfig):
@@ -580,25 +596,20 @@ def cumulative_cost_profile(cfg: ExperimentConfig):
     own policy and costs."""
     actuals_mat, forecasts_mat = _experiment_arrays(cfg)
     n_series, n_periods = actuals_mat.shape
-    acc = np.zeros(n_periods)
-    per_period = np.empty(n_periods)
-    order_charge = cfg.costs.order_cost(cfg.policy.Q)
-    on_hand = cfg.trigger == "on_hand"
-    for i in range(n_series):
-        discrete_sim(
-            actuals_mat[i],
-            forecasts_mat[i],
-            cfg.policy.x0,
-            cfg.policy.reorder_point,
-            cfg.policy.Q,
-            cfg.costs.c_h,
-            cfg.costs.c_so,
-            order_charge,
-            on_hand,
-            per_period,
-        )
-        acc += per_period
-    acc /= n_series
+    acc = np.empty((1, n_periods))
+    discrete_sim(
+        actuals_mat,
+        forecasts_mat,
+        cfg.policy.x0,
+        cfg.policy.reorder_point,
+        cfg.policy.Q,
+        cfg.costs.c_h,
+        cfg.costs.c_so,
+        cfg.costs.order_cost(cfg.policy.Q),
+        cfg.trigger == "on_hand",
+        acc,
+    )
+    acc = acc[0] / n_series
     periods = np.arange(cfg.sim_start, cfg.sim_end + 1)
     return periods, np.cumsum(acc)
 

@@ -19,6 +19,7 @@ from driftinv import (
     expected_inventory,
     expected_renewals,
     expected_total_cost,
+    long_run_rate,
     sweep,
 )
 import driftinv.renewal
@@ -358,6 +359,24 @@ def test_exact_form_independent_of_time_unit(ref_process, ref_policy, ref_costs,
         assert b.orders == pytest.approx(a.orders, rel=1e-12)
         assert b.integrated_orders == pytest.approx(2 * a.integrated_orders, rel=1e-12)
         assert b.inventory == pytest.approx(a.inventory, rel=1e-12)
+
+
+def test_exact_cost_rate_tends_to_long_run_rate(ref_process, ref_policy, ref_costs, series_cfg):
+    # renewal-reward rate 250*15/50 + 1*(50 + 25) = 150 at the defaults;
+    # total/t approaches it from below and total(2t)/total(t) tends to 2
+    rate = long_run_rate(ref_process, ref_policy, ref_costs)
+    assert rate == 150.0
+    total = {
+        t: exact_moments(ref_process, ref_policy, ref_costs, t, series_cfg).cost.total
+        for t in (10.0, 20.0, 40.0, 80.0, 160.0)
+    }
+    gaps = [abs(total[t] / t - rate) for t in sorted(total)]
+    assert gaps == sorted(gaps, reverse=True)
+    assert gaps[-1] <= 0.01 * rate
+    ratios = [total[2 * t] / total[t] - 2.0 for t in (10.0, 20.0, 40.0, 80.0)]
+    assert all(r > 0 for r in ratios)
+    assert ratios == sorted(ratios, reverse=True)
+    assert ratios[-1] < 0.01
 
 
 def test_exact_series_cap(ref_process, ref_policy, ref_costs):

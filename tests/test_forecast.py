@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import driftinv.forecast
 from driftinv import (
     CostParams,
     ExperimentConfig,
@@ -18,7 +21,9 @@ from driftinv import (
     run_table_experiment,
 )
 from driftinv.forecast import (
+    TABLE1_GRID,
     cumulative_cost_profile,
+    discrete_sim,
     generate_demand_series,
     experiment_forecasts,
     fit_candidate,
@@ -27,6 +32,52 @@ from driftinv.forecast import (
     sample_var,
     write_table_csv,
 )
+
+
+def scalar_discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand, per_period):
+    """One (grid row, series) pair, period by period: the reference the
+    batched ``discrete_sim`` must reproduce bit for bit."""
+    inv = x0
+    ordering = 0.0
+    holding = 0.0
+    shortage = 0.0
+    orders = 0
+    stockout = False
+    for k in range(actuals.shape[0]):
+        cost_k = 0.0
+        proj = inv if on_hand else inv - forecasts[k]
+        if proj <= R:
+            inv += Q
+            orders += 1
+            ordering += order_charge
+            cost_k += order_charge
+        inv -= actuals[k]
+        h = c_h * inv if inv > 0.0 else 0.0
+        s = -c_so * inv if inv < 0.0 else 0.0
+        if inv < 0.0:
+            stockout = True
+        holding += h
+        shortage += s
+        per_period[k] = cost_k + h + s
+    return ordering, holding, shortage, orders, stockout
+
+
+def assert_batch_matches_scalar(actuals, forecasts, x0, R, Q, c_h, c_so, charge, on_hand):
+    n_series, n_periods = actuals.shape
+    period_cost = np.empty((R.size, n_periods))
+    got = discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, charge, on_hand, period_cost)
+    per_period = np.empty(n_periods)
+    for g in range(R.size):
+        acc = np.zeros(n_periods)
+        for i in range(n_series):
+            want = scalar_discrete_sim(
+                actuals[i], forecasts[i], x0, R[g], Q[g], c_h[g], c_so[g], charge[g],
+                on_hand, per_period,
+            )
+            pair = np.array([out[g, i] for out in got], dtype=np.float64)
+            assert pair.tobytes() == np.array(want, dtype=np.float64).tobytes()
+            acc += per_period
+        assert period_cost[g].tobytes() == acc.tobytes()
 
 
 def make_cfg(**kw):
@@ -221,6 +272,169 @@ def test_table_rejects_bad_reorder_level():
     cfg = make_cfg(n_series=1)
     with pytest.raises(ParameterError):
         run_table_experiment(cfg, [(150.0, 50.0, 1.0, 5.0, 10.0)])
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        (150.0, 50.0, 1.0, 5.0, 10.0),
+        (0.0, 50.0, 1.0, 5.0, 10.0),
+        (40.0, -50.0, 1.0, 5.0, 10.0),
+        (40.0, 0.0, 1.0, 5.0, 10.0),
+        (40.0, float("nan"), 1.0, 5.0, 10.0),
+        (40.0, float("inf"), 1.0, 5.0, 10.0),
+    ],
+)
+def test_table_checks_every_grid_row_before_generating(bad_row, monkeypatch):
+    def no_series(cfg):
+        raise AssertionError("a series was generated before the grid was checked")
+
+    monkeypatch.setattr(driftinv.forecast, "generate_demand_series", no_series)
+    cfg = make_cfg(n_series=1)
+    with pytest.raises(ParameterError, match="grid row 2"):
+        run_table_experiment(cfg, TABLE1_GRID[:2] + [bad_row])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    n_rows=st.integers(1, 4),
+    n_series=st.integers(1, 12),
+    n_periods=st.integers(1, 10),
+    on_hand=st.booleans(),
+    per_unit=st.booleans(),
+    lattice=st.booleans(),
+)
+def test_batched_replay_matches_scalar_loop(
+    data, n_rows, n_series, n_periods, on_hand, per_unit, lattice
+):
+    # on the integer lattice the inventory lands exactly on R and on 0,
+    # and a demand of 0 leaves it where it was
+    if lattice:
+        value = lambda hi: st.integers(0, hi).map(float)
+    else:
+        value = lambda hi: st.floats(0.0, hi, allow_nan=False)
+    x0 = float(data.draw(st.integers(2, 60)))
+    shape = (n_series, n_periods)
+    size = n_series * n_periods
+    actuals, forecasts = (
+        np.array(data.draw(st.lists(value(hi), min_size=size, max_size=size))).reshape(shape)
+        for hi in (30, 20)
+    )
+    rows = [
+        (
+            float(data.draw(st.integers(1, int(x0) - 1))),
+            data.draw(value(40).filter(lambda q: q > 0)),
+            data.draw(value(3)),
+            data.draw(value(12)),
+            data.draw(value(10)),
+        )
+        for _ in range(n_rows)
+    ]
+    R, Q, c_h, c_so, c_o = (np.array(col) for col in zip(*rows))
+    charge = c_o * Q if per_unit else c_o
+    assert_batch_matches_scalar(actuals, forecasts, x0, R, Q, c_h, c_so, charge, on_hand)
+
+
+def scalar_experiment(cfg, grid):
+    """Table rows and cost profile of the experiment, one scalar replay
+    per (grid row, series) pair."""
+    series_mat = generate_demand_series(cfg)
+    fc_mat = experiment_forecasts(series_mat, cfg)
+    act_mat = series_mat[:, cfg.sim_start - 1 : cfg.sim_end]
+    n_series, n_periods = act_mat.shape
+    on_hand = cfg.trigger == "on_hand"
+    per_period = np.empty(n_periods)
+
+    def replay(R, Q, c_h, c_so, charge):
+        for i in range(n_series):
+            yield scalar_discrete_sim(
+                act_mat[i], fc_mat[i], cfg.policy.x0, R, Q, c_h, c_so, charge, on_hand, per_period
+            )
+
+    rows = []
+    for R, Q, c_h, c_o, c_so in grid:
+        charge = CostParams(c_o, c_h, c_so, cfg.costs.ordering_mode).order_cost(Q)
+        res = list(replay(R, Q, c_h, c_so, charge))
+        totals = np.array([o + h + s for o, h, s, _, _ in res])
+        rows.append((
+            R, Q, c_h, c_o, c_so,
+            float(np.mean(totals)),
+            float(np.std(totals, ddof=1) / np.sqrt(n_series)),
+            float(np.mean(np.array([r[3] for r in res], dtype=np.float64))),
+            float(np.mean(np.array([float(r[4]) for r in res]))),
+        ))
+    acc = np.zeros(n_periods)
+    for _ in replay(
+        cfg.policy.x0 - cfg.policy.a, cfg.policy.Q, cfg.costs.c_h, cfg.costs.c_so,
+        cfg.costs.order_cost(cfg.policy.Q),
+    ):
+        acc += per_period
+    acc /= n_series
+    return rows, np.cumsum(acc)
+
+
+@pytest.mark.parametrize("trigger", ["on_hand", "forecast_projected"])
+@pytest.mark.parametrize("mode", list(OrderingMode))
+def test_table_and_profile_equal_scalar_replay(trigger, mode):
+    # demand off the integer lattice, so that sums taken in another order
+    # round differently
+    cfg = make_cfg(
+        n_series=40, forecaster="croston", trigger=trigger,
+        process=ProcessParams(mu=5.3, alpha=9.7, lam=1.1),
+        costs=CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=mode),
+    )
+    want_rows, want_profile = scalar_experiment(cfg, TABLE1_GRID)
+    rows = run_table_experiment(cfg, TABLE1_GRID)
+    assert repr([tuple(vars(r).values()) for r in rows]) == repr(want_rows)
+    assert cumulative_cost_profile(cfg)[1].tobytes() == want_profile.tobytes()
+
+
+def test_on_hand_replay_reads_no_forecast(monkeypatch):
+    # under on_hand the table and the profile measure the reorder-point
+    # replay, not the forecaster: NaN forecasts change nothing
+    grid = TABLE1_GRID[::5]
+    cfgs = [make_cfg(n_series=8, trigger=t) for t in ("on_hand", "forecast_projected")]
+    real = [(run_table_experiment(c, grid), cumulative_cost_profile(c)[1]) for c in cfgs]
+    monkeypatch.setattr(
+        driftinv.forecast,
+        "experiment_forecasts",
+        lambda series_mat, cfg: np.full((series_mat.shape[0], cfg.n_sim_periods), np.nan),
+    )
+    blind = [(run_table_experiment(c, grid), cumulative_cost_profile(c)[1]) for c in cfgs]
+    assert blind[0][0] == real[0][0]
+    assert np.array_equal(blind[0][1], real[0][1])
+    assert blind[1][0] != real[1][0]
+    assert not np.array_equal(blind[1][1], real[1][1])
+
+
+def test_batched_replay_lands_on_reorder_point_and_zero():
+    # series 0 drains to R = 5 exactly (an order fires there) and to 0
+    # exactly (no holding, no shortage, no stockout); series 1 has zero
+    # demand throughout; series 2 backorders
+    actuals = np.array([
+        [5.0, 0.0, 10.0, 5.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [4.0, 9.0, 20.0, 1.0, 3.0],
+    ])
+    forecasts = np.array([
+        [0.0, 5.0, 0.0, 0.0, 5.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0],
+        [3.0, 3.0, 3.0, 3.0, 3.0],
+    ])
+    R = np.array([5.0, 4.0])
+    Q = np.array([5.0, 2.0])
+    ones = np.ones(2)
+    for on_hand in (True, False):
+        assert_batch_matches_scalar(
+            actuals, forecasts, 10.0, R, Q, ones, 2 * ones, 3 * ones, on_hand
+        )
+    per_period = np.empty(5)
+    # on hand, R = Q = 5, end levels 5 | order, 10 | 0 | order, 0 | order, 5
+    assert scalar_discrete_sim(
+        actuals[0], forecasts[0], 10.0, 5.0, 5.0, 1.0, 2.0, 3.0, True, per_period
+    ) == (9.0, 20.0, 0.0, 3, False)
+    assert per_period.tolist() == [5.0, 3.0 + 10.0, 0.0, 3.0, 3.0 + 5.0]
 
 
 def test_table_csv_schema(tmp_path):

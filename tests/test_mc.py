@@ -432,6 +432,70 @@ def test_batch_stats_matches_event_kernel_at_float_ties(mu, alpha, x0, a_share, 
     assert_matches_event_kernel(flat, np.array([0, flat.size]), mu, alpha, x0, a, Q, horizon)
 
 
+def path_orders(flat, offsets, mu, alpha, x0, a, Q, horizon):
+    """(demand at the horizon, batch_stats orders, event-kernel orders) per path."""
+    batch = batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon)[:, 0]
+    for i in range(offsets.size - 1):
+        jumps = flat[offsets[i] : offsets[i + 1]]
+        jsum = 0.0
+        for _ in jumps:
+            jsum += alpha
+        event = event_kernel_stats(jumps, mu, alpha, x0, a, Q, horizon)[0]
+        yield mu * horizon + jsum, batch[i], event
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    mu=st.integers(1, 6),
+    alpha=st.integers(1, 25),
+    x0=st.integers(2, 120),
+    Q=st.integers(1, 40),
+    horizon4=st.integers(1, 80),
+    steps=st.lists(st.lists(st.integers(0, 80), unique=True, max_size=12), min_size=1, max_size=4),
+    a_share=st.floats(0.0, 1.0),
+    tie=st.integers(-1, 4),
+)
+def test_order_count_formula_on_lattice(mu, alpha, x0, Q, horizon4, steps, a_share, tie):
+    # R_t = max(floor((D_t - a)/Q) + 1, 0): on a quarter-unit lattice the
+    # floor is exact; with tie >= 0 the first path's D_t lands exactly on
+    # the threshold a + tie*Q, jumps may sit at the horizon itself
+    horizon = horizon4 / 4.0
+    paths = [np.array(sorted(k for k in ks if k <= horizon4), dtype=float) / 4.0 for ks in steps]
+    offsets = np.concatenate(([0], np.cumsum([p.size for p in paths])))
+    flat = np.concatenate(paths)
+    a = float(min(max(round(a_share * x0), 1), x0 - 1))
+    if tie >= 0 and 0 < mu * horizon + alpha * paths[0].size - tie * Q < x0:
+        a = mu * horizon + alpha * paths[0].size - tie * Q
+    for demand, batch, event in path_orders(
+        flat, offsets, float(mu), float(alpha), float(x0), a, float(Q), horizon
+    ):
+        assert batch == event == max(math.floor((demand - a) / Q) + 1, 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.05, 20.0),
+    alpha=st.floats(0.05, 30.0),
+    lam=st.floats(0.01, 5.0),
+    x0=st.floats(1.0, 200.0),
+    a_share=st.floats(0.01, 0.99),
+    Q=st.one_of(st.floats(0.1, 100.0), st.floats(0.01, 0.5)),
+    horizon=st.floats(0.01, 20.0),
+    seed=st.integers(0, 2**31),
+)
+def test_order_count_is_thresholds_reached(mu, alpha, lam, x0, a_share, Q, horizon, seed):
+    # off the lattice the floor rounds; R_t counts the thresholds
+    # a + (n-1)Q, n >= 1, that D_t has reached, computed as the kernels
+    # compute them
+    a = a_share * x0
+    flat, offsets = batch_jump_times(ProcessParams(mu=mu, alpha=alpha, lam=lam), horizon, seed, 6)
+    for demand, batch, event in path_orders(flat, offsets, mu, alpha, x0, a, Q, horizon):
+        reached = 0
+        while a + Q * reached <= demand:
+            reached += 1
+        assert batch == event == reached
+
+
 def test_batch_stats_ties_at_jump_and_horizon():
     # thresholds 5, 10, 15, 20: drift reaches 5 exactly at the jump at
     # t=1, the jump lifts demand to 15 and clears 10 and 15, and drift
