@@ -26,11 +26,9 @@ from .errors import (
     SeriesNotConvergedError,
 )
 from .forecast import (
-    ArimaModel,
     ExperimentConfig,
     TableRow,
     croston_forecast,
-    fit_arima,
     reorder_sim_discrete,
     rolling_forecast,
     run_table_experiment,
@@ -52,7 +50,6 @@ from .renewal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArimaModel",
     "CostBreakdown",
     "CostCurve",
     "CostParams",
@@ -80,7 +77,6 @@ __all__ = [
     "expected_inventory",
     "expected_renewals",
     "expected_total_cost",
-    "fit_arima",
     "fpt_empirical_cdf",
     "fpt_gamma_spec",
     "gamma_cdf",

@@ -6,6 +6,7 @@ the config), writes CSV as the canonical output and SVG as convenience.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .forecast import (
     write_table_csv,
 )
 from .mc import mc_summary, path_stats, save_summary_json, save_trajectory_csv, simulate
-from .params import CostParams, OrderingMode, ProcessParams
+from .params import OrderingMode, ProcessParams
 from .renewal import (  # the two gamma-series names: see expected_inventory above
     expected_integrated_renewals,  # noqa: F401
     expected_renewals,  # noqa: F401
@@ -42,25 +43,8 @@ from .renewal import (  # the two gamma-series names: see expected_inventory abo
 from .svg import line_chart
 
 
-def _replace_costs(costs: CostParams, c_o=None) -> CostParams:
-    return CostParams(
-        c_o=costs.c_o if c_o is None else c_o,
-        c_h=costs.c_h,
-        c_so=costs.c_so,
-        ordering_mode=costs.ordering_mode,
-    )
-
-
 def cmd_expected_cost(cfg, out_dir):
-    try:
-        curve = cost_curve(cfg.process, cfg.policy, cfg.costs, cfg.grid, cfg.series)
-    except SeriesNotConvergedError as err:
-        print(
-            f"expected-cost failed: series not converged at t={err.t} "
-            f"after n={err.n_terms} terms (partial sum {err.partial_sum:.6g})",
-            file=sys.stderr,
-        )
-        return 2
+    curve = cost_curve(cfg.process, cfg.policy, cfg.costs, cfg.grid, cfg.series)
     csv_file = out_dir / "expected_cost.csv"
     write_curve_csv(curve, cfg.policy, cfg.costs, csv_file)
     line_chart(
@@ -92,17 +76,8 @@ def cmd_sweep(cfg, out_dir):
     raw = cfg.raw["sweep"]
     a_list = [float(v) for v in raw["a_list"]]
     q_list = [float(v) for v in raw["Q_list"]]
-    costs_list = [_replace_costs(cfg.costs, c_o=float(v)) for v in raw["c_o_list"]]
-    try:
-        rows = sweep(
-            cfg.process, costs_list, a_list, q_list, cfg.grid, cfg.series, x0=cfg.policy.x0
-        )
-    except SeriesNotConvergedError as err:
-        print(
-            f"sweep failed: series not converged at t={err.t} after n={err.n_terms} terms",
-            file=sys.stderr,
-        )
-        return 2
+    costs_list = [dataclasses.replace(cfg.costs, c_o=float(v)) for v in raw["c_o_list"]]
+    rows = sweep(cfg.process, costs_list, a_list, q_list, cfg.grid, cfg.series, x0=cfg.policy.x0)
     csv_file = out_dir / "sweep.csv"
     write_sweep_csv(rows, csv_file)
 
@@ -146,7 +121,12 @@ def cmd_sweep(cfg, out_dir):
 
 
 def cmd_simulate(cfg, out_dir):
-    horizon = float(cfg.grid[-1]) if cfg.grid[-1] > 0 else 10.0
+    horizon = float(cfg.grid[-1])
+    if not horizon > 0:
+        raise ParameterError(
+            f"simulate runs to the last grid time, which is {horizon:g}: "
+            f"config key 'grid.t_end' must be positive"
+        )
     # the batch first: a run beyond the jump budget stops before writing
     summary = mc_summary(
         cfg.process, cfg.policy, cfg.costs, horizon, cfg.n_paths, cfg.base_seed
@@ -241,14 +221,7 @@ def cmd_validate(cfg, out_dir, rate_scale: float = 1.0):
             f"use at least 1000",
             file=sys.stderr,
         )
-    try:
-        rows = run_validation(cfg, rate_scale=rate_scale)
-    except SeriesNotConvergedError as err:
-        print(
-            f"validate failed: series not converged at t={err.t} after n={err.n_terms} terms",
-            file=sys.stderr,
-        )
-        return 2
+    rows = run_validation(cfg, rate_scale=rate_scale)
     csv_file = out_dir / "validation.csv"
     with open(csv_file, "w") as fh:
         fh.write("quantity,t,analytical,mc_mean,mc_stderr,slack,abs_diff,limit,status\n")
@@ -335,17 +308,10 @@ def cmd_compare(cfg, out_dir):
     periods, cum = cumulative_cost_profile(cfg.experiment)
     exp = cfg.experiment
     times = exp.period_length * np.arange(1, exp.n_sim_periods + 1)
-    try:
-        ana = [
-            expected_total_cost(cfg.process, exp.policy, exp.costs, float(t), cfg.series).total
-            for t in times
-        ]
-    except SeriesNotConvergedError as err:
-        print(
-            f"compare failed: series not converged at t={err.t} after n={err.n_terms} terms",
-            file=sys.stderr,
-        )
-        return 2
+    ana = [
+        expected_total_cost(cfg.process, exp.policy, exp.costs, float(t), cfg.series).total
+        for t in times
+    ]
     csv_file = out_dir / "compare.csv"
     with open(csv_file, "w") as fh:
         fh.write("period,t,analytical_total,forecast_sim_cum_cost\n")
@@ -417,6 +383,13 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, out_dir)
     except ParameterError as err:
         print(f"parameter error: {err}", file=sys.stderr)
+        return 2
+    except SeriesNotConvergedError as err:
+        print(
+            f"{args.command} failed: series not converged at t={err.t} "
+            f"after n={err.n_terms} terms (partial sum {err.partial_sum:.6g})",
+            file=sys.stderr,
+        )
         return 2
 
 

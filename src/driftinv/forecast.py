@@ -42,16 +42,6 @@ TABLE1_GRID = [
 
 
 @dataclass(frozen=True)
-class ArimaModel:
-    p: int
-    d: int
-    q: int
-    ar_coeffs: np.ndarray
-    ma_coeffs: np.ndarray
-    intercept: float
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Protocol of the rolling-forecast comparison experiment."""
 
@@ -69,7 +59,6 @@ class ExperimentConfig:
     d_set: tuple = (0, 1)
     trigger: str = "on_hand"
     forecaster: str = "arima"
-    croston_smoothing: float = 0.1
 
     def __post_init__(self):
         if self.window < 1:
@@ -324,14 +313,6 @@ def forecast_window(w, p_max, q_max, allow_d0, allow_d1):
     return min(max(yhat, 0.0), w.max())
 
 
-def rolling_kernel(series, window, start0, count, p_max, q_max, allow_d0, allow_d1):
-    out = np.empty(count)
-    for k in range(count):
-        w = series[start0 + k - window : start0 + k].copy()
-        out[k] = forecast_window(w, p_max, q_max, allow_d0, allow_d1)
-    return out
-
-
 def discrete_sim(
     actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand, period_cost=None
 ):
@@ -382,43 +363,6 @@ def discrete_sim(
     return ordering, holding, shortage, orders, stockout
 
 
-def fit_arima(series, p_max: int = 2, q_max: int = 2, d_set=(0, 1)) -> ArimaModel:
-    """Fit the AIC-selected small ARIMA to a whole series."""
-    y = np.asarray(series, dtype=np.float64)
-    if not (0 <= p_max <= 2 and 0 <= q_max <= 2):
-        raise ParameterError("p_max and q_max must lie in {0, 1, 2}")
-    if not set(d_set) <= {0, 1} or len(d_set) == 0:
-        raise ParameterError("d_set must be a non-empty subset of {0, 1}")
-    max_lag = max(p_max, q_max) + (1 if 1 in d_set else 0)
-    if y.size < max_lag + 2:
-        raise InsufficientDataError(
-            f"series of length {y.size} cannot support lags up to {max_lag}"
-        )
-    d = int(pick_d(y, 0 in d_set, 1 in d_set))
-    z = np.diff(y) if d == 1 else y
-    found, p, q, c, phi1, phi2, th1, th2, _ = fit_window(z, p_max, q_max)
-    if not found:
-        return ArimaModel(
-            p=0, d=d, q=0, ar_coeffs=np.empty(0), ma_coeffs=np.empty(0),
-            intercept=float(np.mean(z)),
-        )
-    ar = np.array([phi1, phi2][: int(p)])
-    ma = np.array([th1, th2][: int(q)])
-    return ArimaModel(p=int(p), d=d, q=int(q), ar_coeffs=ar, ma_coeffs=ma, intercept=float(c))
-
-
-def one_step_forecast(model: ArimaModel, series) -> float:
-    """Unclamped one-step-ahead forecast of the next observation."""
-    y = np.asarray(series, dtype=np.float64)
-    z = np.diff(y) if model.d == 1 else y
-    phi1 = model.ar_coeffs[0] if model.p >= 1 else 0.0
-    phi2 = model.ar_coeffs[1] if model.p >= 2 else 0.0
-    th1 = model.ma_coeffs[0] if model.q >= 1 else 0.0
-    th2 = model.ma_coeffs[1] if model.q >= 2 else 0.0
-    zhat = float(one_step(z, model.p, model.q, model.intercept, phi1, phi2, th1, th2))
-    return float(y[-1] + zhat) if model.d == 1 else zhat
-
-
 def rolling_forecast(series, cfg: ExperimentConfig) -> np.ndarray:
     """One-step-ahead forecasts for the simulated periods, each fit on
     the trailing window; values clamped to [0, window max]."""
@@ -427,16 +371,12 @@ def rolling_forecast(series, cfg: ExperimentConfig) -> np.ndarray:
         raise InsufficientDataError(
             f"series has {y.size} periods, experiment needs {cfg.sim_end}"
         )
-    return rolling_kernel(
-        y,
-        cfg.window,
-        cfg.sim_start - 1,
-        cfg.n_sim_periods,
-        cfg.p_max,
-        cfg.q_max,
-        0 in cfg.d_set,
-        1 in cfg.d_set,
-    )
+    out = np.empty(cfg.n_sim_periods)
+    for k in range(cfg.n_sim_periods):
+        end = cfg.sim_start - 1 + k
+        w = y[end - cfg.window : end].copy()
+        out[k] = forecast_window(w, cfg.p_max, cfg.q_max, 0 in cfg.d_set, 1 in cfg.d_set)
+    return out
 
 
 def croston_forecast(series, smoothing: float = 0.1) -> np.ndarray:
@@ -519,7 +459,7 @@ def experiment_forecasts(series_mat: np.ndarray, cfg: ExperimentConfig) -> np.nd
     out = np.empty((series_mat.shape[0], n_fc))
     for i in range(series_mat.shape[0]):
         if cfg.forecaster == "croston":
-            fc = croston_forecast(series_mat[i], cfg.croston_smoothing)
+            fc = croston_forecast(series_mat[i])
             out[i] = fc[cfg.sim_start - 1 : cfg.sim_end]
         else:
             out[i] = rolling_forecast(series_mat[i], cfg)
@@ -547,7 +487,10 @@ def _grid_rows(cfg: ExperimentConfig, param_grid):
             )
         if not (Q > 0 and math.isfinite(Q)):
             raise ParameterError(f"grid row {i}: order quantity Q={Q} must be finite and positive")
-        costs = CostParams(c_o=c_o, c_h=c_h, c_so=c_so, ordering_mode=cfg.costs.ordering_mode)
+        try:
+            costs = CostParams(c_o=c_o, c_h=c_h, c_so=c_so, ordering_mode=cfg.costs.ordering_mode)
+        except ParameterError as err:
+            raise ParameterError(f"grid row {i}: {err}") from None
         cols.append((R, Q, c_h, c_so, costs.order_cost(Q)))
     return np.array(cols, dtype=np.float64).T
 

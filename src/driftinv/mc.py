@@ -307,9 +307,8 @@ def path_stats(
     horizon,
     n_paths: int,
     base_seed: int,
-    seed_stride: int = 1,
 ) -> dict:
-    """Per-path functionals for n_paths paths seeded base_seed + i*stride.
+    """Per-path functionals for n_paths paths seeded base_seed + index.
 
     Keys: orders, inv_end, int_renewals, pos_integral, neg_integral,
     min_inv (each an array of length n_paths).  ``horizon`` may also be
@@ -323,18 +322,7 @@ def path_stats(
     if horizons.size == 0 or not np.all(horizons > 0):
         raise ParameterError(f"horizons must be positive, got {horizon}")
     longest = float(horizons.max())
-    if seed_stride == 1:
-        flat, offsets = batch_jump_times(params, longest, base_seed, n_paths)
-    else:
-        # test hook: stride 0 replays one seed n_paths times
-        chunks = [
-            batch_jump_times(params, longest, base_seed + i * seed_stride, 1)[0]
-            for i in range(n_paths)
-        ]
-        offsets = np.zeros(n_paths + 1, dtype=np.int64)
-        for i, c in enumerate(chunks):
-            offsets[i + 1] = offsets[i] + c.size
-        flat = np.concatenate(chunks)
+    flat, offsets = batch_jump_times(params, longest, base_seed, n_paths)
     out = np.empty((horizons.size, n_paths, 6))
     for row, h in zip(out, horizons.tolist()):
         jumps = (flat, offsets) if h == longest else truncate_batch(flat, offsets, h)
@@ -377,11 +365,10 @@ def mc_summary(
     horizon: float,
     n_paths: int,
     base_seed: int,
-    seed_stride: int = 1,
 ) -> SimSummary:
     if n_paths < 2:
         raise ParameterError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
-    stats = path_stats(params, policy, horizon, n_paths, base_seed, seed_stride)
+    stats = path_stats(params, policy, horizon, n_paths, base_seed)
     ordering = costs.order_cost(policy.Q) * stats["orders"]
     holding = costs.c_h * stats["pos_integral"]
     shortage = costs.c_so * stats["neg_integral"]

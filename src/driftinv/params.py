@@ -1,10 +1,18 @@
 """Shared parameter records: demand process, reorder policy, unit costs."""
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
+
+
+def _require_finite(record, *fields) -> None:
+    for name in fields:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -21,6 +29,7 @@ class ProcessParams:
     lam: float
 
     def __post_init__(self):
+        _require_finite(self, "mu", "alpha", "lam")
         if not (self.mu > 0 and self.alpha > 0 and self.lam > 0):
             raise ParameterError(
                 f"process parameters must be strictly positive, got "
@@ -46,6 +55,7 @@ class PolicyParams:
     Q: float
 
     def __post_init__(self):
+        _require_finite(self, "x0", "a", "Q")
         if not self.x0 > 0:
             raise ParameterError(f"initial inventory must be positive, got {self.x0}")
         if not self.Q > 0:
@@ -88,6 +98,7 @@ class CostParams:
     ordering_mode: OrderingMode = OrderingMode.PER_UNIT_TIMES_Q
 
     def __post_init__(self):
+        _require_finite(self, "c_o", "c_h", "c_so")
         if self.c_o < 0 or self.c_h < 0 or self.c_so < 0:
             raise ParameterError(
                 f"costs must be nonnegative, got c_o={self.c_o}, "

@@ -74,11 +74,26 @@ def test_expected_cost_zero_grid(tmp_path):
     assert lines[1].split(",")[7:] == ["0.0", "0.0", "0.0", "0.0"]
 
 
-def test_series_not_converged_exit_code(tmp_path):
+@pytest.mark.parametrize("command", ["expected-cost", "sweep", "validate", "compare"])
+def test_series_not_converged_exit_code(tmp_path, capsys, command):
+    # every command that sums a series leaves through the one handler in main
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"series": {"n_max": 2}, "grid": {"t_start": 0.0, "t_end": 10.0, "steps": 6}}))
+    cfgfile.write_text(
+        json.dumps(
+            {
+                "series": {"n_max": 2},
+                "grid": {"t_start": 0.0, "t_end": 10.0, "steps": 6},
+                "mc": {"n_paths": 200},
+                "validate": {"times": [2.0]},
+                "experiment": {"n_series": 3},
+            }
+        )
+    )
     out = tmp_path / "out"
-    assert main(["expected-cost", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} failed: series not converged at t=" in err
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_outputs(tmp_path, small_config):
@@ -99,6 +114,17 @@ def test_simulate_outputs(tmp_path, small_config):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_paths"] == 2000
     assert summary["shortage_fraction"] == 0.0
+
+
+def test_simulate_zero_horizon_exit_code(tmp_path, capsys):
+    # the horizon is the last grid time; a zero one is refused, not replaced
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"grid": {"t_start": 0.0, "t_end": 0.0, "steps": 5}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "parameter error" in err and "'grid.t_end' must be positive" in err
+    assert list(out.iterdir()) == []
 
 
 def test_validate_reports_and_fails_on_defaults(tmp_path, small_config, capsys):
@@ -131,15 +157,6 @@ def test_validate_low_path_warning(tmp_path, capsys):
     out = tmp_path / "out"
     main(["validate", "--config", str(cfgfile), "--out", str(out)])
     assert "little statistical power" in capsys.readouterr().err
-
-
-def test_validate_series_not_converged_exit_code(tmp_path):
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(
-        json.dumps({"series": {"n_max": 2}, "mc": {"n_paths": 200}, "validate": {"times": [2.0]}})
-    )
-    out = tmp_path / "out"
-    assert main(["validate", "--config", str(cfgfile), "--out", str(out)]) == 2
 
 
 def test_validate_negative_control(small_config):

@@ -50,6 +50,21 @@ def test_policy_validation():
         PolicyParams(x0=100.0, a=50.0, Q=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (ProcessParams, dict(mu=5.0, alpha=10.0, lam=1.0)),
+        (PolicyParams, dict(x0=100.0, a=50.0, Q=50.0)),
+        (CostParams, dict(c_o=5.0, c_h=1.0, c_so=10.0)),
+    ],
+)
+def test_parameter_records_refuse_non_finite(record, fields, bad):
+    for name in fields:
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            record(**dict(fields, **{name: bad}))
+
+
 def test_cost_params_soft_warning():
     with pytest.warns(UserWarning):
         CostParams(c_o=5.0, c_h=6.0, c_so=10.0)

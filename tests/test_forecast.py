@@ -15,7 +15,6 @@ from driftinv import (
     PolicyParams,
     ProcessParams,
     croston_forecast,
-    fit_arima,
     reorder_sim_discrete,
     rolling_forecast,
     run_table_experiment,
@@ -27,8 +26,10 @@ from driftinv.forecast import (
     generate_demand_series,
     experiment_forecasts,
     fit_candidate,
+    fit_window,
+    forecast_window,
     ols,
-    one_step_forecast,
+    pick_d,
     sample_var,
     write_table_csv,
 )
@@ -103,10 +104,12 @@ def test_experiment_config_validation():
 
 
 def test_constant_series_falls_back_to_mean():
-    model = fit_arima([15.0] * 12)
-    assert (model.p, model.q) == (0, 0)
-    assert model.intercept == pytest.approx(15.0)
-    assert one_step_forecast(model, [15.0] * 12) == pytest.approx(15.0)
+    w = np.full(12, 15.0)
+    assert pick_d(w, True, True) == 0
+    found, p, q, c, *_ = fit_window(w, 2, 2)
+    assert found and (p, q) == (0, 0)
+    assert c == pytest.approx(15.0)
+    assert forecast_window(w, 2, 2, True, True) == pytest.approx(15.0)
 
 
 def test_ar1_recovery():
@@ -117,11 +120,10 @@ def test_ar1_recovery():
         y[t] = 0.8 * y[t - 1] + rng.normal()
     # pure AR fits recover the coefficient; the unrestricted grid may
     # pick an overparameterized ARMA with a near-cancelling factor
-    model = fit_arima(y, p_max=1, q_max=0, d_set=(0,))
-    assert (model.p, model.d, model.q) == (1, 0, 0)
-    assert model.ar_coeffs[0] == pytest.approx(0.8, abs=0.1)
-    from driftinv.forecast import fit_candidate
-
+    assert pick_d(y, True, False) == 0
+    found, p, q, _, phi1, _, _, _, _ = fit_window(y, 1, 0)
+    assert found and (p, q) == (1, 0)
+    assert phi1 == pytest.approx(0.8, abs=0.1)
     ok, _, phi1, phi2, _, _, _, _ = fit_candidate(y, 2, 0)
     assert ok
     assert phi1 == pytest.approx(0.8, abs=0.1)
@@ -130,8 +132,7 @@ def test_ar1_recovery():
 
 def test_linear_trend_selects_differencing():
     series = 3.0 * np.arange(20.0) + 1.0
-    model = fit_arima(series)
-    assert model.d == 1
+    assert pick_d(series, True, True) == 1
 
 
 def test_fitted_ar_roots_outside_unit_disk(ref_process):
@@ -139,16 +140,12 @@ def test_fitted_ar_roots_outside_unit_disk(ref_process):
     rng = np.random.default_rng(4)
     for _ in range(30):
         window = rng.poisson(1.0, 12) * 10.0 + 5.0
-        model = fit_arima(window)
-        if model.p:
-            poly = np.concatenate(([1.0], -model.ar_coeffs))
+        z = np.diff(window) if pick_d(window, True, True) == 1 else window
+        found, p, _, _, phi1, phi2, _, _, _ = fit_window(z, 2, 2)
+        if found and p:
+            poly = np.array([1.0, -phi1, -phi2][: p + 1])
             roots = np.roots(poly[::-1])  # roots of 1 - phi1 z - phi2 z^2
             assert np.all(np.abs(roots) > 1.0)
-
-
-def test_insufficient_data():
-    with pytest.raises(InsufficientDataError):
-        fit_arima([1.0, 2.0, 3.0])
 
 
 def test_rolling_constant_series():
@@ -283,6 +280,8 @@ def test_table_rejects_bad_reorder_level():
         (40.0, 0.0, 1.0, 5.0, 10.0),
         (40.0, float("nan"), 1.0, 5.0, 10.0),
         (40.0, float("inf"), 1.0, 5.0, 10.0),
+        (40.0, 50.0, float("nan"), 5.0, 10.0),
+        (40.0, 50.0, 1.0, float("inf"), 10.0),
     ],
 )
 def test_table_checks_every_grid_row_before_generating(bad_row, monkeypatch):

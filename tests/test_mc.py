@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftinv.mc
 from driftinv import (
     CostParams,
     OrderingMode,
@@ -175,8 +176,14 @@ def test_mc_summary_replay_determinism(ref_process, ref_policy, ref_costs):
     assert a == b
 
 
-def test_mc_summary_forced_identical_seeds(ref_process, ref_policy, ref_costs):
-    summary = mc_summary(ref_process, ref_policy, ref_costs, 5.0, 2, base_seed=9, seed_stride=0)
+def test_mc_summary_forced_identical_seeds(ref_process, ref_policy, ref_costs, monkeypatch):
+    # every path replays the path of one seed
+    def one_path_n_times(params, horizon, base_seed, n_paths):
+        flat, offsets = batch_jump_times(params, horizon, base_seed, 1)
+        return np.tile(flat, n_paths), offsets[1] * np.arange(n_paths + 1)
+
+    monkeypatch.setattr(driftinv.mc, "batch_jump_times", one_path_n_times)
+    summary = mc_summary(ref_process, ref_policy, ref_costs, 5.0, 2, base_seed=9)
     assert summary.stderr_total == 0.0
 
 
