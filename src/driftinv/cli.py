@@ -31,7 +31,7 @@ from .forecast import (
     write_table_csv,
 )
 from .mc import mc_summary, path_stats, save_summary_json, save_trajectory_csv, simulate
-from .params import OrderingMode, ProcessParams
+from .params import OrderingMode
 from .renewal import (  # the two gamma-series names: see expected_inventory above
     expected_integrated_renewals,  # noqa: F401
     expected_renewals,  # noqa: F401
@@ -146,22 +146,15 @@ def cmd_simulate(cfg, out_dir):
     return 0
 
 
-def run_validation(cfg, rate_scale: float = 1.0):
+def run_validation(cfg):
     """Exact closed form vs Monte Carlo at the configured times.
 
     The analytical side is ``cost.exact_moments``: E[R_t], E[X_t],
     E[int_0^t R] and the expected total cost as sums over the Poisson law
     of the monotone demand.  The gamma first-passage series is not
     compared here; ``fpt-diag`` reports its distance from the exact
-    process.  Returns a list of row dicts.  ``rate_scale`` (test hook)
-    corrupts the jump size used by the closed-form side only, so a
-    scaled run must report failures.
+    process.  Returns a list of row dicts.
     """
-    ana_process = cfg.process
-    if rate_scale != 1.0:
-        ana_process = ProcessParams(
-            mu=cfg.process.mu, alpha=cfg.process.alpha * rate_scale, lam=cfg.process.lam
-        )
     rows = []
     # one batch to the latest time; each time keeps the jumps before it
     stats = path_stats(cfg.process, cfg.policy, cfg.validate_times, cfg.n_paths, cfg.base_seed)
@@ -174,7 +167,7 @@ def run_validation(cfg, rate_scale: float = 1.0):
         slack = mean_shortage * (
             1.0 + (cfg.costs.c_h / cfg.costs.c_so if cfg.costs.c_so > 0 else 0.0)
         )
-        exact = exact_moments(ana_process, cfg.policy, cfg.costs, t, cfg.series)
+        exact = exact_moments(cfg.process, cfg.policy, cfg.costs, t, cfg.series)
         ana = {
             "expected_orders": exact.orders,
             "expected_inventory": exact.inventory,
@@ -210,7 +203,7 @@ def run_validation(cfg, rate_scale: float = 1.0):
     return rows
 
 
-def cmd_validate(cfg, out_dir, rate_scale: float = 1.0):
+def cmd_validate(cfg, out_dir):
     if cfg.n_paths < 2:
         raise ParameterError(
             f"validate needs at least 2 paths for a standard error, got {cfg.n_paths}"
@@ -221,7 +214,7 @@ def cmd_validate(cfg, out_dir, rate_scale: float = 1.0):
             f"use at least 1000",
             file=sys.stderr,
         )
-    rows = run_validation(cfg, rate_scale=rate_scale)
+    rows = run_validation(cfg)
     csv_file = out_dir / "validation.csv"
     with open(csv_file, "w") as fh:
         fh.write("quantity,t,analytical,mc_mean,mc_stderr,slack,abs_diff,limit,status\n")
@@ -374,11 +367,15 @@ def main(argv=None) -> int:
         overrides.setdefault("experiment", {})["ordering_mode"] = args.mode
     try:
         cfg = load_config(args.config, overrides)
-    except (ParameterError, FileNotFoundError, KeyError, ValueError) as err:
+    except (ParameterError, OSError, KeyError, ValueError) as err:
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"bad --out directory: {err}", file=sys.stderr)
+        return 2
     try:
         return COMMANDS[args.command](cfg, out_dir)
     except ParameterError as err:

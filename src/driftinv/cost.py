@@ -19,7 +19,7 @@ same, so that any departure from this stays observable.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +47,11 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class CostCurve:
-    """Cost breakdowns on a grid; ``orders`` holds E[R_t] at each grid
-    time when the curve comes from ``cost_curve``."""
+    """Cost breakdowns on a grid and E[R_t] at each grid time."""
 
     grid: np.ndarray
-    points: list = field(default_factory=list)
-    orders: np.ndarray = None
+    points: list
+    orders: np.ndarray
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -63,13 +62,12 @@ class CostCurve:
             raise ParameterError(
                 f"curve has {len(self.points)} points for {grid.size} grid times"
             )
-        if self.orders is not None:
-            orders = np.asarray(self.orders, dtype=np.float64)
-            object.__setattr__(self, "orders", orders)
-            if orders.size != grid.size:
-                raise ParameterError(
-                    f"curve has {orders.size} order counts for {grid.size} grid times"
-                )
+        orders = np.asarray(self.orders, dtype=np.float64)
+        object.__setattr__(self, "orders", orders)
+        if orders.size != grid.size:
+            raise ParameterError(
+                f"curve has {orders.size} order counts for {grid.size} grid times"
+            )
 
     def totals(self) -> np.ndarray:
         return np.array([p.total for p in self.points])
@@ -278,8 +276,6 @@ def negative_inventory_times(
 
     Late times can go negative once the quadratic demand term outruns
     the truncated series; flagged so reports can mark them."""
-    if curve.orders is None:
-        raise ParameterError("the curve carries no expected order counts")
     return [
         t
         for t, er in zip(curve.grid.tolist(), curve.orders.tolist())

@@ -6,11 +6,7 @@ x < a + 1 and a modified-Lentz continued fraction for the complement
 otherwise.  Absolute error is well below 1e-10 over the shapes used here
 (verified against quadrature and scipy in the test suite).
 
-log Gamma is a local Lanczos (g=7) evaluation rather than math.lgamma.
-Both are accurate, but they round differently: math.lgamma moves the
-default expected-cost curve by up to 2.4e-14 relative, and the exact
-ordering-mode identity (c_o*Q)*E[R] == Q*(c_o*E[R]) that the tests
-assert at t=6 holds only with the Lanczos roundings.
+log Gamma(a) is math.lgamma, the one log-gamma in the package.
 """
 
 import math
@@ -19,44 +15,12 @@ _MAX_ITER = 20000
 _EPS = 1e-16
 _TINY = 1e-300
 
-_LANCZOS_G = 7.0
-_LANCZOS_C0 = 0.99999999999980993
-_LANCZOS_C = (
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.9189385332046727
-_LOG_PI = 1.1447298858494002
-
-
-def lgamma_core(z):
-    # valid for z >= 0.5
-    z -= 1.0
-    acc = _LANCZOS_C0
-    for i in range(8):
-        acc += _LANCZOS_C[i] / (z + i + 1.0)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def lgamma(z):
-    if z < 0.5:
-        # reflection: log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        return _LOG_PI - math.log(math.sin(math.pi * z)) - lgamma_core(1.0 - z)
-    return lgamma_core(z)
-
 
 def reg_lower_gamma(a, x):
     if x <= 0.0:
         return 0.0
     # log prefactor x^a e^-x / Gamma(a); underflows cleanly to 0.
-    lg = a * math.log(x) - x - lgamma(a)
+    lg = a * math.log(x) - x - math.lgamma(a)
     if lg < -745.0:
         # e^lg underflows; the function value is 0 or 1 depending on side.
         return 0.0 if x < a else 1.0

@@ -1,11 +1,14 @@
 """CLI wiring: schemas, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+import driftinv.cli
 from driftinv.cli import main, run_validation
 from driftinv.config import DEFAULT_CONFIG, load_config
+from driftinv.cost import exact_moments
 
 from conftest import exact_expected_orders
 
@@ -159,10 +162,14 @@ def test_validate_low_path_warning(tmp_path, capsys):
     assert "little statistical power" in capsys.readouterr().err
 
 
-def test_validate_negative_control(small_config):
-    # corrupting the closed-form side must flag failures
+def test_validate_negative_control(small_config, monkeypatch):
+    # corrupting the closed-form side only (jump size x3) must flag failures
+    def corrupted(process, *args):
+        return exact_moments(dataclasses.replace(process, alpha=process.alpha * 3.0), *args)
+
+    monkeypatch.setattr(driftinv.cli, "exact_moments", corrupted)
     cfg = load_config(small_config, {"validate": {"times": [2.0]}})
-    rows = run_validation(cfg, rate_scale=3.0)
+    rows = run_validation(cfg)
     assert any(r["status"] == "fail" for r in rows)
 
 
@@ -226,6 +233,25 @@ def test_bad_config_exit_code(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"policy": {"a": -5.0}}))
     assert main(["expected-cost", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_path_is_directory_exit_code(tmp_path, capsys):
+    cfgdir = tmp_path / "configs"
+    cfgdir.mkdir()
+    assert main(["expected-cost", "--config", str(cfgdir), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and str(cfgdir) in err
+    assert "Traceback" not in err
+
+
+def test_out_names_a_file_exit_code(tmp_path, capsys):
+    outfile = tmp_path / "out.txt"
+    outfile.write_text("not a directory\n")
+    assert main(["expected-cost", "--out", str(outfile)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(outfile) in err
+    assert "Traceback" not in err
+    assert outfile.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize(

@@ -104,13 +104,29 @@ def test_component_identity(ref_process, ref_policy, ref_costs, series_cfg):
         assert bd.shortage == 0.0
 
 
-def test_ordering_mode_relation(ref_process, ref_policy, series_cfg):
-    per_unit = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_UNIT_TIMES_Q)
-    per_order = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_ORDER)
-    t = 6.0
-    a = expected_total_cost(ref_process, ref_policy, per_unit, t, series_cfg)
-    b = expected_total_cost(ref_process, ref_policy, per_order, t, series_cfg)
-    assert a.ordering == ref_policy.Q * b.ordering
+def _gamma_form(process, policy, costs, t, cfg):
+    return expected_total_cost(process, policy, costs, t, cfg), expected_renewals(
+        process, policy, t, cfg
+    )
+
+
+def _exact_form(process, policy, costs, t, cfg):
+    m = exact_moments(process, policy, costs, t, cfg)
+    return m.cost, m.orders
+
+
+@pytest.mark.parametrize("form", [_gamma_form, _exact_form], ids=["gamma", "exact"])
+@pytest.mark.parametrize("t", [0.5, 2.0, 6.0, 12.0])
+def test_ordering_mode_relation(form, t, ref_process, ref_policy, series_cfg):
+    # the modes differ only in the price of one order, c_o*Q or c_o, which
+    # multiplies the same E[R_t]; the holding cost does not see the mode
+    c_o = 5.0
+    per_unit = CostParams(c_o=c_o, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_UNIT_TIMES_Q)
+    per_order = CostParams(c_o=c_o, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_ORDER)
+    a, er = form(ref_process, ref_policy, per_unit, t, series_cfg)
+    b, _ = form(ref_process, ref_policy, per_order, t, series_cfg)
+    assert a.ordering == (c_o * ref_policy.Q) * er
+    assert b.ordering == c_o * er
     assert a.holding == b.holding
 
 
@@ -167,14 +183,17 @@ def test_argmax_tie_breaks_to_earliest():
     flat = CostCurve(
         grid=np.array([0.0, 1.0, 2.0]),
         points=[CostBreakdown(0.0, 5.0, 0.0, 5.0, t) for t in (0.0, 1.0, 2.0)],
+        orders=[0.0, 0.0, 0.0],
     )
     assert argmax_time(flat) == (0.0, 5.0)
 
 
 def test_argmax_single_and_empty():
-    single = CostCurve(grid=np.array([3.0]), points=[CostBreakdown(1.0, 2.0, 0.0, 3.0, 3.0)])
+    single = CostCurve(
+        grid=np.array([3.0]), points=[CostBreakdown(1.0, 2.0, 0.0, 3.0, 3.0)], orders=[0.0]
+    )
     assert argmax_time(single) == (3.0, 3.0)
-    empty = CostCurve(grid=np.array([]), points=[])
+    empty = CostCurve(grid=np.array([]), points=[], orders=[])
     with pytest.raises(ParameterError):
         argmax_time(empty)
 
@@ -199,10 +218,6 @@ def test_curve_orders_are_expected_renewals(ref_process, ref_policy, ref_costs, 
     curve = cost_curve(ref_process, ref_policy, ref_costs, grid, series_cfg)
     want = [expected_renewals(ref_process, ref_policy, float(t), series_cfg) for t in grid]
     assert curve.orders.tolist() == want
-    # a hand-built curve has no order counts to flag from
-    bare = CostCurve(grid=curve.grid, points=curve.points)
-    with pytest.raises(ParameterError):
-        negative_inventory_times(ref_process, ref_policy, bare)
     with pytest.raises(ParameterError):
         CostCurve(grid=curve.grid, points=curve.points, orders=want[:-1])
 

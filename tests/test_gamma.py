@@ -28,7 +28,7 @@ def gamma_pdf(spec, s):
 
 
 def test_kernel_matches_scipy_on_grid():
-    shapes = [0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 37.5, 100.0, 250.0, 1000.0]
+    shapes = [0.01, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 37.5, 100.0, 250.0, 1000.0]
     xs = [0.0, 1e-8, 0.1, 0.5, 1.0, 3.0, 9.0, 35.0, 99.0, 101.0, 240.0, 900.0, 1100.0, 5000.0]
     for a in shapes:
         for x in xs:
