@@ -131,10 +131,11 @@ def _check_domains(raw: dict) -> None:
         _require(seed >= 0, f"{section}.base_seed", "a non-negative integer", seed)
     times = raw["validate"]["times"]
     _require(len(times) > 0, "validate.times", "a non-empty list", times)
+    _require(all(t > 0 for t in times), "validate.times", "a list of positive numbers", times)
     fpt = raw["fpt"]
     _require(fpt["n_values"] >= 1, "fpt.n_values", "at least 1", fpt["n_values"])
     _require(fpt["steps"] >= 1, "fpt.steps", "at least 1", fpt["steps"])
-    _require(fpt["t_end"] >= 0, "fpt.t_end", "non-negative", fpt["t_end"])
+    _require(fpt["t_end"] > 0, "fpt.t_end", "positive", fpt["t_end"])
 
 
 def build_config(raw: dict) -> RunConfig:

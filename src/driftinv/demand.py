@@ -2,11 +2,25 @@
 
 A path is drift mu*t plus alpha per jump, with jump times sampled
 exactly from exponential inter-arrivals (no time discretization).
-Paths are immutable and fully determined by (params, horizon, seed);
-the PRNG is numpy's PCG64, so identical seeds replay identical paths.
-Jump times are prefix-consistent: a shorter horizon keeps exactly the
-jumps of a longer one that fall before it, so one batch sampled to the
-longest horizon serves every shorter one (``truncate_batch``).
+Paths are immutable and fully determined by (params, horizon, seed).
+
+Seeding contract.  A batch keyed ``s`` is cut into chunks of
+``CHUNK_PATHS`` paths; round r of chunk c draws ``ROUND_GAPS``
+exponential gaps for each of the chunk's paths, row by row, from the
+PCG64 stream of ``numpy.random.SeedSequence(s, spawn_key=(c, r))`` (the
+(c, r) grandchild of the root sequence s).  A path's jump times are the
+running sum of its gaps over the rounds, so path i depends only on
+(lam, s, i):
+
+- in paths, a batch is prefix-consistent: path i of an n-path batch is
+  path i of every larger batch with the same key;
+- in time, a shorter horizon keeps exactly the jumps of a longer one
+  that fall before it, so one batch sampled to the longest horizon
+  serves every shorter one (``truncate_batch``);
+- ``sample_path(params, h, s)`` is path 0 of the batch keyed s.
+
+The two sizes are part of the contract: changing either changes every
+path.
 """
 
 import json
@@ -28,10 +42,19 @@ JUMP_BUDGET = 2**25
 # than the per-event loops did, where 8192 added about 1 MB.
 CHUNK_SEGMENTS = 4096
 
+# Paths per chunk and gaps per path per round of ``batch_jump_times``
+# (see the seeding contract above).  A round of a chunk holds 128 * 64
+# float64 gaps (64 KiB), so sampling adds well under 1 MB to a command's
+# peak memory; 64 gaps cover most paths of the shipped commands (lam *
+# horizon from 10 to about 200) in one to four rounds.
+CHUNK_PATHS = 128
+ROUND_GAPS = 64
+
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realization of the demand process on [0, horizon)."""
+    """One realization of the demand process on [0, horizon); ``seed`` is
+    the key of the batch it was drawn from."""
 
     params: ProcessParams
     jump_times: np.ndarray
@@ -50,20 +73,6 @@ class SamplePath:
                 raise ParameterError("jump times must lie in [0, horizon)")
 
 
-def _draw_jump_times(rng, lam, horizon):
-    """Exponential inter-arrival times accumulated until the horizon."""
-    mean_count = lam * horizon
-    block = max(16, int(mean_count + 10.0 * np.sqrt(mean_count) + 10.0))
-    gaps = rng.exponential(1.0 / lam, size=block)
-    total = gaps.sum()
-    while total <= horizon:
-        more = rng.exponential(1.0 / lam, size=block)
-        gaps = np.concatenate([gaps, more])
-        total += more.sum()
-    times = np.cumsum(gaps)
-    return times[times < horizon]
-
-
 def _check_jump_budget(lam, horizon, n_paths):
     expected = n_paths * lam * horizon
     if expected > JUMP_BUDGET:
@@ -75,17 +84,32 @@ def _check_jump_budget(lam, horizon, n_paths):
 
 
 def sample_path(params: ProcessParams, horizon: float, seed: int) -> SamplePath:
-    """Sample one path; bit-reproducible for identical (params, horizon, seed)."""
-    if not horizon > 0:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
-    _check_jump_budget(params.lam, horizon, 1)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    times = _draw_jump_times(rng, params.lam, horizon)
-    return SamplePath(params=params, jump_times=times, horizon=horizon, seed=seed)
+    """Sample one path: path 0 of the batch keyed ``seed``, so it is
+    bit-reproducible for identical (params, horizon, seed)."""
+    flat, _ = batch_jump_times(params, horizon, seed, 1)
+    return SamplePath(params=params, jump_times=flat, horizon=horizon, seed=seed)
+
+
+def _chunk_jump_times(lam, horizon, key, chunk, n):
+    """Jump times before ``horizon`` of the first n paths of one chunk,
+    packed flat, and the count of each path."""
+    rounds = []
+    last = np.zeros(n)
+    while np.any(last < horizon):
+        seq = np.random.SeedSequence(key, spawn_key=(chunk, len(rounds)))
+        times = np.random.default_rng(seq).exponential(1.0 / lam, size=(n, ROUND_GAPS))
+        times[:, 0] += last
+        np.cumsum(times, axis=1, out=times)
+        last = times[:, -1]
+        rounds.append(times)
+    times = np.concatenate(rounds, axis=1)
+    keep = times < horizon
+    return times[keep], np.count_nonzero(keep, axis=1)
 
 
 def batch_jump_times(params: ProcessParams, horizon: float, base_seed: int, n_paths: int):
-    """Jump times for paths seeded base_seed + index, packed flat.
+    """Jump times of paths 0 .. n_paths - 1 of the batch keyed ``base_seed``
+    (see the seeding contract in the module docstring), packed flat.
 
     Returns (flat, offsets) with path i occupying flat[offsets[i]:offsets[i+1]].
     """
@@ -94,15 +118,15 @@ def batch_jump_times(params: ProcessParams, horizon: float, base_seed: int, n_pa
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     _check_jump_budget(params.lam, horizon, n_paths)
-    chunks = []
+    pieces = []
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    for i in range(n_paths):
-        rng = np.random.Generator(np.random.PCG64(base_seed + i))
-        t = _draw_jump_times(rng, params.lam, horizon)
-        chunks.append(t)
-        offsets[i + 1] = offsets[i] + t.size
-    flat = np.concatenate(chunks) if chunks else np.empty(0)
-    return flat, offsets
+    for chunk, p0 in enumerate(range(0, n_paths, CHUNK_PATHS)):
+        p1 = min(p0 + CHUNK_PATHS, n_paths)
+        times, counts = _chunk_jump_times(params.lam, horizon, base_seed, chunk, p1 - p0)
+        pieces.append(times)
+        offsets[p0 + 1 : p1 + 1] = counts
+    np.cumsum(offsets, out=offsets)
+    return np.concatenate(pieces), offsets
 
 
 def truncate_batch(flat, offsets, horizon: float):

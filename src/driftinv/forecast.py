@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostBreakdown
-from .demand import period_increments, sample_path
+from .demand import SamplePath, batch_jump_times, period_increments
+from .demand import sample_path  # noqa: F401 -- a name perfbench/layers.py traces
 from .errors import InsufficientDataError, ParameterError
 from .params import CostParams, PolicyParams, ProcessParams
 
@@ -444,11 +445,14 @@ def reorder_sim_discrete(
 
 
 def generate_demand_series(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-period demand for every series, seeds base_seed + index."""
+    """Per-period demand for every series: series i is path i of the
+    batch keyed ``cfg.base_seed``."""
     horizon = cfg.sim_end * cfg.period_length
+    flat, offsets = batch_jump_times(cfg.process, horizon, cfg.base_seed, cfg.n_series)
     out = np.empty((cfg.n_series, cfg.sim_end))
     for i in range(cfg.n_series):
-        path = sample_path(cfg.process, horizon, cfg.base_seed + i)
+        jumps = flat[offsets[i] : offsets[i + 1]]
+        path = SamplePath(cfg.process, jumps, horizon, cfg.base_seed)
         out[i] = period_increments(path, cfg.period_length)
     return out
 
@@ -498,9 +502,9 @@ def _grid_rows(cfg: ExperimentConfig, param_grid):
 def run_table_experiment(cfg: ExperimentConfig, param_grid=None):
     """Average total cost per (R, Q, C_h, C_o, C_so) grid row.
 
-    Demand series and forecasts are generated once (seeds shared across
-    rows, which also serves as variance reduction) and every (row,
-    series) pair is replayed in one pass of the discrete simulation."""
+    Demand series and forecasts are generated once (every row replays
+    the same series, which also serves as variance reduction) and every
+    (row, series) pair is replayed in one pass of the discrete simulation."""
     if param_grid is None:
         param_grid = TABLE1_GRID
     grid_rows = _grid_rows(cfg, param_grid)

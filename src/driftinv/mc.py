@@ -244,7 +244,8 @@ class Trajectory:
 
 
 def simulate(params: ProcessParams, policy: PolicyParams, horizon: float, seed: int) -> Trajectory:
-    """Simulate one path exactly and return its event log."""
+    """Simulate one path exactly and return its event log; the path is
+    path 0 of the batch keyed ``seed``, the one ``path_stats`` sees first."""
     path = sample_path(params, horizon, seed)
     return trajectory_from_path(path, policy)
 
@@ -308,7 +309,8 @@ def path_stats(
     n_paths: int,
     base_seed: int,
 ) -> dict:
-    """Per-path functionals for n_paths paths seeded base_seed + index.
+    """Per-path functionals of paths 0 .. n_paths - 1 of the batch keyed
+    ``base_seed`` (``demand.batch_jump_times``).
 
     Keys: orders, inv_end, int_renewals, pos_integral, neg_integral,
     min_inv (each an array of length n_paths).  ``horizon`` may also be

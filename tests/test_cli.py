@@ -289,12 +289,23 @@ def test_strict_config_exit_code(tmp_path, capsys, config, message):
         ("validate", {"validate": {"times": []}}, "'validate.times' must be a non-empty list"),
         ("fpt-diag", {"fpt": {"n_values": 0}}, "'fpt.n_values' must be at least 1"),
         ("fpt-diag", {"fpt": {"steps": 0}}, "'fpt.steps' must be at least 1"),
-        ("fpt-diag", {"fpt": {"t_end": -5.0}}, "'fpt.t_end' must be non-negative"),
+        ("fpt-diag", {"fpt": {"t_end": -5.0}}, "'fpt.t_end' must be positive"),
         ("simulate", {"mc": {"base_seed": -5}}, "'mc.base_seed' must be a non-negative integer"),
         (
             "table1",
             {"experiment": {"base_seed": -1}},
             "'experiment.base_seed' must be a non-negative integer",
+        ),
+        ("fpt-diag", {"fpt": {"t_end": 0.0}}, "'fpt.t_end' must be positive"),
+        (
+            "validate",
+            {"validate": {"times": [0.0]}},
+            "'validate.times' must be a list of positive numbers",
+        ),
+        (
+            "validate",
+            {"validate": {"times": [2.0, -1.0]}},
+            "'validate.times' must be a list of positive numbers",
         ),
     ],
 )
@@ -331,7 +342,7 @@ def test_jump_budget_exit_code(tmp_path, capsys, monkeypatch, command, config, h
     def no_sampling(*args):
         raise AssertionError("jump times were sampled")
 
-    monkeypatch.setattr("driftinv.demand._draw_jump_times", no_sampling)
+    monkeypatch.setattr("driftinv.demand._chunk_jump_times", no_sampling)
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps(config))
     out = tmp_path / "o"

@@ -15,7 +15,18 @@ from driftinv import (
     period_increments,
     sample_path,
 )
-from driftinv.demand import batch_jump_times, save_path_csv
+from driftinv.demand import (
+    CHUNK_PATHS,
+    ROUND_GAPS,
+    batch_jump_times,
+    save_path_csv,
+    truncate_batch,
+)
+
+# Four jumps per unit time to horizon 60: about 240 jumps per path, so
+# every chunk draws at least three rounds of ROUND_GAPS gaps.
+DENSE = ProcessParams(mu=5.0, alpha=2.5, lam=4.0)
+DENSE_HORIZON = 60.0
 
 
 def make_path(ref_process, jumps, horizon=10.0):
@@ -154,6 +165,88 @@ def test_jump_counts_poisson_chisquare(ref_process, t):
         obs, exp = obs[:-1], exp[:-1]
     stat, pvalue = scipy.stats.chisquare(obs, exp)
     assert pvalue >= 0.01
+
+
+def paths_of(flat, offsets):
+    return [flat[offsets[i] : offsets[i + 1]] for i in range(offsets.size - 1)]
+
+
+@pytest.fixture(scope="module")
+def dense_batch():
+    n = CHUNK_PATHS + 40
+    flat, offsets = batch_jump_times(DENSE, DENSE_HORIZON, 31, n)
+    assert np.diff(offsets).min() > 2 * ROUND_GAPS
+    return flat, offsets
+
+
+def test_batch_path_prefix_consistency(dense_batch):
+    # path i of a batch does not depend on how many paths follow it
+    flat, offsets = dense_batch
+    for m in (1, 7, CHUNK_PATHS, CHUNK_PATHS + 3):
+        f, o = batch_jump_times(DENSE, DENSE_HORIZON, 31, m)
+        assert np.array_equal(o, offsets[: m + 1])
+        assert np.array_equal(f, flat[: o[-1]])
+
+
+def test_batch_horizon_prefix_consistency(dense_batch):
+    # a fresh batch to a shorter horizon draws fewer rounds, and is the
+    # longer batch cut at that horizon
+    flat, offsets = dense_batch
+    for h in (0.5, 25.0, 40.0):
+        f, o = batch_jump_times(DENSE, h, 31, offsets.size - 1)
+        cut_flat, cut_offsets = truncate_batch(flat, offsets, h)
+        assert np.array_equal(o, cut_offsets)
+        assert np.array_equal(f, cut_flat)
+
+
+def test_sample_path_is_path_zero_of_its_batch(dense_batch):
+    flat, offsets = dense_batch
+    path = sample_path(DENSE, DENSE_HORIZON, 31)
+    assert np.array_equal(path.jump_times, flat[offsets[0] : offsets[1]])
+    assert path.seed == 31
+
+
+def test_batch_times_increase_within_horizon(dense_batch):
+    flat, offsets = dense_batch
+    for times in paths_of(flat, offsets):
+        assert times[0] >= 0.0 and times[-1] < DENSE_HORIZON
+        assert np.all(np.diff(times) > 0)
+
+
+def test_batch_counts_and_gaps_follow_the_law():
+    # N_h ~ Poisson(lam h) by chi-square, and the first 150 gaps of each
+    # path (three rounds; fewer than 150 jumps has probability ~1e-10)
+    # ~ Exp(lam) by KS, both at significance 0.01
+    n = 2000
+    flat, offsets = batch_jump_times(DENSE, DENSE_HORIZON, 4242, n)
+    counts = np.diff(offsets)
+    lam_h = DENSE.lam * DENSE_HORIZON
+    edges = np.arange(int(lam_h - 30), int(lam_h + 31), 5)
+    cdf = scipy.stats.poisson.cdf(edges - 1, lam_h)
+    probs = np.diff(np.concatenate(([0.0], cdf, [1.0])))
+    observed = np.bincount(np.searchsorted(edges, counts, side="right"), minlength=probs.size)
+    assert probs.min() * n >= 5.0
+    _, pvalue = scipy.stats.chisquare(observed, probs * n)
+    assert pvalue >= 0.01
+
+    k = 150
+    assert counts.min() >= k
+    first = np.stack([times[:k] for times in paths_of(flat, offsets)])
+    gaps = np.diff(first, axis=1, prepend=0.0).ravel()
+    pvalue = scipy.stats.kstest(gaps, scipy.stats.expon(scale=1.0 / DENSE.lam).cdf).pvalue
+    assert pvalue >= 0.01
+
+
+def test_fpt_diag_batches_share_no_path(ref_process):
+    # fpt-diag draws its two samples keyed s and s + n_paths
+    n, s, horizon = 2000, 99, 51.0
+    firsts = []
+    for key in (s, s + n):
+        flat, offsets = batch_jump_times(ref_process, horizon, key, n)
+        assert np.all(np.diff(offsets) > 0)
+        firsts.append(flat[offsets[:-1]])
+    # a path's first jump time identifies it
+    assert np.unique(np.concatenate(firsts)).size == 2 * n
 
 
 def test_csv_and_sidecar(tmp_path, ref_process):

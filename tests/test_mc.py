@@ -195,8 +195,17 @@ def test_mc_summary_requires_two_paths(ref_process, ref_policy, ref_costs):
 def test_mean_orders_matches_trajectories(ref_process, ref_policy, ref_costs):
     n = 50
     summary = mc_summary(ref_process, ref_policy, ref_costs, 8.0, n, base_seed=17)
-    counts = [simulate(ref_process, ref_policy, 8.0, seed=17 + i).n_orders for i in range(n)]
+    # each path of the batch keyed 17, replayed alone by the event kernel
+    flat, offsets = batch_jump_times(ref_process, 8.0, 17, n)
+    counts = [
+        trajectory_from_path(
+            SamplePath(ref_process, flat[offsets[i] : offsets[i + 1]], 8.0, 17), ref_policy
+        ).n_orders
+        for i in range(n)
+    ]
     assert summary.mean_orders == pytest.approx(np.mean(counts), abs=1e-12)
+    # simulate's path is path 0 of its summary batch
+    assert simulate(ref_process, ref_policy, 8.0, seed=17).n_orders == counts[0]
 
 
 @pytest.mark.parametrize("t", [2.0, 5.0, 10.0])
