@@ -20,6 +20,9 @@ from .forecast import ExperimentConfig
 from .params import CostParams, OrderingMode, PolicyParams, ProcessParams
 from .renewal import RenewalSeriesConfig
 
+# the most points a time grid (grid.steps, fpt.steps) may have; checked before any array exists
+MAX_STEPS = 100_000
+
 DEFAULT_CONFIG = {
     "process": {"mu": 5.0, "alpha": 10.0, "lam": 1.0},
     "policy": {"x0": 100.0, "a": 50.0, "Q": 50.0},
@@ -109,8 +112,6 @@ def _build_grid(spec) -> np.ndarray:
     t_start = float(spec["t_start"])
     t_end = float(spec["t_end"])
     steps = int(spec["steps"])
-    if steps < 1:
-        raise ParameterError(f"grid needs at least one step, got {steps}")
     if t_start < 0 or t_end < t_start:
         raise ParameterError(f"grid must satisfy 0 <= t_start <= t_end, got [{t_start}, {t_end}]")
     if steps == 1 or t_end == t_start:
@@ -124,17 +125,20 @@ def _require(ok: bool, key: str, what: str, value) -> None:
 
 
 def _check_domains(raw: dict) -> None:
-    """Ranges the kind check cannot see: seeds numpy accepts, and
-    validate/fpt runs that compare something."""
+    """Ranges the kind check cannot see: seeds numpy accepts, grids
+    that fit in memory, and validate/fpt runs that compare something."""
     for section in ("mc", "experiment"):
         seed = raw[section]["base_seed"]
         _require(seed >= 0, f"{section}.base_seed", "a non-negative integer", seed)
     times = raw["validate"]["times"]
     _require(len(times) > 0, "validate.times", "a non-empty list", times)
     _require(all(t > 0 for t in times), "validate.times", "a list of positive numbers", times)
+    for section in ("grid", "fpt"):
+        steps = raw[section]["steps"]
+        _require(steps >= 1, f"{section}.steps", "at least 1", steps)
+        _require(steps <= MAX_STEPS, f"{section}.steps", f"at most {MAX_STEPS}", steps)
     fpt = raw["fpt"]
     _require(fpt["n_values"] >= 1, "fpt.n_values", "at least 1", fpt["n_values"])
-    _require(fpt["steps"] >= 1, "fpt.steps", "at least 1", fpt["steps"])
     _require(fpt["t_end"] > 0, "fpt.t_end", "positive", fpt["t_end"])
 
 

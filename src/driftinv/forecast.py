@@ -15,7 +15,8 @@ demand, then accrue holding on positive and shortage on backordered
 stock.  Unmet demand is carried as negative inventory.  The on-hand
 trigger is the default because it reproduces the reference experiment
 to within Monte Carlo noise; the forecast-projected variant lands far
-outside it.
+outside it.  The on-hand trigger reads no forecast, so the experiment
+computes forecasts only under the forecast-projected one.
 """
 
 import math
@@ -29,6 +30,7 @@ from .demand import sample_path  # noqa: F401 -- a name perfbench/layers.py trac
 from .errors import InsufficientDataError, ParameterError
 from .params import CostParams, PolicyParams, ProcessParams
 
+TRIGGERS = ("on_hand", "forecast_projected")
 TABLE_CSV_HEADER = "R,Q,C_h,C_o,C_so,mean_total,stderr_total,mean_orders,stockout_rate"
 
 # (R, Q, C_h, C_o, C_so) rows of the 48-point experiment grid.
@@ -79,7 +81,7 @@ class ExperimentConfig:
             raise ParameterError("p_max and q_max must lie in {0, 1, 2}")
         if not set(self.d_set) <= {0, 1} or len(self.d_set) == 0:
             raise ParameterError(f"d_set must be a non-empty subset of {{0, 1}}")
-        if self.trigger not in ("forecast_projected", "on_hand"):
+        if self.trigger not in TRIGGERS:
             raise ParameterError(f"unknown trigger rule {self.trigger!r}")
         if self.forecaster not in ("arima", "croston"):
             raise ParameterError(f"unknown forecaster {self.forecaster!r}")
@@ -314,20 +316,19 @@ def forecast_window(w, p_max, q_max, allow_d0, allow_d1):
     return min(max(yhat, 0.0), w.max())
 
 
-def discrete_sim(
-    actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand, period_cost=None
-):
+def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, period_cost=None):
     """Replay the reorder-point policy for every (grid row, series) pair.
 
-    ``actuals`` and ``forecasts`` are (S, P) arrays over the simulated
-    periods of S series; ``R``, ``Q``, ``c_h``, ``c_so`` and
-    ``order_charge`` hold one value per grid row, shape (G,).  Each
-    period: order Q (it arrives immediately) when the trigger is at or
-    below R, subtract the demand, then accrue holding on positive and
-    shortage on negative end-of-period inventory; backorders go
-    negative.  The loop runs over the P periods on (G, S) state, and
-    every elementwise step is the one a per-pair scalar loop takes, in
-    the same order, so each pair gets that loop's bits.
+    ``actuals`` is an (S, P) array over the simulated periods of S
+    series; ``forecasts`` is another, or None for the on-hand trigger.
+    ``R``, ``Q``, ``c_h``, ``c_so`` and ``order_charge`` hold one value
+    per grid row, shape (G,).  Each period: order Q (it arrives
+    immediately) when the inventory, less the period's forecast if there
+    is one, is at or below R, subtract the demand, then accrue holding
+    on positive and shortage on negative end-of-period inventory;
+    backorders go negative.  The loop runs over the P periods on (G, S)
+    state, and every elementwise step is the one a per-pair scalar loop
+    takes, in the same order, so each pair gets that loop's bits.
 
     Returns (G, S) arrays: ordering, holding and shortage cost, order
     count and whether the inventory ever went negative.  A (G, P)
@@ -335,7 +336,7 @@ def discrete_sim(
     left to right, as a running sum over them would give it.
     """
     act = np.ascontiguousarray(np.asarray(actuals, dtype=np.float64).T)
-    if not on_hand:
+    if forecasts is not None:
         fc = np.ascontiguousarray(np.asarray(forecasts, dtype=np.float64).T)
     R, Q, c_h, c_so, charge = (
         np.asarray(v, dtype=np.float64).reshape(-1, 1) for v in (R, Q, c_h, c_so, order_charge)
@@ -348,7 +349,7 @@ def discrete_sim(
     orders = np.zeros(shape, dtype=np.int64)
     stockout = np.zeros(shape, dtype=bool)
     for k in range(act.shape[0]):
-        order = (inv if on_hand else inv - fc[k]) <= R
+        order = (inv if forecasts is None else inv - fc[k]) <= R
         np.add(inv, Q, out=inv, where=order)
         orders += order
         np.add(ordering, charge, out=ordering, where=order)
@@ -418,21 +419,12 @@ def reorder_sim_discrete(
     act = np.asarray(actuals, dtype=np.float64)
     fc = np.asarray(forecasts, dtype=np.float64)
     if act.size != fc.size:
-        raise ParameterError(
-            f"actuals ({act.size}) and forecasts ({fc.size}) must align"
-        )
-    if trigger not in ("forecast_projected", "on_hand"):
+        raise ParameterError(f"actuals ({act.size}) and forecasts ({fc.size}) must align")
+    if trigger not in TRIGGERS:
         raise ParameterError(f"unknown trigger rule {trigger!r}")
     replay = discrete_sim(
-        act[None, :],
-        fc[None, :],
-        policy.x0,
-        policy.reorder_point,
-        policy.Q,
-        costs.c_h,
-        costs.c_so,
-        costs.order_cost(policy.Q),
-        trigger == "on_hand",
+        act[None, :], None if trigger == "on_hand" else fc[None, :], policy.x0,
+        policy.reorder_point, policy.Q, costs.c_h, costs.c_so, costs.order_cost(policy.Q),
     )
     ordering, holding, shortage = (float(v[0, 0]) for v in replay[:3])
     return CostBreakdown(
@@ -471,10 +463,13 @@ def experiment_forecasts(series_mat: np.ndarray, cfg: ExperimentConfig) -> np.nd
 
 
 def _experiment_arrays(cfg: ExperimentConfig):
+    """Demand of the simulated periods and the forecasts the replay
+    reads: None under the on-hand trigger, which reads none."""
     series_mat = generate_demand_series(cfg)
-    forecasts_mat = experiment_forecasts(series_mat, cfg)
     actuals_mat = series_mat[:, cfg.sim_start - 1 : cfg.sim_end]
-    return actuals_mat, forecasts_mat
+    if cfg.trigger == "on_hand":
+        return actuals_mat, None
+    return actuals_mat, experiment_forecasts(series_mat, cfg)
 
 
 def _grid_rows(cfg: ExperimentConfig, param_grid):
@@ -502,7 +497,7 @@ def _grid_rows(cfg: ExperimentConfig, param_grid):
 def run_table_experiment(cfg: ExperimentConfig, param_grid=None):
     """Average total cost per (R, Q, C_h, C_o, C_so) grid row.
 
-    Demand series and forecasts are generated once (every row replays
+    Demand series and any forecasts are generated once (every row replays
     the same series, which also serves as variance reduction) and every
     (row, series) pair is replayed in one pass of the discrete simulation."""
     if param_grid is None:
@@ -511,7 +506,7 @@ def run_table_experiment(cfg: ExperimentConfig, param_grid=None):
     actuals_mat, forecasts_mat = _experiment_arrays(cfg)
     n_series = actuals_mat.shape[0]
     ordering, holding, shortage, orders, stockout = discrete_sim(
-        actuals_mat, forecasts_mat, cfg.policy.x0, *grid_rows, cfg.trigger == "on_hand"
+        actuals_mat, forecasts_mat, cfg.policy.x0, *grid_rows
     )
     # each row's statistics come from a contiguous 1-D slice: a reduction
     # along an axis of the 2-D arrays may sum in another order
@@ -545,16 +540,8 @@ def cumulative_cost_profile(cfg: ExperimentConfig):
     n_series, n_periods = actuals_mat.shape
     acc = np.empty((1, n_periods))
     discrete_sim(
-        actuals_mat,
-        forecasts_mat,
-        cfg.policy.x0,
-        cfg.policy.reorder_point,
-        cfg.policy.Q,
-        cfg.costs.c_h,
-        cfg.costs.c_so,
-        cfg.costs.order_cost(cfg.policy.Q),
-        cfg.trigger == "on_hand",
-        acc,
+        actuals_mat, forecasts_mat, cfg.policy.x0, cfg.policy.reorder_point, cfg.policy.Q,
+        cfg.costs.c_h, cfg.costs.c_so, cfg.costs.order_cost(cfg.policy.Q), acc,
     )
     acc = acc[0] / n_series
     periods = np.arange(cfg.sim_start, cfg.sim_end + 1)

@@ -7,7 +7,7 @@ import pytest
 
 import driftinv.cli
 from driftinv.cli import main, run_validation
-from driftinv.config import DEFAULT_CONFIG, load_config
+from driftinv.config import DEFAULT_CONFIG, MAX_STEPS, load_config
 from driftinv.cost import exact_moments
 
 from conftest import exact_expected_orders
@@ -307,6 +307,11 @@ def test_strict_config_exit_code(tmp_path, capsys, config, message):
             {"validate": {"times": [2.0, -1.0]}},
             "'validate.times' must be a list of positive numbers",
         ),
+        # refused before any array exists: never allocated here
+        ("expected-cost", {"grid": {"steps": 10**10}}, "'grid.steps' must be at most 100000"),
+        ("sweep", {"grid": {"steps": 100_001}}, "'grid.steps' must be at most 100000"),
+        ("fpt-diag", {"fpt": {"steps": 10**10}}, "'fpt.steps' must be at most 100000"),
+        ("expected-cost", {"grid": {"steps": 0}}, "'grid.steps' must be at least 1"),
     ],
 )
 def test_config_domain_exit_code(tmp_path, capsys, command, config, message):
@@ -318,6 +323,11 @@ def test_config_domain_exit_code(tmp_path, capsys, command, config, message):
     err = capsys.readouterr().err
     assert "bad configuration" in err and message in err
     assert not out.exists()
+
+
+def test_grid_steps_cap_is_inclusive():
+    cfg = load_config(overrides={"grid": {"steps": MAX_STEPS}, "fpt": {"steps": MAX_STEPS}})
+    assert cfg.grid.size == MAX_STEPS == 100_000
 
 
 def test_negative_seed_flag_exit_code(tmp_path, capsys):

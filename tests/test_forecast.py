@@ -21,6 +21,7 @@ from driftinv import (
 )
 from driftinv.forecast import (
     TABLE1_GRID,
+    TRIGGERS,
     cumulative_cost_profile,
     discrete_sim,
     generate_demand_series,
@@ -35,9 +36,10 @@ from driftinv.forecast import (
 )
 
 
-def scalar_discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, on_hand, per_period):
+def scalar_discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, per_period):
     """One (grid row, series) pair, period by period: the reference the
-    batched ``discrete_sim`` must reproduce bit for bit."""
+    batched ``discrete_sim`` must reproduce bit for bit.  ``forecasts``
+    None is the on-hand trigger."""
     inv = x0
     ordering = 0.0
     holding = 0.0
@@ -46,7 +48,7 @@ def scalar_discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, o
     stockout = False
     for k in range(actuals.shape[0]):
         cost_k = 0.0
-        proj = inv if on_hand else inv - forecasts[k]
+        proj = inv if forecasts is None else inv - forecasts[k]
         if proj <= R:
             inv += Q
             orders += 1
@@ -63,17 +65,17 @@ def scalar_discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, o
     return ordering, holding, shortage, orders, stockout
 
 
-def assert_batch_matches_scalar(actuals, forecasts, x0, R, Q, c_h, c_so, charge, on_hand):
+def assert_batch_matches_scalar(actuals, forecasts, x0, R, Q, c_h, c_so, charge):
     n_series, n_periods = actuals.shape
     period_cost = np.empty((R.size, n_periods))
-    got = discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, charge, on_hand, period_cost)
+    got = discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, charge, period_cost)
     per_period = np.empty(n_periods)
     for g in range(R.size):
         acc = np.zeros(n_periods)
         for i in range(n_series):
             want = scalar_discrete_sim(
-                actuals[i], forecasts[i], x0, R[g], Q[g], c_h[g], c_so[g], charge[g],
-                on_hand, per_period,
+                actuals[i], None if forecasts is None else forecasts[i],
+                x0, R[g], Q[g], c_h[g], c_so[g], charge[g], per_period,
             )
             pair = np.array([out[g, i] for out in got], dtype=np.float64)
             assert pair.tobytes() == np.array(want, dtype=np.float64).tobytes()
@@ -94,11 +96,17 @@ def make_cfg(**kw):
     return ExperimentConfig(**defaults)
 
 
-def test_experiment_config_validation():
+def test_experiment_config_validation(ref_policy, ref_costs):
     with pytest.raises(ParameterError):
         make_cfg(window=12, sim_start=14)
-    with pytest.raises(ParameterError):
+    # the experiment and the single-series replay accept the same rules
+    for trigger in TRIGGERS:
+        make_cfg(trigger=trigger)
+        reorder_sim_discrete([1.0], [1.0], ref_policy, ref_costs, trigger=trigger)
+    with pytest.raises(ParameterError, match="unknown trigger rule 'psychic'"):
         make_cfg(trigger="psychic")
+    with pytest.raises(ParameterError, match="unknown trigger rule 'psychic'"):
+        reorder_sim_discrete([1.0], [1.0], ref_policy, ref_costs, trigger="psychic")
     with pytest.raises(ParameterError):
         make_cfg(d_set=(2,))
 
@@ -332,23 +340,26 @@ def test_batched_replay_matches_scalar_loop(
     ]
     R, Q, c_h, c_so, c_o = (np.array(col) for col in zip(*rows))
     charge = c_o * Q if per_unit else c_o
-    assert_batch_matches_scalar(actuals, forecasts, x0, R, Q, c_h, c_so, charge, on_hand)
+    assert_batch_matches_scalar(
+        actuals, None if on_hand else forecasts, x0, R, Q, c_h, c_so, charge
+    )
 
 
 def scalar_experiment(cfg, grid):
     """Table rows and cost profile of the experiment, one scalar replay
     per (grid row, series) pair."""
     series_mat = generate_demand_series(cfg)
-    fc_mat = experiment_forecasts(series_mat, cfg)
+    on_hand = cfg.trigger == "on_hand"
+    fc_mat = None if on_hand else experiment_forecasts(series_mat, cfg)
     act_mat = series_mat[:, cfg.sim_start - 1 : cfg.sim_end]
     n_series, n_periods = act_mat.shape
-    on_hand = cfg.trigger == "on_hand"
     per_period = np.empty(n_periods)
 
     def replay(R, Q, c_h, c_so, charge):
         for i in range(n_series):
             yield scalar_discrete_sim(
-                act_mat[i], fc_mat[i], cfg.policy.x0, R, Q, c_h, c_so, charge, on_hand, per_period
+                act_mat[i], None if on_hand else fc_mat[i],
+                cfg.policy.x0, R, Q, c_h, c_so, charge, per_period,
             )
 
     rows = []
@@ -373,7 +384,7 @@ def scalar_experiment(cfg, grid):
     return rows, np.cumsum(acc)
 
 
-@pytest.mark.parametrize("trigger", ["on_hand", "forecast_projected"])
+@pytest.mark.parametrize("trigger", TRIGGERS)
 @pytest.mark.parametrize("mode", list(OrderingMode))
 def test_table_and_profile_equal_scalar_replay(trigger, mode):
     # demand off the integer lattice, so that sums taken in another order
@@ -391,20 +402,35 @@ def test_table_and_profile_equal_scalar_replay(trigger, mode):
 
 def test_on_hand_replay_reads_no_forecast(monkeypatch):
     # under on_hand the table and the profile measure the reorder-point
-    # replay, not the forecaster: NaN forecasts change nothing
+    # replay, not the forecaster: no forecast is computed for them;
+    # under forecast_projected each build computes them once, and NaN
+    # forecasts change the rows
     grid = TABLE1_GRID[::5]
-    cfgs = [make_cfg(n_series=8, trigger=t) for t in ("on_hand", "forecast_projected")]
-    real = [(run_table_experiment(c, grid), cumulative_cost_profile(c)[1]) for c in cfgs]
-    monkeypatch.setattr(
-        driftinv.forecast,
-        "experiment_forecasts",
-        lambda series_mat, cfg: np.full((series_mat.shape[0], cfg.n_sim_periods), np.nan),
-    )
-    blind = [(run_table_experiment(c, grid), cumulative_cost_profile(c)[1]) for c in cfgs]
-    assert blind[0][0] == real[0][0]
-    assert np.array_equal(blind[0][1], real[0][1])
-    assert blind[1][0] != real[1][0]
-    assert not np.array_equal(blind[1][1], real[1][1])
+    on_hand, projected = (make_cfg(n_series=8, trigger=t) for t in TRIGGERS)
+
+    def experiment(cfg):
+        return run_table_experiment(cfg, grid), cumulative_cost_profile(cfg)[1]
+
+    real_on_hand, real_projected = experiment(on_hand), experiment(projected)
+
+    def no_forecasts(series_mat, cfg):
+        raise AssertionError("the on-hand replay computed forecasts")
+
+    monkeypatch.setattr(driftinv.forecast, "experiment_forecasts", no_forecasts)
+    rows, profile = experiment(on_hand)
+    assert rows == real_on_hand[0]
+    assert profile.tobytes() == real_on_hand[1].tobytes()
+    calls = []
+
+    def nan_forecasts(series_mat, cfg):
+        calls.append(cfg)
+        return np.full((series_mat.shape[0], cfg.n_sim_periods), np.nan)
+
+    monkeypatch.setattr(driftinv.forecast, "experiment_forecasts", nan_forecasts)
+    rows, profile = experiment(projected)
+    assert calls == [projected, projected]  # the table's build and the profile's
+    assert rows != real_projected[0]
+    assert not np.array_equal(profile, real_projected[1])
 
 
 def test_batched_replay_lands_on_reorder_point_and_zero():
@@ -424,14 +450,12 @@ def test_batched_replay_lands_on_reorder_point_and_zero():
     R = np.array([5.0, 4.0])
     Q = np.array([5.0, 2.0])
     ones = np.ones(2)
-    for on_hand in (True, False):
-        assert_batch_matches_scalar(
-            actuals, forecasts, 10.0, R, Q, ones, 2 * ones, 3 * ones, on_hand
-        )
+    for fc in (None, forecasts):  # on hand, forecast projected
+        assert_batch_matches_scalar(actuals, fc, 10.0, R, Q, ones, 2 * ones, 3 * ones)
     per_period = np.empty(5)
     # on hand, R = Q = 5, end levels 5 | order, 10 | 0 | order, 0 | order, 5
     assert scalar_discrete_sim(
-        actuals[0], forecasts[0], 10.0, 5.0, 5.0, 1.0, 2.0, 3.0, True, per_period
+        actuals[0], None, 10.0, 5.0, 5.0, 1.0, 2.0, 3.0, per_period
     ) == (9.0, 20.0, 0.0, 3, False)
     assert per_period.tolist() == [5.0, 3.0 + 10.0, 0.0, 3.0, 3.0 + 5.0]
 
