@@ -65,8 +65,8 @@ def cmd_expected_cost(cfg, out_dir):
     if flagged:
         print(
             f"warning: expected inventory is negative at {len(flagged)} grid "
-            f"times starting t={flagged[0]!r} (late times are dominated by "
-            f"series truncation)"
+            f"times starting t={flagged[0]!r} (the gamma first-passage "
+            f"approximation undercounts orders: its rate alpha*lam ignores the drift mu)"
         )
     print(f"wrote {csv_file}")
     return 0

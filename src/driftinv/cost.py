@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
-from .gammainc import reg_lower_gamma
+from .gammainc import poisson_pmf, reg_lower_gamma
 from .params import CostParams, PolicyParams, ProcessParams
 from .renewal import (  # expected_integrated_renewals: a name perfbench/layers.py traces here
     RenewalSeriesConfig,
@@ -146,13 +146,6 @@ def _min_jumps(level: float, drift: float, alpha: float) -> int:
     return k
 
 
-def _poisson_pmf(k: int, x: float) -> float:
-    """P(N = k) for N ~ Poisson(x), in log space so large k cannot overflow."""
-    if x <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(x) - x - math.lgamma(k + 1.0))
-
-
 def _exact_series(
     params: ProcessParams, policy: PolicyParams, t: float, cfg: RenewalSeriesConfig
 ):
@@ -192,7 +185,7 @@ def _exact_series(
         if p < cfg.tail_tol:
             return total_r, total_int
         m = _min_jumps(level, 0.0, alpha)
-        acc = (x - m) * tail(m) + x * _poisson_pmf(m - 1, x)
+        acc = (x - m) * tail(m) + x * poisson_pmf(m - 1, x)
         for k in range(j, m):
             acc += tail(k + 1) - reg_lower_gamma(k + 1.0, lam * (level - alpha * k) / mu)
         total_r += p
@@ -274,8 +267,11 @@ def negative_inventory_times(
     """Grid times of ``curve`` (from ``cost_curve`` with this process and
     policy) where the closed-form expected inventory is negative.
 
-    Late times can go negative once the quadratic demand term outruns
-    the truncated series; flagged so reports can mark them."""
+    Late times can go negative when the gamma first-passage
+    approximation undercounts orders: its rate alpha*lam ignores the
+    drift mu.  With mu=5, alpha=0.1, lam=1 the series converges in at
+    most two terms on [0, 40], yet E[R_20] is 4.6e-5 against the exact
+    2.0.  Flagged so reports can mark them."""
     return [
         t
         for t, er in zip(curve.grid.tolist(), curve.orders.tolist())

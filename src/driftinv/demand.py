@@ -23,7 +23,6 @@ The two sizes are part of the contract: changing either changes every
 path.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,23 +207,3 @@ def period_increments(path: SamplePath, period: float) -> np.ndarray:
     bounds = period * np.arange(n + 1)
     counts = np.searchsorted(path.jump_times, bounds, side="right")
     return path.params.mu * period + path.params.alpha * np.diff(counts)
-
-
-def save_path_csv(path: SamplePath, csv_file, sidecar_file=None) -> None:
-    """Write jump times as CSV (`t,jump`); parameters and seed go to a
-    JSON sidecar when given."""
-    with open(csv_file, "w") as fh:
-        fh.write("t,jump\n")
-        for t in path.jump_times:
-            fh.write(f"{t!r},{path.params.alpha!r}\n")
-    if sidecar_file is not None:
-        meta = {
-            "mu": path.params.mu,
-            "alpha": path.params.alpha,
-            "lam": path.params.lam,
-            "horizon": path.horizon,
-            "seed": path.seed,
-        }
-        with open(sidecar_file, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -7,6 +7,9 @@ otherwise.  Absolute error is well below 1e-10 over the shapes used here
 (verified against quadrature and scipy in the test suite).
 
 log Gamma(a) is math.lgamma, the one log-gamma in the package.
+``poisson_pmf`` is the one x^k e^-x / Gamma(k+1), the step of the
+recurrence P(k+1, x) = P(k, x) - x^k e^-x / Gamma(k+1) (DLMF 8.8.5;
+Abramowitz & Stegun 6.5.21).
 """
 
 import math
@@ -14,6 +17,15 @@ import math
 _MAX_ITER = 20000
 _EPS = 1e-16
 _TINY = 1e-300
+
+
+def poisson_pmf(k, x):
+    """x^k e^-x / Gamma(k+1): P(N = k) for N ~ Poisson(x), and for real
+    k the step P(k, x) - P(k+1, x).  In log space so large k cannot
+    overflow."""
+    if x <= 0.0:
+        return 1.0 if k == 0 else 0.0
+    return math.exp(k * math.log(x) - x - math.lgamma(k + 1.0))
 
 
 def reg_lower_gamma(a, x):

@@ -5,7 +5,9 @@ distribution with shape (a + (n-1)Q)/mu and rate alpha*lam.  The
 expected order count and its time integral are series of regularized
 incomplete gamma values, truncated once a term falls below a tolerance.
 Since later thresholds are crossed later, terms decrease strictly in n
-and truncation is safe.
+and truncation is safe.  Each term evaluates P(k, rt) once; the
+integrated term's P(k+1, rt) follows from the recurrence
+P(k+1, x) = P(k, x) - x^k e^-x / Gamma(k+1) (DLMF 8.8.5).
 
 ``literal_integrand_cdf`` evaluates a variant integrand (an extra factor s
 and no factor alpha*lam) kept solely for side-by-side diagnostics
@@ -18,7 +20,7 @@ import numpy as np
 
 from .demand import batch_jump_times, path_segments
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
-from .gammainc import reg_lower_gamma
+from .gammainc import poisson_pmf, reg_lower_gamma
 from .params import PolicyParams, ProcessParams
 from .quadrature import adaptive_simpson  # noqa: F401 -- a name perfbench/layers.py traces
 
@@ -90,7 +92,14 @@ def truncated_mean(spec: GammaSpec, t: float) -> float:
 def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     """Sum CDF terms and their integrated counterparts until the CDF
     term drops below tail_tol.  Returns (sum_cdf, sum_integrated,
-    n_terms, last_term, converged)."""
+    n_terms, last_term, converged).
+
+    The integrated term of shape k is t*P(k, x) - (k/rate)*P(k+1, x),
+    x = rate*t, with P(k+1, x) taken from P(k, x) by the recurrence, so
+    each term costs one incomplete-gamma evaluation: a converged series
+    of n terms makes n + 1 calls to ``reg_lower_gamma``.  Where x is far
+    below k the subtraction keeps the term accurate to the scale
+    (k/rate)*P(k, x), not to its own much smaller size."""
     x = rate * t
     total_cdf = 0.0
     total_int = 0.0
@@ -101,8 +110,7 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
         last = cdf
         if cdf < tail_tol:
             return total_cdf, total_int, n - 1, last, True
-        tm = (k / rate) * reg_lower_gamma(k + 1.0, x)
-        term_int = t * cdf - tm
+        term_int = t * cdf - (k / rate) * (cdf - poisson_pmf(k, x))
         if term_int < 0.0:
             term_int = 0.0
         total_cdf += cdf

@@ -67,6 +67,30 @@ def test_expected_cost_outputs(tmp_path, small_config, capsys):
     assert "argmax" in captured.out
 
 
+def test_negative_inventory_warning_names_the_gamma_approximation(tmp_path, capsys):
+    # the series converges in at most two terms here, so truncation is not the cause
+    config = tmp_path / "drift.json"
+    config.write_text(
+        json.dumps(
+            {
+                "process": {"mu": 5.0, "alpha": 0.1, "lam": 1.0},
+                "grid": {"t_start": 0.0, "t_end": 40.0, "steps": 41},
+            }
+        )
+    )
+    rc = main(["expected-cost", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    argmax, warning = captured.out.splitlines()[:2]
+    assert argmax.startswith("argmax: t=20.0 total=980.01")
+    assert warning == (
+        "warning: expected inventory is negative at 21 grid times starting t=20.0 "
+        "(the gamma first-passage approximation undercounts orders: its rate "
+        "alpha*lam ignores the drift mu)"
+    )
+    assert "truncation" not in captured.out + captured.err
+
+
 def test_expected_cost_zero_grid(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"grid": {"t_start": 0.0, "t_end": 0.0, "steps": 5}}))

@@ -179,6 +179,67 @@ def test_default_curve_is_increasing_argmax_at_end(
     assert total_star == totals[-1]
 
 
+
+# Points of the shipped outputs whose values the incomplete-gamma
+# recurrence in the renewal series moved most; the values are the same
+# gamma series summed by mpmath at 40 digits.
+@pytest.mark.parametrize(
+    "process, policy, costs, t, field, want",
+    [
+        # compare.csv at t = 29: the experiment's per-order policy
+        (
+            ProcessParams(mu=5.0, alpha=10.0, lam=1.0),
+            PolicyParams(x0=100.0, a=50.0, Q=50.0),
+            CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_ORDER),
+            29.0,
+            "total",
+            17111.87499999999210558212,
+        ),
+        # sweep.csv at a = 60, Q = 50, c_o = 5, t = 8.3
+        (
+            ProcessParams(mu=5.0, alpha=10.0, lam=1.0),
+            PolicyParams(x0=100.0, a=60.0, Q=50.0),
+            CostParams(c_o=5.0, c_h=1.0, c_so=10.0),
+            8.3,
+            "holding",
+            1775.95000031402242378079,
+        ),
+        # expected_cost.csv of mu=5, alpha=2.5, lam=4, a=49.3, Q=51.7 at t = 11.5
+        (
+            ProcessParams(mu=5.0, alpha=2.5, lam=4.0),
+            PolicyParams(x0=100.0, a=49.3, Q=51.7),
+            CostParams(c_o=5.0, c_h=1.0, c_so=10.0),
+            11.5,
+            "holding",
+            3226.679950003201723280035,
+        ),
+    ],
+    ids=["compare", "sweep", "expected-cost"],
+)
+def test_worst_moving_points_match_mpmath(process, policy, costs, t, field, want, series_cfg):
+    got = getattr(expected_total_cost(process, policy, costs, t, series_cfg), field)
+    assert got == pytest.approx(want, rel=5e-15, abs=0.0)
+
+
+def test_gamma_curve_falls_when_drift_dominates(ref_costs, series_cfg):
+    # alpha*lam = 0.1 is the gamma rate, but drift alone reaches a = 50 at
+    # t = 10: by t = 20 the exact order count is 2 and the gamma one 4.6e-5
+    p = ProcessParams(mu=5.0, alpha=0.1, lam=1.0)
+    pol = PolicyParams(x0=100.0, a=50.0, Q=50.0)
+    grid = np.linspace(0.0, 40.0, 41)
+    curve = cost_curve(p, pol, ref_costs, grid, series_cfg)
+    assert argmax_time(curve)[0] == 20.0
+    assert curve.totals()[-1] < 0
+    assert curve.orders[20] == pytest.approx(4.6e-5, rel=0.02)
+    assert exact_moments(p, pol, ref_costs, 20.0, series_cfg).orders == pytest.approx(2.0)
+    # and the series has converged: at most two terms reach tail_tol anywhere
+    terms = [
+        driftinv.renewal.renewal_series(10.0, 10.0, 0.1, float(t), 1e-12, 10_000)
+        for t in grid
+    ]
+    assert all(converged and n_terms <= 2 for _, _, n_terms, _, converged in terms)
+
+
 def test_argmax_tie_breaks_to_earliest():
     flat = CostCurve(
         grid=np.array([0.0, 1.0, 2.0]),

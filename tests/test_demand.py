@@ -1,6 +1,4 @@
-"""Demand-process sampling, evaluation, and serialization."""
-
-import json
+"""Demand-process sampling and evaluation."""
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from driftinv.demand import (
     CHUNK_PATHS,
     ROUND_GAPS,
     batch_jump_times,
-    save_path_csv,
     truncate_batch,
 )
 
@@ -247,19 +244,3 @@ def test_fpt_diag_batches_share_no_path(ref_process):
         firsts.append(flat[offsets[:-1]])
     # a path's first jump time identifies it
     assert np.unique(np.concatenate(firsts)).size == 2 * n
-
-
-def test_csv_and_sidecar(tmp_path, ref_process):
-    path = sample_path(ref_process, 10.0, seed=77)
-    csv_file = tmp_path / "path.csv"
-    meta_file = tmp_path / "path.json"
-    save_path_csv(path, csv_file, meta_file)
-    lines = csv_file.read_text().strip().splitlines()
-    assert lines[0] == "t,jump"
-    assert len(lines) == 1 + path.jump_times.size
-    meta = json.loads(meta_file.read_text())
-    assert meta == {"mu": 5.0, "alpha": 10.0, "lam": 1.0, "horizon": 10.0, "seed": 77}
-    # determinism of the serialized bytes
-    csv_file2 = tmp_path / "path2.csv"
-    save_path_csv(sample_path(ref_process, 10.0, seed=77), csv_file2)
-    assert csv_file.read_text() == csv_file2.read_text()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+import scipy.stats
 
 from driftinv import (
     DomainError,
@@ -15,7 +16,7 @@ from driftinv import (
     literal_integrand_cdf,
     truncated_mean,
 )
-from driftinv.gammainc import reg_lower_gamma
+from driftinv.gammainc import poisson_pmf, reg_lower_gamma
 
 
 def gamma_pdf(spec, s):
@@ -128,3 +129,33 @@ def test_partial_moment_identity_grid():
         spec = GammaSpec(shape=shape, rate=rate)
         tail = spec.mean * (1.0 - reg_lower_gamma(shape + 1.0, rate * t))
         assert truncated_mean(spec, t) + tail == pytest.approx(spec.mean, abs=1e-10)
+
+
+# x as a multiple of k + 1 and offset, and whether P(k, x) and P(k+1, x)
+# take the power series (x < shape + 1) rather than the continued fraction
+BRANCHES = {
+    "series": (0.3, 0.0, (True, True)),
+    "series-near-switch": (0.9, 0.0, (True, True)),
+    "fraction-then-series": (1.0, 0.5, (False, True)),
+    "fraction": (1.5, 3.0, (False, False)),
+}
+
+
+@pytest.mark.parametrize("k", [0.37, 2.7, 9.86, 37.3, 120.5])
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_recurrence_steps_to_the_next_shape(k, branch):
+    # DLMF 8.8.5: P(k+1, x) = P(k, x) - x^k e^-x / Gamma(k+1), for real k
+    scale, offset, uses_series = BRANCHES[branch]
+    x = scale * (k + 1.0) + offset
+    assert (x < k + 1.0, x < k + 2.0) == uses_series
+    want = reg_lower_gamma(k + 1.0, x)
+    assert reg_lower_gamma(k, x) - poisson_pmf(k, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_poisson_pmf_matches_scipy():
+    for k, x in [(0, 0.5), (3, 2.0), (40, 35.5), (700, 650.0)]:
+        assert poisson_pmf(k, x) == pytest.approx(
+            scipy.stats.poisson.pmf(k, x), rel=1e-12, abs=0.0
+        )
+    assert poisson_pmf(0, 0.0) == 1.0
+    assert poisson_pmf(2, 0.0) == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftinv import (
@@ -19,8 +19,10 @@ from driftinv import (
     fpt_gamma_spec,
     gamma_cdf,
 )
+import driftinv.renewal
 from driftinv.demand import batch_jump_times
-from driftinv.renewal import first_passage_times
+from driftinv.gammainc import reg_lower_gamma
+from driftinv.renewal import expected_renewal_sums, first_passage_times, renewal_series
 
 
 def test_fpt_spec_reference_values(ref_process, ref_policy):
@@ -120,6 +122,87 @@ def test_series_not_converged_error(ref_process, ref_policy):
     assert err.n_terms == 3
     assert err.last_term >= 1e-12
     assert err.t == 10.0
+
+
+def two_evaluation_series(shape0, dshape, rate, t, tail_tol, n_max):
+    """Reference: ``renewal_series`` with P(k+1, x) evaluated directly,
+    two incomplete-gamma calls per term."""
+    x = rate * t
+    total_cdf = 0.0
+    total_int = 0.0
+    last = 0.0
+    for n in range(1, n_max + 1):
+        k = shape0 + dshape * (n - 1)
+        cdf = reg_lower_gamma(k, x)
+        last = cdf
+        if cdf < tail_tol:
+            return total_cdf, total_int, n - 1, last, True
+        term_int = t * cdf - (k / rate) * reg_lower_gamma(k + 1.0, x)
+        if term_int < 0.0:
+            term_int = 0.0
+        total_cdf += cdf
+        total_int += term_int
+    return total_cdf, total_int, n_max, last, False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape0=st.floats(0.1, 100.0),
+    dshape=st.floats(0.5, 100.0),
+    rate=st.floats(0.1, 30.0),
+    t=st.one_of(st.floats(0.0, 60.0), st.floats(1e-6, 1e-2)),
+)
+# rate*t = 2.2e-5 against k = 2.33: the forms differ by 8.5e-10 of the sum
+@example(shape0=2.3303160947361405, dshape=0.27477596022313727, rate=0.19893719999025405, t=1.114082302476863e-4)
+# k = 81.4, rate*t = 35.8: each form is about 3e-12 off mpmath's sum
+@example(shape0=81.40077288104517, dshape=6.387626517048109, rate=1.2247311264375527, t=29.264774595464555)
+def test_series_matches_two_evaluation_form(shape0, dshape, rate, t):
+    got = renewal_series(shape0, dshape, rate, t, 1e-12, 10_000)
+    want = two_evaluation_series(shape0, dshape, rate, t, 1e-12, 10_000)
+    # the same P(k, x) values, summed in the same order
+    assert got[0] == want[0]
+    assert got[2:] == want[2:]
+    # Each integrated term is t*P(k, x) minus (k/rate)*P(k+1, x), two values
+    # of up to (k/rate)*P(k, x), and both forms round at that scale: at rate*t
+    # far below k the integrated sum itself is much smaller, so it is compared
+    # relative to the larger of itself and that scale.
+    x = rate * t
+    scale = sum(
+        (shape0 + dshape * i) / rate * reg_lower_gamma(shape0 + dshape * i, x)
+        for i in range(got[2])
+    )
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12 * scale)
+
+
+def test_one_incomplete_gamma_call_per_term(monkeypatch, ref_process, ref_policy, series_cfg):
+    calls = []
+
+    def counting(a, x):
+        calls.append((a, x))
+        return reg_lower_gamma(a, x)
+
+    monkeypatch.setattr(driftinv.renewal, "reg_lower_gamma", counting)
+    for shape0, dshape, rate, t in [
+        (10.0, 10.0, 10.0, 12.0),
+        (9.86, 10.34, 10.0, 60.0),
+        (0.3, 0.7, 2.0, 5.0),
+        (5.0, 5.0, 1.0, 0.0),
+    ]:
+        calls.clear()
+        _, _, n_terms, _, converged = renewal_series(shape0, dshape, rate, t, 1e-12, 10_000)
+        assert converged
+        # one P(k, x) per summed term, and one for the term below tail_tol
+        assert len(calls) == n_terms + 1
+        assert [a for a, _ in calls] == [shape0 + dshape * i for i in range(n_terms + 1)]
+    calls.clear()
+    # a series cut at n_max evaluates exactly its n_max terms
+    *_, n_terms, _, converged = renewal_series(10.0, 10.0, 10.0, 12.0, 1e-12, 3)
+    assert (n_terms, converged, len(calls)) == (3, False, 3)
+    # the path every cost curve takes, at the reference shapes 10, 20, ... and rate 10
+    n_terms = renewal_series(10.0, 10.0, 10.0, 12.0, 1e-12, 10_000)[2]
+    calls.clear()
+    expected_renewal_sums(ref_process, ref_policy, 12.0, series_cfg)
+    assert len(calls) == n_terms + 1
 
 
 def test_empirical_cdf_basics(ref_process, ref_policy):
