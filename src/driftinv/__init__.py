@@ -18,7 +18,7 @@ from .cost import (
     long_run_rate,
     sweep,
 )
-from .demand import SamplePath, demand_at, period_increments, sample_path
+from .demand import SamplePath, sample_path
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -29,11 +29,10 @@ from .forecast import (
     ExperimentConfig,
     TableRow,
     croston_forecast,
-    reorder_sim_discrete,
     rolling_forecast,
     run_table_experiment,
 )
-from .mc import SimSummary, Trajectory, mc_summary, realized_cost, simulate
+from .mc import SimSummary, Trajectory, mc_summary, simulate
 from .params import CostParams, OrderingMode, PolicyParams, ProcessParams
 from .renewal import (
     GammaSpec,
@@ -71,7 +70,6 @@ __all__ = [
     "argmax_time",
     "cost_curve",
     "croston_forecast",
-    "demand_at",
     "exact_moments",
     "expected_integrated_renewals",
     "expected_inventory",
@@ -83,9 +81,6 @@ __all__ = [
     "mc_summary",
     "literal_integrand_cdf",
     "long_run_rate",
-    "period_increments",
-    "realized_cost",
-    "reorder_sim_discrete",
     "rolling_forecast",
     "run_table_experiment",
     "sample_path",

@@ -20,7 +20,8 @@ from .forecast import ExperimentConfig
 from .params import CostParams, OrderingMode, PolicyParams, ProcessParams
 from .renewal import RenewalSeriesConfig
 
-# the most points a time grid (grid.steps, fpt.steps) may have; checked before any array exists
+# the most points a time grid (grid.steps, fpt.steps) may have, and the most
+# thresholds fpt-diag compares (fpt.n_values); checked before any array exists
 MAX_STEPS = 100_000
 
 DEFAULT_CONFIG = {
@@ -125,21 +126,20 @@ def _require(ok: bool, key: str, what: str, value) -> None:
 
 
 def _check_domains(raw: dict) -> None:
-    """Ranges the kind check cannot see: seeds numpy accepts, grids
-    that fit in memory, and validate/fpt runs that compare something."""
+    """Ranges the kind check cannot see: seeds numpy accepts, grids and
+    threshold lists that fit in memory, and validate/fpt runs that
+    compare something."""
     for section in ("mc", "experiment"):
         seed = raw[section]["base_seed"]
         _require(seed >= 0, f"{section}.base_seed", "a non-negative integer", seed)
     times = raw["validate"]["times"]
     _require(len(times) > 0, "validate.times", "a non-empty list", times)
     _require(all(t > 0 for t in times), "validate.times", "a list of positive numbers", times)
-    for section in ("grid", "fpt"):
-        steps = raw[section]["steps"]
-        _require(steps >= 1, f"{section}.steps", "at least 1", steps)
-        _require(steps <= MAX_STEPS, f"{section}.steps", f"at most {MAX_STEPS}", steps)
-    fpt = raw["fpt"]
-    _require(fpt["n_values"] >= 1, "fpt.n_values", "at least 1", fpt["n_values"])
-    _require(fpt["t_end"] > 0, "fpt.t_end", "positive", fpt["t_end"])
+    for section, key in (("grid", "steps"), ("fpt", "steps"), ("fpt", "n_values")):
+        count = raw[section][key]
+        _require(count >= 1, f"{section}.{key}", "at least 1", count)
+        _require(count <= MAX_STEPS, f"{section}.{key}", f"at most {MAX_STEPS}", count)
+    _require(raw["fpt"]["t_end"] > 0, "fpt.t_end", "positive", raw["fpt"]["t_end"])
 
 
 def build_config(raw: dict) -> RunConfig:

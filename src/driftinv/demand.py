@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .params import ProcessParams
 
 # Most jump times one sampling call may ask for, counted as the expected
@@ -187,23 +187,18 @@ def path_segments(flat, offsets, alpha: float, horizon: float):
         p0 = p1
 
 
-def demand_at(path: SamplePath, t: float) -> float:
-    """Demand accumulated by time t; jumps at exactly t are included."""
-    if t < 0 or t > path.horizon:
-        raise DomainError(f"t must lie in [0, {path.horizon}], got {t}")
-    n_jumps = int(np.searchsorted(path.jump_times, t, side="right"))
-    return path.params.mu * t + path.params.alpha * n_jumps
-
-
-def period_increments(path: SamplePath, period: float) -> np.ndarray:
-    """Demand accumulated in each whole period [k*period, (k+1)*period]."""
+def period_increments(params: ProcessParams, flat, offsets, period: float, n_periods: int):
+    """Demand of every path of a packed batch in each whole period, as an
+    (n_paths, n_periods) array: column k - 1 is the demand over
+    ((k-1)*period, k*period], so a jump exactly on a bound counts in the
+    period it ends.  Jumps at 0 or past the last bound fall in no period."""
     if not period > 0:
         raise ParameterError(f"period must be positive, got {period}")
-    if period > path.horizon:
-        raise ParameterError(
-            f"period {period} exceeds the path horizon {path.horizon}"
-        )
-    n = int(np.floor(path.horizon / period + 1e-12))
-    bounds = period * np.arange(n + 1)
-    counts = np.searchsorted(path.jump_times, bounds, side="right")
-    return path.params.mu * period + path.params.alpha * np.diff(counts)
+    n_paths = offsets.shape[0] - 1
+    width = n_periods + 2  # period k of a path is column k; 0 and n + 1 are dropped
+    bounds = period * np.arange(n_periods + 1)
+    k = np.searchsorted(bounds, flat, side="left")
+    path = np.repeat(np.arange(n_paths), np.diff(offsets))
+    counts = np.bincount(path * width + k, minlength=n_paths * width)
+    counts = counts.reshape(n_paths, width)[:, 1 : n_periods + 1]
+    return params.mu * period + params.alpha * counts

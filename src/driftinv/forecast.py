@@ -7,6 +7,10 @@ grid search over (p, q) fitted by two-stage conditional least squares
 are regressed jointly) and scored by AIC.  A mean model is always in
 the grid, so degenerate windows fall back to the trailing-window mean.
 
+The experiment's demand series are the per-period increments of one
+packed batch of demand paths (``demand.batch_jump_times``), counted for
+all series at once by ``demand.period_increments``.
+
 The discrete simulation replays a reorder-point policy period by
 period: order Q when on-hand inventory is at or below the reorder
 point (a forecast-projected trigger, inventory minus the one-step
@@ -24,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostBreakdown
-from .demand import SamplePath, batch_jump_times, period_increments
+from .demand import batch_jump_times, period_increments
 from .demand import sample_path  # noqa: F401 -- a name perfbench/layers.py traces
 from .errors import InsufficientDataError, ParameterError
 from .params import CostParams, PolicyParams, ProcessParams
@@ -410,43 +413,14 @@ def croston_forecast(series, smoothing: float = 0.1) -> np.ndarray:
     return out
 
 
-def reorder_sim_discrete(
-    actuals, forecasts, policy: PolicyParams, costs: CostParams,
-    trigger: str = "on_hand",
-) -> CostBreakdown:
-    """Discrete-period reorder simulation over aligned actual/forecast
-    arrays; returns the accrued cost breakdown (t = period count)."""
-    act = np.asarray(actuals, dtype=np.float64)
-    fc = np.asarray(forecasts, dtype=np.float64)
-    if act.size != fc.size:
-        raise ParameterError(f"actuals ({act.size}) and forecasts ({fc.size}) must align")
-    if trigger not in TRIGGERS:
-        raise ParameterError(f"unknown trigger rule {trigger!r}")
-    replay = discrete_sim(
-        act[None, :], None if trigger == "on_hand" else fc[None, :], policy.x0,
-        policy.reorder_point, policy.Q, costs.c_h, costs.c_so, costs.order_cost(policy.Q),
-    )
-    ordering, holding, shortage = (float(v[0, 0]) for v in replay[:3])
-    return CostBreakdown(
-        ordering=ordering,
-        holding=holding,
-        shortage=shortage,
-        total=ordering + holding + shortage,
-        t=float(act.size),
-    )
-
-
 def generate_demand_series(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-period demand for every series: series i is path i of the
-    batch keyed ``cfg.base_seed``."""
-    horizon = cfg.sim_end * cfg.period_length
-    flat, offsets = batch_jump_times(cfg.process, horizon, cfg.base_seed, cfg.n_series)
-    out = np.empty((cfg.n_series, cfg.sim_end))
-    for i in range(cfg.n_series):
-        jumps = flat[offsets[i] : offsets[i + 1]]
-        path = SamplePath(cfg.process, jumps, horizon, cfg.base_seed)
-        out[i] = period_increments(path, cfg.period_length)
-    return out
+    """Per-period demand of every series, an (n_series, sim_end) array:
+    row i is path i of the batch keyed ``cfg.base_seed``, and column
+    k - 1 its demand over ((k-1)*L, k*L] with L = ``cfg.period_length``."""
+    flat, offsets = batch_jump_times(
+        cfg.process, cfg.sim_end * cfg.period_length, cfg.base_seed, cfg.n_series
+    )
+    return period_increments(cfg.process, flat, offsets, cfg.period_length, cfg.sim_end)
 
 
 def experiment_forecasts(series_mat: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:

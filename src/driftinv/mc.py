@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostBreakdown
 from .demand import SamplePath, batch_jump_times, path_segments, sample_path, truncate_batch
 from .errors import ParameterError
 from .params import CostParams, PolicyParams, ProcessParams
@@ -73,62 +72,6 @@ def simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
             inv[m] = x0 - d + Q * orders
             m += 1
     return m
-
-
-def cost_integrals(times, kinds, inv, n_events, mu, x0, horizon):
-    """Exact path functionals on [0, horizon].
-
-    Returns (integral of max(X,0), integral of max(-X,0), integral of
-    the order count, order count, final inventory, minimum inventory).
-    """
-    t0 = 0.0
-    v0 = x0
-    pos = 0.0
-    neg = 0.0
-    int_r = 0.0
-    orders = 0
-    min_inv = x0
-    for e in range(n_events):
-        t1 = times[e]
-        dt = t1 - t0
-        v1 = v0 - mu * dt
-        # only values held over positive time (or as left limits) count;
-        # zero-duration values between simultaneous events are artifacts
-        # of the event ordering, not states of the process
-        if dt > 0.0:
-            if v1 >= 0.0:
-                pos += 0.5 * (v0 + v1) * dt
-            elif v0 <= 0.0:
-                neg += -0.5 * (v0 + v1) * dt
-            else:
-                tc = v0 / mu
-                pos += 0.5 * v0 * tc
-                neg += 0.5 * (-v1) * (dt - tc)
-            if v0 < min_inv:
-                min_inv = v0
-            if v1 < min_inv:
-                min_inv = v1
-        if kinds[e] == KIND_ORDER:
-            orders += 1
-            int_r += horizon - t1
-        t0 = t1
-        v0 = inv[e]
-    dt = horizon - t0
-    v1 = v0 - mu * dt
-    if dt > 0.0:
-        if v1 >= 0.0:
-            pos += 0.5 * (v0 + v1) * dt
-        elif v0 <= 0.0:
-            neg += -0.5 * (v0 + v1) * dt
-        else:
-            tc = v0 / mu
-            pos += 0.5 * v0 * tc
-            neg += 0.5 * (-v1) * (dt - tc)
-        if v0 < min_inv:
-            min_inv = v0
-    if v1 < min_inv:
-        min_inv = v1
-    return pos, neg, int_r, orders, v1, min_inv
 
 
 def _first_true(pred, x):
@@ -275,30 +218,6 @@ def trajectory_from_path(path: SamplePath, policy: PolicyParams) -> Trajectory:
         times=times[:m].copy(),
         kinds=kinds[:m].copy(),
         inventory_after=inv[:m].copy(),
-    )
-
-
-def realized_cost(traj: Trajectory, costs: CostParams) -> CostBreakdown:
-    """Costs realized on one path: holding on the positive inventory
-    part, shortage on the backordered part, ordering per mode."""
-    pos, neg, _, orders, _, _ = cost_integrals(
-        traj.times,
-        traj.kinds,
-        traj.inventory_after,
-        traj.times.size,
-        traj.params.mu,
-        traj.policy.x0,
-        traj.horizon,
-    )
-    ordering = costs.order_cost(traj.policy.Q) * orders
-    holding = costs.c_h * pos
-    shortage = costs.c_so * neg
-    return CostBreakdown(
-        ordering=ordering,
-        holding=holding,
-        shortage=shortage,
-        total=ordering + holding + shortage,
-        t=traj.horizon,
     )
 
 

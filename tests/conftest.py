@@ -3,6 +3,7 @@ import pytest
 
 from driftinv import (
     CostParams,
+    DomainError,
     PolicyParams,
     ProcessParams,
     RenewalSeriesConfig,
@@ -40,3 +41,18 @@ def exact_expected_orders(process, policy, t, kmax=400):
     demand = process.mu * t + process.alpha * ks
     orders = np.maximum(np.floor((demand - policy.a) / policy.Q).astype(int) + 1, 0)
     return float((pmf * orders).sum())
+
+
+def demand_at(path, t):
+    """Demand of a ``SamplePath`` accumulated by time t; jumps at exactly
+    t are included."""
+    if t < 0 or t > path.horizon:
+        raise DomainError(f"t must lie in [0, {path.horizon}], got {t}")
+    n_jumps = int(np.searchsorted(path.jump_times, t, side="right"))
+    return path.params.mu * t + path.params.alpha * n_jumps
+
+
+def pack(paths):
+    """A packed batch (flat, offsets) of hand-built jump-time lists."""
+    offsets = np.concatenate(([0], np.cumsum([len(p) for p in paths]))).astype(np.int64)
+    return np.array([t for p in paths for t in p], dtype=np.float64), offsets

@@ -336,6 +336,7 @@ def test_strict_config_exit_code(tmp_path, capsys, config, message):
         ("sweep", {"grid": {"steps": 100_001}}, "'grid.steps' must be at most 100000"),
         ("fpt-diag", {"fpt": {"steps": 10**10}}, "'fpt.steps' must be at most 100000"),
         ("expected-cost", {"grid": {"steps": 0}}, "'grid.steps' must be at least 1"),
+        ("fpt-diag", {"fpt": {"n_values": 10**10}}, "'fpt.n_values' must be at most 100000"),
     ],
 )
 def test_config_domain_exit_code(tmp_path, capsys, command, config, message):
@@ -350,8 +351,11 @@ def test_config_domain_exit_code(tmp_path, capsys, command, config, message):
 
 
 def test_grid_steps_cap_is_inclusive():
-    cfg = load_config(overrides={"grid": {"steps": MAX_STEPS}, "fpt": {"steps": MAX_STEPS}})
+    cfg = load_config(
+        overrides={"grid": {"steps": MAX_STEPS}, "fpt": {"steps": MAX_STEPS, "n_values": MAX_STEPS}}
+    )
     assert cfg.grid.size == MAX_STEPS == 100_000
+    assert cfg.raw["fpt"]["n_values"] == MAX_STEPS
 
 
 def test_negative_seed_flag_exit_code(tmp_path, capsys):

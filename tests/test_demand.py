@@ -1,4 +1,4 @@
-"""Demand-process sampling and evaluation."""
+"""Demand-process sampling and per-period increments."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,17 @@ from driftinv import (
     ParameterError,
     ProcessParams,
     SamplePath,
-    demand_at,
-    period_increments,
     sample_path,
 )
 from driftinv.demand import (
     CHUNK_PATHS,
     ROUND_GAPS,
     batch_jump_times,
+    period_increments,
     truncate_batch,
 )
+
+from conftest import demand_at, pack
 
 # Four jumps per unit time to horizon 60: about 240 jumps per path, so
 # every chunk draws at least three rounds of ROUND_GAPS gaps.
@@ -102,22 +103,46 @@ def test_demand_monotone(ref_process):
 
 
 def test_period_increments_trivials(ref_process):
-    path = make_path(ref_process, [], horizon=3.0)
-    assert np.allclose(period_increments(path, 1.0), [5.0, 5.0, 5.0])
-    path = make_path(ref_process, [0.5], horizon=2.0)
-    assert np.allclose(period_increments(path, 1.0), [15.0, 5.0])
+    assert np.allclose(period_increments(ref_process, *pack([[]]), 1.0, 3), [[5.0, 5.0, 5.0]])
+    assert np.allclose(period_increments(ref_process, *pack([[0.5]]), 1.0, 2), [[15.0, 5.0]])
     with pytest.raises(ParameterError):
-        period_increments(path, 0.0)
-    with pytest.raises(ParameterError):
-        period_increments(path, 5.0)
+        period_increments(ref_process, *pack([[0.5]]), 0.0, 2)
+
+
+def test_period_increments_match_per_path_count(ref_process):
+    # bit for bit against one searchsorted per path: a jump on a bound
+    # counts in the period it ends, a jump at t = 0 or past the last
+    # bound in none, and empty paths get the drift alone
+    hand = pack([[0.0, 0.5, 1.0, 2.0, 3.5], [], [1.0], [], [2.9999, 3.0, 3.0001, 7.2]])
+    tenths = 0.1 * np.arange(5)  # 0.30000000000000004 is a bound
+    batches = [
+        (hand, 1.0, 3),
+        (pack([[], tenths[[0, 2, 3]], [tenths[4], 0.45], []]), 0.1, 4),
+        (pack([[]]), 0.7, 1),
+        (batch_jump_times(ref_process, 36.0, 5, 200), 0.7, 51),
+        (batch_jump_times(DENSE, 5.0, 5, CHUNK_PATHS + 3), 0.1, 50),
+    ]
+    mu, alpha = ref_process.mu, ref_process.alpha
+    for (flat, offsets), period, n_periods in batches:
+        bounds = period * np.arange(n_periods + 1)
+        want = np.array([
+            mu * period + alpha * np.diff(np.searchsorted(flat[i:j], bounds, side="right"))
+            for i, j in zip(offsets[:-1], offsets[1:])
+        ])
+        got = period_increments(ref_process, flat, offsets, period, n_periods)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert period_increments(ref_process, *hand, 1.0, 3).tolist() == [
+        [25.0, 15.0, 5.0], [5.0] * 3, [15.0, 5.0, 5.0], [5.0] * 3, [5.0, 5.0, 25.0]
+    ]
 
 
 def test_increments_telescope(ref_process):
     path = sample_path(ref_process, 10.0, seed=9)
-    inc = period_increments(path, 1.0)
+    jumps = (path.jump_times, np.array([0, path.jump_times.size]))
+    inc = period_increments(ref_process, *jumps, 1.0, 10)[0]
     assert inc.sum() == pytest.approx(demand_at(path, 10.0))
     # disjoint unions: pairs of periods sum to 2-period increments
-    inc2 = period_increments(path, 2.0)
+    inc2 = period_increments(ref_process, *jumps, 2.0, 5)[0]
     assert np.allclose(inc.reshape(-1, 2).sum(axis=1), inc2)
 
 
@@ -130,11 +155,7 @@ def test_mean_demand_and_increment(ref_process):
     stderr = d10.std(ddof=1) / np.sqrt(n)
     assert abs(d10.mean() - 150.0) <= 3 * stderr
 
-    # increment over [3, 4): count jumps per path inside the window
-    in_window = (flat >= 3.0) & (flat < 4.0)
-    per_path = np.add.reduceat(in_window.astype(np.int64), offsets[:-1])
-    per_path[counts == 0] = 0
-    inc = ref_process.mu + ref_process.alpha * per_path
+    inc = period_increments(ref_process, flat, offsets, 1.0, 10)[:, 3]  # over (3, 4]
     stderr = inc.std(ddof=1) / np.sqrt(n)
     assert abs(inc.mean() - 15.0) <= 3 * stderr
 
@@ -144,10 +165,7 @@ def test_jump_counts_poisson_chisquare(ref_process, t):
     # goodness of fit of N_t against Poisson(lam t) at significance 0.01
     n = 20_000
     flat, offsets = batch_jump_times(ref_process, 10.0, base_seed=55_000, n_paths=n)
-    counts = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        seg = flat[offsets[i] : offsets[i + 1]]
-        counts[i] = np.searchsorted(seg, t, side="right")
+    counts = np.diff(truncate_batch(flat, offsets, t)[1])
     lam_t = ref_process.lam * t
     kmax = int(scipy.stats.poisson.ppf(1 - 1e-6, lam_t)) + 1
     probs = scipy.stats.poisson.pmf(np.arange(kmax), lam_t)

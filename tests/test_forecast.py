@@ -15,7 +15,6 @@ from driftinv import (
     PolicyParams,
     ProcessParams,
     croston_forecast,
-    reorder_sim_discrete,
     rolling_forecast,
     run_table_experiment,
 )
@@ -83,6 +82,18 @@ def assert_batch_matches_scalar(actuals, forecasts, x0, R, Q, c_h, c_so, charge)
         assert period_cost[g].tobytes() == acc.tobytes()
 
 
+def replay_one(actuals, forecasts, policy, costs):
+    """``discrete_sim`` of one series on a one-row grid; ``forecasts``
+    None is the on-hand trigger.  Returns (ordering, holding, shortage,
+    orders, stockout)."""
+    out = discrete_sim(
+        np.atleast_2d(actuals), None if forecasts is None else np.atleast_2d(forecasts),
+        policy.x0, policy.reorder_point, policy.Q, costs.c_h, costs.c_so,
+        costs.order_cost(policy.Q),
+    )
+    return tuple(v[0, 0] for v in out)
+
+
 def make_cfg(**kw):
     p = ProcessParams(mu=5.0, alpha=10.0, lam=1.0)
     defaults = dict(
@@ -96,17 +107,13 @@ def make_cfg(**kw):
     return ExperimentConfig(**defaults)
 
 
-def test_experiment_config_validation(ref_policy, ref_costs):
+def test_experiment_config_validation():
     with pytest.raises(ParameterError):
         make_cfg(window=12, sim_start=14)
-    # the experiment and the single-series replay accept the same rules
     for trigger in TRIGGERS:
         make_cfg(trigger=trigger)
-        reorder_sim_discrete([1.0], [1.0], ref_policy, ref_costs, trigger=trigger)
     with pytest.raises(ParameterError, match="unknown trigger rule 'psychic'"):
         make_cfg(trigger="psychic")
-    with pytest.raises(ParameterError, match="unknown trigger rule 'psychic'"):
-        reorder_sim_discrete([1.0], [1.0], ref_policy, ref_costs, trigger="psychic")
     with pytest.raises(ParameterError):
         make_cfg(d_set=(2,))
 
@@ -210,33 +217,25 @@ def test_croston_examples():
 def test_reorder_sim_zero_demand(ref_policy):
     costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_ORDER)
     n = 10
-    bd = reorder_sim_discrete(np.zeros(n), np.zeros(n), ref_policy, costs)
-    assert bd.ordering == 0.0
-    assert bd.holding == pytest.approx(costs.c_h * ref_policy.x0 * n)
-    assert bd.shortage == 0.0
+    ordering, holding, shortage, _, _ = replay_one(np.zeros(n), None, ref_policy, costs)
+    assert ordering == 0.0
+    assert holding == pytest.approx(costs.c_h * ref_policy.x0 * n)
+    assert shortage == 0.0
 
 
 def test_reorder_sim_shortage_sign(ref_policy):
     costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_ORDER)
     # huge forecast forces an order; demand still exceeds x0 + Q
-    bd = reorder_sim_discrete([200.0], [150.0], ref_policy, costs, trigger="forecast_projected")
-    assert bd.ordering == 5.0
-    assert bd.shortage == pytest.approx(10.0 * 50.0)  # end inventory -50
-    assert bd.holding == 0.0
-
-
-def test_reorder_sim_length_mismatch(ref_policy, ref_costs):
-    with pytest.raises(ParameterError):
-        reorder_sim_discrete([1.0, 2.0], [1.0], ref_policy, ref_costs)
+    ordering, holding, shortage, _, _ = replay_one([200.0], [150.0], ref_policy, costs)
+    assert ordering == 5.0
+    assert shortage == pytest.approx(10.0 * 50.0)  # end inventory -50
+    assert holding == 0.0
 
 
 def test_discrete_inventory_balance():
     # end(k) = end(k-1) + Q * orders(k) - actual(k), re-derived from costs
     cfg = make_cfg(n_series=3)
-    series_mat = generate_demand_series(cfg)
-    fc_mat = experiment_forecasts(series_mat, cfg)
-    act = series_mat[0, cfg.sim_start - 1 : cfg.sim_end]
-    fc = fc_mat[0]
+    act = generate_demand_series(cfg)[0, cfg.sim_start - 1 : cfg.sim_end]
     inv = cfg.policy.x0
     orders = 0
     for k in range(act.size):
@@ -244,19 +243,20 @@ def test_discrete_inventory_balance():
             inv += cfg.policy.Q
             orders += 1
         inv -= act[k]
-    bd = reorder_sim_discrete(act, fc, cfg.policy, cfg.costs, trigger="on_hand")
-    assert bd.ordering == pytest.approx(cfg.costs.c_o * orders)
+    ordering, _, _, replayed, _ = replay_one(act, None, cfg.policy, cfg.costs)
+    assert replayed == orders
+    assert ordering == pytest.approx(cfg.costs.c_o * orders)
 
 
 def test_table_single_row_single_series_matches_direct_sim():
     cfg = make_cfg(n_series=1)
     rows = run_table_experiment(cfg, [(40.0, 50.0, 1.0, 5.0, 10.0)])
-    series_mat = generate_demand_series(cfg)
-    fc_mat = experiment_forecasts(series_mat, cfg)
-    act = series_mat[0, cfg.sim_start - 1 : cfg.sim_end]
-    pol = PolicyParams(x0=100.0, a=60.0, Q=50.0)
-    want = reorder_sim_discrete(act, fc_mat[0], pol, cfg.costs, trigger=cfg.trigger)
-    assert rows[0].mean_total == pytest.approx(want.total, rel=1e-12)
+    act = generate_demand_series(cfg)[0, cfg.sim_start - 1 : cfg.sim_end]
+    # on-hand trigger: the replay reads no forecast
+    ordering, holding, shortage, _, _ = scalar_discrete_sim(
+        act, None, 100.0, 40.0, 50.0, 1.0, 10.0, cfg.costs.order_cost(50.0), np.empty(act.size)
+    )
+    assert rows[0].mean_total == pytest.approx(ordering + holding + shortage, rel=1e-12)
     assert rows[0].stderr_total == 0.0
 
 

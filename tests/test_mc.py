@@ -16,16 +16,13 @@ from driftinv import (
     ParameterError,
     PolicyParams,
     ProcessParams,
-    demand_at,
     mc_summary,
-    realized_cost,
     simulate,
 )
 from driftinv.demand import SamplePath, batch_jump_times
 from driftinv.mc import (
     KIND_ORDER,
     batch_stats,
-    cost_integrals,
     path_stats,
     save_summary_json,
     save_trajectory_csv,
@@ -33,7 +30,7 @@ from driftinv.mc import (
     trajectory_from_path,
 )
 
-from conftest import exact_expected_orders
+from conftest import demand_at, exact_expected_orders, pack
 
 
 def exact_expected_inventory(process, policy, t):
@@ -116,14 +113,16 @@ def test_multi_threshold_jump_fires_multiple_orders():
     assert traj.inventory_after.min() >= pol.x0 - 11.0
 
 
-def test_zero_event_holding_formula(ref_costs):
+def test_zero_event_holding_formula():
     p = ProcessParams(mu=5.0, alpha=10.0, lam=1e-9)
     pol = PolicyParams(x0=100.0, a=90.0, Q=50.0)
     traj = simulate(p, pol, 4.0, seed=1)
     assert traj.times.size == 0
-    bd = realized_cost(traj, ref_costs)
-    assert bd.holding == pytest.approx(100.0 * 4.0 - 2.5 * 16.0, abs=1e-12)
-    assert bd.ordering == 0.0 and bd.shortage == 0.0
+    pos, neg, _, orders, _, _ = cost_integrals(
+        traj.times, traj.kinds, traj.inventory_after, 0, p.mu, pol.x0, 4.0
+    )
+    assert pos == pytest.approx(100.0 * 4.0 - 2.5 * 16.0, abs=1e-12)
+    assert orders == 0 and neg == 0.0
 
 
 def test_shortage_zero_when_jump_smaller_than_order(ref_process, ref_policy, ref_costs):
@@ -148,26 +147,14 @@ def test_instant_replenishment_keeps_inventory_above_reorder_point():
     assert summary.mean_holding_signed == summary.mean_holding
 
 
-def test_realized_cost_splits_negative_segments(ref_costs):
-    # a hand-built event log that runs through zero exercises the
-    # positive/negative split of the trapezoid integrals
-    from driftinv.mc import Trajectory
-
-    p = ProcessParams(mu=5.0, alpha=10.0, lam=1.0)
-    pol = PolicyParams(x0=10.0, a=5.0, Q=5.0)
-    traj = Trajectory(
-        params=p,
-        policy=pol,
-        horizon=4.0,
-        seed=0,
-        times=np.empty(0),
-        kinds=np.empty(0, dtype=np.int8),
-        inventory_after=np.empty(0),
-    )
-    bd = realized_cost(traj, ref_costs)
+def test_realized_cost_splits_negative_segments():
+    # an event log that runs through zero exercises the positive/negative
+    # split of the trapezoid integrals: no events, x0 = 10, mu = 5, to t = 4
+    empty = np.empty(0)
+    pos, neg = cost_integrals(empty, empty, empty, 0, 5.0, 10.0, 4.0)[:2]
     # inventory 10 - 5t crosses zero at t=2: triangles of area 10 each
-    assert bd.holding == pytest.approx(10.0, abs=1e-12)
-    assert bd.shortage == pytest.approx(100.0, abs=1e-12)
+    assert pos == pytest.approx(10.0, abs=1e-12)
+    assert neg == pytest.approx(10.0, abs=1e-12)
 
 
 def test_mc_summary_replay_determinism(ref_process, ref_policy, ref_costs):
@@ -256,14 +243,16 @@ def test_positive_part_integral_matches_exact_law(ref_process, ref_policy):
 
 
 def test_realized_cost_modes(ref_process, ref_policy):
-    traj = simulate(ref_process, ref_policy, 10.0, seed=5)
+    # per_unit_times_Q charges Q times what per_order charges for the
+    # same orders; the holding cost does not see the mode
     per_unit = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_UNIT_TIMES_Q)
     per_order = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_ORDER)
-    a = realized_cost(traj, per_unit)
-    b = realized_cost(traj, per_order)
-    assert a.ordering == pytest.approx(ref_policy.Q * b.ordering)
-    assert a.holding == b.holding
-    assert a.total == a.ordering + a.holding + a.shortage
+    a = mc_summary(ref_process, ref_policy, per_unit, 10.0, 200, base_seed=5)
+    b = mc_summary(ref_process, ref_policy, per_order, 10.0, 200, base_seed=5)
+    assert b.mean_orders > 0
+    assert a.mean_ordering == pytest.approx(ref_policy.Q * b.mean_ordering)
+    assert a.mean_holding == b.mean_holding
+    assert a.mean_total == pytest.approx(a.mean_ordering + a.mean_holding + a.mean_shortage)
 
 
 def test_trajectory_csv_and_summary_json(tmp_path, ref_process, ref_policy, ref_costs):
@@ -326,6 +315,45 @@ def test_path_inventory_bounds(mu, alpha, lam, x0, a_share, Q, horizon, seed):
     assert np.all(stats["min_inv"] >= low - tol)
     assert np.all(stats["inv_end"] > low - tol)
     assert np.all(stats["inv_end"] <= high + tol)
+
+
+def cost_integrals(times, kinds, inv, n_events, mu, x0, horizon):
+    """Exact path functionals on [0, horizon].
+
+    Returns (integral of max(X,0), integral of max(-X,0), integral of
+    the order count, order count, final inventory, minimum inventory).
+    """
+    t0 = 0.0
+    v0 = x0
+    pos = 0.0
+    neg = 0.0
+    int_r = 0.0
+    orders = 0
+    min_inv = x0
+    for e in range(n_events + 1):
+        t1 = times[e] if e < n_events else horizon
+        dt = t1 - t0
+        v1 = v0 - mu * dt
+        # only values held over positive time (or as left limits) count;
+        # zero-duration values between simultaneous events are artifacts
+        # of the event ordering, not states of the process
+        if dt > 0.0:
+            if v1 >= 0.0:
+                pos += 0.5 * (v0 + v1) * dt
+            elif v0 <= 0.0:
+                neg += -0.5 * (v0 + v1) * dt
+            else:
+                tc = v0 / mu
+                pos += 0.5 * v0 * tc
+                neg += 0.5 * (-v1) * (dt - tc)
+            min_inv = min(min_inv, v0, v1)
+        if e == n_events:
+            return pos, neg, int_r, orders, v1, min(min_inv, v1)
+        if kinds[e] == KIND_ORDER:
+            orders += 1
+            int_r += horizon - t1
+        t0 = t1
+        v0 = inv[e]
 
 
 def event_kernel_stats(jumps, mu, alpha, x0, a, Q, horizon):
@@ -404,9 +432,7 @@ def test_batch_stats_matches_event_kernel_on_lattice(mu, alpha, x0, a_share, Q, 
     # integer a, Q, mu and alpha with jumps on a quarter-unit lattice: demand
     # is exact, so crossings fall exactly on jumps and on the horizon
     a = min(max(round(a_share * x0), 1), x0 - 1)
-    paths = [np.array(sorted(k for k in ks if k < 4 * horizon), dtype=float) / 4.0 for ks in steps]
-    offsets = np.concatenate(([0], np.cumsum([p.size for p in paths])))
-    flat = np.concatenate(paths)
+    flat, offsets = pack([sorted(k / 4.0 for k in ks if k < 4 * horizon) for ks in steps])
     assert_matches_event_kernel(
         flat, offsets, float(mu), float(alpha), float(x0), float(a), float(Q), float(horizon)
     )
@@ -476,12 +502,11 @@ def test_order_count_formula_on_lattice(mu, alpha, x0, Q, horizon4, steps, a_sha
     # floor is exact; with tie >= 0 the first path's D_t lands exactly on
     # the threshold a + tie*Q, jumps may sit at the horizon itself
     horizon = horizon4 / 4.0
-    paths = [np.array(sorted(k for k in ks if k <= horizon4), dtype=float) / 4.0 for ks in steps]
-    offsets = np.concatenate(([0], np.cumsum([p.size for p in paths])))
-    flat = np.concatenate(paths)
+    paths = [sorted(k / 4.0 for k in ks if k <= horizon4) for ks in steps]
+    flat, offsets = pack(paths)
     a = float(min(max(round(a_share * x0), 1), x0 - 1))
-    if tie >= 0 and 0 < mu * horizon + alpha * paths[0].size - tie * Q < x0:
-        a = mu * horizon + alpha * paths[0].size - tie * Q
+    if tie >= 0 and 0 < mu * horizon + alpha * len(paths[0]) - tie * Q < x0:
+        a = mu * horizon + alpha * len(paths[0]) - tie * Q
     for demand, batch, event in path_orders(
         flat, offsets, float(mu), float(alpha), float(x0), a, float(Q), horizon
     ):

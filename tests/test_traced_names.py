@@ -4,7 +4,10 @@
 refactor that deletes or renames one of them would otherwise show up
 only as a missing boundary in the slow benchmark suite.  Conversely, an
 import that the package keeps unused (``# noqa: F401``) must be one of
-those traced names, so it goes when its boundary goes.
+those traced names, so it goes when its boundary goes.  And every public
+top-level function or class of the package is read by some code in
+``src/``, is traced, or is one of the few library entry points listed
+here: code that only tests call is an oracle and lives in the tests.
 """
 
 import ast
@@ -36,15 +39,18 @@ def _boundaries():
 TARGETS = sorted({b.target for b in _boundaries()})
 
 
+def _resolve(name):
+    module_name, _, attr = name.rpartition(".")
+    return getattr(importlib.import_module(module_name), attr)
+
+
 def test_boundary_list_is_not_empty():
     assert len(TARGETS) > 10
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_traced_name_resolves(target):
-    module_name, _, attr = target.rpartition(".")
-    module = importlib.import_module(module_name)
-    assert callable(getattr(module, attr))
+    assert callable(_resolve(target))
 
 
 def _unused_imports():
@@ -67,3 +73,46 @@ UNUSED_IMPORTS = _unused_imports()
 @pytest.mark.parametrize("name", UNUSED_IMPORTS)
 def test_unused_import_is_traced(name):
     assert name in TARGETS
+
+
+# public names that no code in src/ calls, kept as library entry points:
+# the exact process's limit cost rate, and the truncated mean that
+# criterion 2 checks
+ENTRY_POINTS = {"long_run_rate", "truncated_mean"}
+
+
+def _used_names():
+    """Names that code in src/ reads, outside ``__init__.py``'s re-exports."""
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def _public_definitions():
+    """The names "driftinv.<module>.<name>" of every public top-level
+    function and class."""
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if is_def and not node.name.startswith("_"):
+                names.append(f"driftinv.{path.stem}.{node.name}")
+    return names
+
+
+USED_NAMES = _used_names()
+
+
+@pytest.mark.parametrize("name", _public_definitions())
+def test_public_definition_has_a_use(name):
+    # a public function or class that only tests call belongs in the tests
+    attr = name.rpartition(".")[2]
+    traced = any(_resolve(target) is _resolve(name) for target in TARGETS)
+    assert attr in USED_NAMES or traced or attr in ENTRY_POINTS
