@@ -161,51 +161,45 @@ def ols(X, y):
     return beta, resid @ resid, True
 
 
-def ar_stationary(p, phi1, phi2):
-    """Roots of the AR polynomial strictly outside the unit disk
-    (closed-form conditions, valid for p <= 2)."""
-    if p == 0:
-        return True
-    if p == 1:
-        return abs(phi1) < 1.0
+def ar_stationary(phi):
+    """Roots of 1 - phi_1 z - ... - phi_p z^p strictly outside the unit disk,
+    p <= 2: the closed-form AR(2) triangle, missing coefficients taken as 0."""
+    phi1, phi2 = (phi.tolist() + [0.0, 0.0])[:2]
     return abs(phi2) < 1.0 and (phi1 + phi2) < 1.0 and (phi2 - phi1) < 1.0
 
 
 def fit_candidate(z, p, q):
     """Two-stage conditional least squares for one (p, q) candidate.
 
-    Returns (ok, intercept, phi1, phi2, th1, th2, rss, rows)."""
+    Returns (ok, beta, rss, rows): beta = (c, phi_1..phi_p, theta_1..theta_q)
+    in the column order of the final regression, None when not ok."""
+    failed = False, None, 0.0, 0
     n = z.shape[0]
     if p == 0 and q == 0:
         m = np.mean(z)
         resid = z - m
-        return True, m, 0.0, 0.0, 0.0, 0.0, resid @ resid, n
+        return True, np.array([m]), resid @ resid, n
     ehat = np.zeros(n)
     if q > 0:
-        half = (n - 2) // 2
-        L = p + q if p + q > 4 else 4
-        if L > half:
-            L = half
+        L = min(max(p + q, 4), (n - 2) // 2)
         if L < 1 or n - L < L + 2:
-            return False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0
-        rows_a = n - L
-        XA = np.empty((rows_a, L + 1))
+            return failed
+        XA = np.empty((n - L, L + 1))
         XA[:, 0] = 1.0
         for i in range(1, L + 1):
             XA[:, i] = z[L - i : n - i]
         ya = z[L:n].copy()
         beta_a, _, ok_a = ols(XA, ya)
         if not ok_a:
-            return False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0
+            return failed
         ehat[L:] = ya - XA @ beta_a
-        s = L + (p if p > q else q)
+        s = L + max(p, q)
     else:
         s = p
     rows = n - s
-    k = 1 + p + q
-    if rows < k + 1:
-        return False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0
-    X = np.empty((rows, k))
+    if rows < p + q + 2:
+        return failed
+    X = np.empty((rows, 1 + p + q))
     X[:, 0] = 1.0
     for i in range(1, p + 1):
         X[:, i] = z[s - i : n - i]
@@ -213,80 +207,44 @@ def fit_candidate(z, p, q):
         X[:, p + j] = ehat[s - j : n - j]
     y = z[s:n].copy()
     beta, rss, ok = ols(X, y)
-    if not ok:
-        return False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0
-    phi1 = beta[1] if p >= 1 else 0.0
-    phi2 = beta[2] if p >= 2 else 0.0
-    th1 = beta[p + 1] if q >= 1 else 0.0
-    th2 = beta[p + 2] if q >= 2 else 0.0
-    if not ar_stationary(p, phi1, phi2):
-        return False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0
-    return True, beta[0], phi1, phi2, th1, th2, rss, rows
+    if not ok or not ar_stationary(beta[1 : p + 1]):
+        return failed
+    return True, beta, rss, rows
 
 
 def fit_window(z, p_max, q_max):
     """AIC-selected (p, q) fit; candidates scanned in tie-break order
-    (smaller p+q first, then smaller p).  Returns
-    (found, p, q, intercept, phi1, phi2, th1, th2, aic)."""
-    best_found = False
-    best_aic = 0.0
-    bp = 0
-    bq = 0
-    bc = 0.0
-    b1 = 0.0
-    b2 = 0.0
-    bt1 = 0.0
-    bt2 = 0.0
+    (smaller p+q first, then smaller p), a later one winning only with a
+    strictly smaller AIC.  Returns (aic, p, q, beta), or None when no
+    candidate fits."""
+    best = None
     for total in range(p_max + q_max + 1):
-        pmax_here = total if total < p_max else p_max
-        for p in range(pmax_here + 1):
+        for p in range(max(total - q_max, 0), min(total, p_max) + 1):
             q = total - p
-            if q > q_max:
-                continue
-            ok, c, phi1, phi2, th1, th2, rss, rows = fit_candidate(z, p, q)
+            ok, beta, rss, rows = fit_candidate(z, p, q)
             if not ok:
                 continue
-            mean_sq = rss / rows
-            if mean_sq < 1e-12:
-                mean_sq = 1e-12
+            mean_sq = max(rss / rows, 1e-12)
             aic = rows * np.log(mean_sq) + 2.0 * (p + q + 1)
-            if (not best_found) or aic < best_aic:
-                best_found = True
-                best_aic = aic
-                bp = p
-                bq = q
-                bc = c
-                b1 = phi1
-                b2 = phi2
-                bt1 = th1
-                bt2 = th2
-    return best_found, bp, bq, bc, b1, b2, bt1, bt2, best_aic
+            if best is None or aic < best[0]:
+                best = aic, p, q, beta
+    return best
 
 
-def one_step(z, p, q, c, phi1, phi2, th1, th2):
-    """Conditional one-step-ahead prediction (pre-sample residuals 0)."""
+def one_step(z, p, q, beta):
+    """Conditional one-step-ahead prediction (pre-sample residuals 0)
+    from ``fit_candidate``'s beta; a fit leaves more than max(p, q)
+    points, so the forecast step reads no pre-sample residual."""
     n = z.shape[0]
     ehat = np.zeros(n)
-    for t in range(p, n):
-        pred = c
-        if p >= 1:
-            pred += phi1 * z[t - 1]
-        if p >= 2:
-            pred += phi2 * z[t - 2]
-        if q >= 1 and t - 1 >= 0:
-            pred += th1 * ehat[t - 1]
-        if q >= 2 and t - 2 >= 0:
-            pred += th2 * ehat[t - 2]
-        ehat[t] = z[t] - pred
-    pred = c
-    if p >= 1:
-        pred += phi1 * z[n - 1]
-    if p >= 2:
-        pred += phi2 * z[n - 2]
-    if q >= 1:
-        pred += th1 * ehat[n - 1]
-    if q >= 2:
-        pred += th2 * ehat[n - 2]
+    for t in range(p, n + 1):
+        pred = beta[0]
+        for i in range(1, p + 1):
+            pred += beta[i] * z[t - i]
+        for j in range(1, min(q, t) + 1):
+            pred += beta[p + j] * ehat[t - j]
+        if t < n:
+            ehat[t] = z[t] - pred
     return pred
 
 
@@ -310,11 +268,11 @@ def forecast_window(w, p_max, q_max, allow_d0, allow_d1):
     [0, max(window)]."""
     d = pick_d(w, allow_d0, allow_d1)
     z = np.diff(w) if d == 1 else w
-    found, p, q, c, phi1, phi2, th1, th2, _ = fit_window(z, p_max, q_max)
-    if not found:
+    fit = fit_window(z, p_max, q_max)
+    if fit is None:
         yhat = w.mean()
     else:
-        zhat = one_step(z, p, q, c, phi1, phi2, th1, th2)
+        zhat = one_step(z, *fit[1:])
         yhat = w[-1] + zhat if d == 1 else zhat
     return min(max(yhat, 0.0), w.max())
 

@@ -5,7 +5,7 @@ crossing times solve in closed form and no time grid is involved.  An
 order of Q arrives the instant cumulative demand reaches the next
 threshold a + (n-1)Q; one jump may fire several orders when it clears
 several thresholds.  ``simulate_events`` walks one path event by event
-and writes its log.  ``batch_stats`` computes the path functionals of a
+and returns its log.  ``batch_stats`` computes the path functionals of a
 whole batch with array operations over its jumps: demand is monotone,
 so the orders of each stretch between two jumps are a run of
 consecutive thresholds, the integral of the order count is a sum of
@@ -29,8 +29,9 @@ KIND_ORDER = 1
 KIND_LABELS = ("jump", "order")
 
 
-def simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
-    """Fill event arrays (time, kind, inventory after) and return the count.
+def simulate_events(jumps, mu, alpha, x0, a, Q, horizon):
+    """Walk one path event by event; returns its log, a list of
+    (time, kind, inventory after) in time order.
 
     Drift crossings are t = (threshold - alpha*jumps_so_far) / mu; a
     crossing exactly at the horizon still fires.  The next threshold is
@@ -42,7 +43,7 @@ def simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
     thr = a
     jsum = 0.0
     orders = 0
-    m = 0
+    log = []
     for i in range(nj + 1):
         t_next = jumps[i] if i < nj else horizon
         while True:
@@ -51,27 +52,18 @@ def simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv):
                 break
             orders += 1
             thr = a + Q * orders
-            times[m] = t_cross
-            kinds[m] = KIND_ORDER
-            inv[m] = x0 - (mu * t_cross + jsum) + Q * orders
-            m += 1
+            log.append((t_cross, KIND_ORDER, x0 - (mu * t_cross + jsum) + Q * orders))
         if i >= nj:
             break
         tj = t_next
         jsum += alpha
         d = mu * tj + jsum
-        times[m] = tj
-        kinds[m] = KIND_JUMP
-        inv[m] = x0 - d + Q * orders
-        m += 1
+        log.append((tj, KIND_JUMP, x0 - d + Q * orders))
         while d >= thr:
             orders += 1
             thr = a + Q * orders
-            times[m] = tj
-            kinds[m] = KIND_ORDER
-            inv[m] = x0 - d + Q * orders
-            m += 1
-    return m
+            log.append((tj, KIND_ORDER, x0 - d + Q * orders))
+    return log
 
 
 def _first_true(pred, x):
@@ -156,12 +148,6 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
     return out
 
 
-def _event_capacity(n_jumps, params, policy, horizon):
-    max_demand = params.mu * horizon + params.alpha * n_jumps
-    max_orders = int(max((max_demand - policy.a) / policy.Q, 0.0)) + 2
-    return n_jumps + max_orders + 4
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Event log of one simulated path: jumps and the orders they trigger."""
@@ -194,11 +180,7 @@ def simulate(params: ProcessParams, policy: PolicyParams, horizon: float, seed: 
 
 
 def trajectory_from_path(path: SamplePath, policy: PolicyParams) -> Trajectory:
-    cap = _event_capacity(path.jump_times.size, path.params, policy, path.horizon)
-    times = np.empty(cap)
-    kinds = np.empty(cap, dtype=np.int8)
-    inv = np.empty(cap)
-    m = simulate_events(
+    log = simulate_events(
         path.jump_times,
         path.params.mu,
         path.params.alpha,
@@ -206,18 +188,16 @@ def trajectory_from_path(path: SamplePath, policy: PolicyParams) -> Trajectory:
         policy.a,
         policy.Q,
         path.horizon,
-        times,
-        kinds,
-        inv,
     )
+    times, kinds, inv = np.array(log, dtype=np.float64).reshape(-1, 3).T.copy()
     return Trajectory(
         params=path.params,
         policy=policy,
         horizon=path.horizon,
         seed=path.seed,
-        times=times[:m].copy(),
-        kinds=kinds[:m].copy(),
-        inventory_after=inv[:m].copy(),
+        times=times,
+        kinds=kinds.astype(np.int8),
+        inventory_after=inv,
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import batch_jump_times, path_segments
+from .demand import JUMP_BUDGET, batch_jump_times, path_segments
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
 from .gammainc import poisson_pmf, reg_lower_gamma
 from .params import PolicyParams, ProcessParams
@@ -208,6 +208,13 @@ def fpt_empirical_cdf(
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     grid = np.asarray(t_grid, dtype=np.float64)
+    # the passage times are (thresholds x paths) and the CDFs (thresholds x
+    # grid points) float64 values: bounded like the jump times they come from
+    if ns.size * max(n_paths, grid.size) > JUMP_BUDGET:
+        raise ParameterError(
+            f"{ns.size} thresholds (fpt.n_values) times max({n_paths} paths, {grid.size} grid "
+            f"points) are more values than the budget of {JUMP_BUDGET}; use fewer thresholds"
+        )
     levels = [policy.threshold(int(k)) for k in ns]
     # horizon long enough that censoring only affects times beyond the grid
     horizon = max(float(grid.max()), max(levels) / params.mu) + 1.0

@@ -392,6 +392,33 @@ def test_jump_budget_exit_code(tmp_path, capsys, monkeypatch, command, config, h
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "config, flags, sizes",
+    [
+        # within the jump budget (about 3.1e6 jump times to horizon 31),
+        # but 1e5 thresholds x 1e5 paths passage times would be 80 GB
+        ({"fpt": {"n_values": 100000}, "policy": {"Q": 0.001}}, [], "100000 paths, 61 grid"),
+        ({"fpt": {"n_values": 1000, "steps": 100000}}, ["--paths", "10"], "10 paths, 100000 grid"),
+    ],
+)
+def test_fpt_values_budget_exit_code(tmp_path, capsys, monkeypatch, config, flags, sizes):
+    # thresholds x max(paths, grid points) past the budget: refused before
+    # a single path is drawn, naming fpt.n_values and the sizes
+    def no_sampling(*args):
+        raise AssertionError("jump times were sampled")
+
+    monkeypatch.setattr("driftinv.demand._chunk_jump_times", no_sampling)
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["fpt-diag", "--config", str(cfgfile), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    n_values = config["fpt"]["n_values"]
+    assert "parameter error" in err and "budget" in err
+    assert f"{n_values} thresholds (fpt.n_values) times max({sizes} points)" in err
+    assert list(out.iterdir()) == []
+
+
 def test_validate_single_path_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["validate", "--paths", "1", "--out", str(out)]) == 2

@@ -21,6 +21,7 @@ from driftinv import (
 from driftinv.forecast import (
     TABLE1_GRID,
     TRIGGERS,
+    ar_stationary,
     cumulative_cost_profile,
     discrete_sim,
     generate_demand_series,
@@ -121,9 +122,9 @@ def test_experiment_config_validation():
 def test_constant_series_falls_back_to_mean():
     w = np.full(12, 15.0)
     assert pick_d(w, True, True) == 0
-    found, p, q, c, *_ = fit_window(w, 2, 2)
-    assert found and (p, q) == (0, 0)
-    assert c == pytest.approx(15.0)
+    _, p, q, beta = fit_window(w, 2, 2)
+    assert (p, q) == (0, 0)
+    assert beta.tolist() == pytest.approx([15.0])
     assert forecast_window(w, 2, 2, True, True) == pytest.approx(15.0)
 
 
@@ -136,13 +137,13 @@ def test_ar1_recovery():
     # pure AR fits recover the coefficient; the unrestricted grid may
     # pick an overparameterized ARMA with a near-cancelling factor
     assert pick_d(y, True, False) == 0
-    found, p, q, _, phi1, _, _, _, _ = fit_window(y, 1, 0)
-    assert found and (p, q) == (1, 0)
-    assert phi1 == pytest.approx(0.8, abs=0.1)
-    ok, _, phi1, phi2, _, _, _, _ = fit_candidate(y, 2, 0)
+    _, p, q, beta = fit_window(y, 1, 0)
+    assert (p, q) == (1, 0)
+    assert beta[1] == pytest.approx(0.8, abs=0.1)
+    ok, beta, _, _ = fit_candidate(y, 2, 0)
     assert ok
-    assert phi1 == pytest.approx(0.8, abs=0.1)
-    assert phi2 == pytest.approx(0.0, abs=0.1)
+    assert beta[1] == pytest.approx(0.8, abs=0.1)
+    assert beta[2] == pytest.approx(0.0, abs=0.1)
 
 
 def test_linear_trend_selects_differencing():
@@ -156,11 +157,61 @@ def test_fitted_ar_roots_outside_unit_disk(ref_process):
     for _ in range(30):
         window = rng.poisson(1.0, 12) * 10.0 + 5.0
         z = np.diff(window) if pick_d(window, True, True) == 1 else window
-        found, p, _, _, phi1, phi2, _, _, _ = fit_window(z, 2, 2)
-        if found and p:
-            poly = np.array([1.0, -phi1, -phi2][: p + 1])
+        _, p, _, beta = fit_window(z, 2, 2)
+        if p:
+            poly = np.concatenate(([1.0], -beta[1 : p + 1]))
             roots = np.roots(poly[::-1])  # roots of 1 - phi1 z - phi2 z^2
             assert np.all(np.abs(roots) > 1.0)
+
+
+def test_ar_stationary_matches_polynomial_roots():
+    # p = 1 and p = 0 are the AR(2) triangle with the missing coefficients 0
+    rng = np.random.default_rng(21)
+    assert ar_stationary(np.array([]))
+    for p in (1, 2):
+        for phi in rng.uniform(-2.5, 2.5, (500, p)):
+            roots = np.roots(np.concatenate(([1.0], -phi))[::-1])
+            assert ar_stationary(phi) == bool(np.all(np.abs(roots) > 1.0))
+
+
+def test_fit_window_minimises_aic_then_order():
+    # the scan keeps a later candidate only at a strictly smaller AIC, and
+    # scans by p+q, then p: the winner minimises (aic, p+q, p) over the
+    # candidates that fit
+    rng = np.random.default_rng(13)
+    spike = np.full(12, 5.0)
+    spike[7] = 45.0
+    windows = [np.full(12, 15.0), np.zeros(12), spike, 2.0 * np.arange(12.0) + 1.0]
+    windows += [3.0 * np.arange(12.0) + rng.normal(0.0, 0.5, 12) for _ in range(5)]
+    windows += [5.0 + 10.0 * rng.poisson(lam, 12) for lam in (0.2, 1.0, 3.0) for _ in range(10)]
+    for w in windows:
+        for z in (w, np.diff(w)):
+            for p_max, q_max in ((2, 2), (1, 2), (2, 0), (0, 1)):
+                fits = []
+                for p in range(p_max + 1):
+                    for q in range(q_max + 1):
+                        ok, beta, rss, rows = fit_candidate(z, p, q)
+                        if ok:
+                            aic = rows * np.log(max(rss / rows, 1e-12)) + 2.0 * (p + q + 1)
+                            fits.append(((aic, p + q, p), q, beta))
+                (aic, _, p), q, beta = min(fits, key=lambda fit: fit[0])
+                got = fit_window(z, p_max, q_max)
+                assert got[:3] == (aic, p, q)
+                assert np.array_equal(got[3], beta)
+
+
+def test_fit_window_breaks_aic_ties_by_smaller_p(monkeypatch):
+    # every candidate with p+q = 2 fits equally well and best, so they tie
+    # on AIC: the smallest p wins, and a tie never replaces the fit held
+    def equal_fits(z, p, q):
+        return True, np.array([float(p), float(q)]), 1e-3 if p + q == 2 else 1.0, 10
+
+    monkeypatch.setattr(driftinv.forecast, "fit_candidate", equal_fits)
+    z = np.arange(12.0)
+    for p_max, q_max, want in ((2, 2, (0, 2)), (2, 1, (1, 1)), (2, 0, (2, 0))):
+        _, p, q, beta = fit_window(z, p_max, q_max)
+        assert (p, q) == want
+        assert beta.tolist() == [p, q]
 
 
 def test_rolling_constant_series():
@@ -512,9 +563,9 @@ def test_numpy_reductions_match_scalar_loops():
         m = _loop_sum(v) / n
         ss = _loop_sum((v - m) ** 2)
         assert sample_var(v) == pytest.approx(ss / (n - 1), rel=tol, abs=tol)
-        ok, c, _, _, _, _, rss, rows = fit_candidate(v, 0, 0)
+        ok, beta, rss, rows = fit_candidate(v, 0, 0)
         assert ok and rows == n
-        assert c == pytest.approx(m, rel=tol)
+        assert beta.shape == (1,) and beta[0] == pytest.approx(m, rel=tol)
         assert rss == pytest.approx(ss, rel=tol, abs=tol)
         X = np.column_stack([np.ones(n), np.arange(n, dtype=np.float64)])
         beta, rss, ok = ols(X, v)

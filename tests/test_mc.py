@@ -358,25 +358,24 @@ def cost_integrals(times, kinds, inv, n_events, mu, x0, horizon):
 
 def event_kernel_stats(jumps, mu, alpha, x0, a, Q, horizon):
     """Scalar reference for one path: the functionals of the event log
-    that ``simulate_events`` writes, in the column order of ``batch_stats``.
+    that ``simulate_events`` returns, in the column order of ``batch_stats``.
 
     ``cost_integrals`` adds its terms in sequence, which after thousands
     of orders is off by hundreds of ulps; the two integrals here sum the
     same terms exactly (``math.fsum``), so only the kernel is compared.
     """
-    cap = jumps.size + max(int((mu * horizon + alpha * jumps.size - a) / Q), 0) + 8
-    times, kinds, inv = np.empty(cap), np.empty(cap, dtype=np.int8), np.empty(cap)
-    m = simulate_events(jumps, mu, alpha, x0, a, Q, horizon, times, kinds, inv)
-    _, neg, _, orders, v_end, min_inv = cost_integrals(times, kinds, inv, m, mu, x0, horizon)
-    ends = np.append(times[:m], horizon)
-    starts = np.append(0.0, times[:m])
-    values = np.append(x0, inv[:m])
+    log = simulate_events(jumps, mu, alpha, x0, a, Q, horizon)
+    times, kinds, inv = np.array(log, dtype=np.float64).reshape(-1, 3).T
+    _, neg, _, orders, v_end, min_inv = cost_integrals(times, kinds, inv, len(log), mu, x0, horizon)
+    ends = np.append(times, horizon)
+    starts = np.append(0.0, times)
+    values = np.append(x0, inv)
     pos = math.fsum(
         0.5 * (v0 + (v0 - mu * (t1 - t0))) * (t1 - t0)
         for t0, t1, v0 in zip(starts.tolist(), ends.tolist(), values.tolist())
         if t1 > t0
     )
-    int_r = math.fsum(horizon - t for t in times[:m][kinds[:m] == KIND_ORDER].tolist())
+    int_r = math.fsum(horizon - t for t in times[kinds == KIND_ORDER].tolist())
     return orders, v_end, int_r, pos, neg, min_inv
 
 

@@ -8,22 +8,28 @@ those traced names, so it goes when its boundary goes.  And every public
 top-level function or class of the package is read by some code in
 ``src/``, is traced, or is one of the few library entry points listed
 here: code that only tests call is an oracle and lives in the tests.
+Finally, the benchmark's hooks read arguments and results by position or
+name, so every command runs once under them and none may raise.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+import driftinv.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 PACKAGE = ROOT / "src" / "driftinv"
 
 
-def _boundaries():
+def _perfbench():
+    """The benchmark's boundary list and its span recorder."""
     sys.path.insert(0, str(PERFBENCH))  # layers.py imports its sibling spans.py
     try:
         spec = importlib.util.spec_from_file_location(
@@ -31,12 +37,14 @@ def _boundaries():
         )
         layers = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(layers)
+        from spans import Tracer
     finally:
         sys.path.remove(str(PERFBENCH))
-    return layers.BOUNDARIES
+    return layers.BOUNDARIES, Tracer
 
 
-TARGETS = sorted({b.target for b in _boundaries()})
+BOUNDARIES, Tracer = _perfbench()
+TARGETS = sorted({b.target for b in BOUNDARIES})
 
 
 def _resolve(name):
@@ -116,3 +124,34 @@ def test_public_definition_has_a_use(name):
     attr = name.rpartition(".")[2]
     traced = any(_resolve(target) is _resolve(name) for target in TARGETS)
     assert attr in USED_NAMES or traced or attr in ENTRY_POINTS
+
+
+# every command on a tiny config; table1 and compare forecast with ARIMA
+# under the forecast-projected trigger, the only runs that reach the fit
+TINY_CONFIG = {
+    "grid": {"t_end": 4.0, "steps": 9},
+    "mc": {"n_paths": 200},
+    "validate": {"times": [1.0, 2.0]},
+    "fpt": {"n_values": 2, "t_end": 4.0, "steps": 9},
+    "sweep": {"a_list": [40.0, 50.0], "Q_list": [50.0], "c_o_list": [5.0]},
+    "experiment": {
+        "n_series": 3, "sim_end": 20, "trigger": "forecast_projected", "forecaster": "arima",
+    },
+}
+
+
+def test_benchmark_hooks_run_on_every_command(tmp_path):
+    cfgfile = tmp_path / "tiny.json"
+    cfgfile.write_text(json.dumps(TINY_CONFIG))
+    tracer = Tracer()
+    tracer.install(BOUNDARIES)
+    try:
+        for command in driftinv.cli.COMMANDS:
+            out = tmp_path / command
+            argv = [command, "--config", str(cfgfile), "--out", str(out)]
+            assert driftinv.cli.main(argv) == 0, command
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.hook_errors == {}
+    assert tracer.counters["forecast.fit.candidates_ok"] > 0
