@@ -30,7 +30,14 @@ from .forecast import (
     run_table_experiment,
     write_table_csv,
 )
-from .mc import mc_summary, path_stats, save_summary_json, save_trajectory_csv, simulate
+from .mc import (
+    mc_summary,
+    path_costs,
+    path_stats,
+    save_summary_json,
+    save_trajectory_csv,
+    simulate,
+)
 from .params import OrderingMode
 from .renewal import (  # the two gamma-series names: see expected_inventory above
     expected_integrated_renewals,  # noqa: F401
@@ -74,9 +81,9 @@ def cmd_expected_cost(cfg, out_dir):
 
 def cmd_sweep(cfg, out_dir):
     raw = cfg.raw["sweep"]
-    a_list = [float(v) for v in raw["a_list"]]
-    q_list = [float(v) for v in raw["Q_list"]]
-    costs_list = [dataclasses.replace(cfg.costs, c_o=float(v)) for v in raw["c_o_list"]]
+    a_list = raw["a_list"]
+    q_list = raw["Q_list"]
+    costs_list = [dataclasses.replace(cfg.costs, c_o=c_o) for c_o in raw["c_o_list"]]
     rows = sweep(cfg.process, costs_list, a_list, q_list, cfg.grid, cfg.series, x0=cfg.policy.x0)
     csv_file = out_dir / "sweep.csv"
     write_sweep_csv(rows, csv_file)
@@ -158,12 +165,9 @@ def run_validation(cfg):
     rows = []
     # one batch to the latest time; each time keeps the jumps before it
     stats = path_stats(cfg.process, cfg.policy, cfg.validate_times, cfg.n_paths, cfg.base_seed)
+    _, _, shortage, total = path_costs(cfg.costs, cfg.policy.Q, stats)
     for k, t in enumerate(cfg.validate_times):
-        ordering = cfg.costs.order_cost(cfg.policy.Q) * stats["orders"][k]
-        holding = cfg.costs.c_h * stats["pos_integral"][k]
-        shortage = cfg.costs.c_so * stats["neg_integral"][k]
-        total = ordering + holding + shortage
-        mean_shortage = float(np.mean(shortage))
+        mean_shortage = float(np.mean(shortage[k]))
         slack = mean_shortage * (
             1.0 + (cfg.costs.c_h / cfg.costs.c_so if cfg.costs.c_so > 0 else 0.0)
         )
@@ -178,7 +182,7 @@ def run_validation(cfg):
             "expected_orders": stats["orders"][k],
             "expected_inventory": stats["inv_end"][k],
             "integrated_orders": stats["int_renewals"][k],
-            "total_cost": total,
+            "total_cost": total[k],
         }
         for name in ("expected_orders", "expected_inventory", "integrated_orders", "total_cost"):
             sample = mc[name]
@@ -243,12 +247,11 @@ def cmd_validate(cfg, out_dir):
 
 def cmd_fpt_diag(cfg, out_dir):
     fpt_raw = cfg.raw["fpt"]
-    n_values = int(fpt_raw["n_values"])
-    grid = np.linspace(0.0, float(fpt_raw["t_end"]), int(fpt_raw["steps"]))
+    grid = np.linspace(0.0, fpt_raw["t_end"], fpt_raw["steps"])
     diag_file = out_dir / "fpt_diag.csv"
     ks_file = out_dir / "fpt_ks.csv"
     # two independent batches, each sampled once for every threshold
-    ns = list(range(1, n_values + 1))
+    ns = list(range(1, fpt_raw["n_values"] + 1))
     emp_a_all = fpt_empirical_cdf(cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed)
     emp_b_all = fpt_empirical_cdf(
         cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed + cfg.n_paths

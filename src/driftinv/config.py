@@ -5,13 +5,16 @@ alpha=10, lam=1, a=50, Q=50, C_h=1 <= C_o=5 <= C_so=10), so every
 command runs meaningfully with no config at all.  CLI flags override
 individual fields.  Keys and value kinds are checked against the
 defaults, so a misspelled key or a value of the wrong kind is an error
-rather than a silent default.
+rather than a silent default.  The merge stores each accepted value in
+its default's kind (50 for a float key is 50.0, 9.0 for an integer key
+is 9), so nothing downstream casts and no output depends on how a
+number was spelled.
 """
 
 import copy
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,7 +85,8 @@ def _fits(default, value) -> bool:
 
 def _merge(base, override, prefix=""):
     """``base`` updated from ``override``; every key must already be in
-    ``base`` and every value must be of its default's kind."""
+    ``base`` and every value must be of its default's kind, in which it
+    is stored: the one place a config value gets its type."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         name = prefix + key
@@ -91,7 +95,12 @@ def _merge(base, override, prefix=""):
         default = base[key]
         if not _fits(default, value):
             raise ParameterError(f"config key {name!r} must be {_kind(default)}, got {value!r}")
-        out[key] = _merge(default, value, name + ".") if isinstance(default, dict) else value
+        if isinstance(default, dict):
+            out[key] = _merge(default, value, name + ".")
+        elif isinstance(default, list):
+            out[key] = [type(default[0])(v) for v in value]
+        else:
+            out[key] = type(default)(value)
     return out
 
 
@@ -109,10 +118,7 @@ class RunConfig:
     experiment: ExperimentConfig
 
 
-def _build_grid(spec) -> np.ndarray:
-    t_start = float(spec["t_start"])
-    t_end = float(spec["t_end"])
-    steps = int(spec["steps"])
+def _build_grid(t_start: float, t_end: float, steps: int) -> np.ndarray:
     if t_start < 0 or t_end < t_start:
         raise ParameterError(f"grid must satisfy 0 <= t_start <= t_end, got [{t_start}, {t_end}]")
     if steps == 1 or t_end == t_start:
@@ -146,48 +152,21 @@ def build_config(raw: dict) -> RunConfig:
     _check_domains(raw)
     process = ProcessParams(**raw["process"])
     policy = PolicyParams(**raw["policy"])
-    costs_raw = dict(raw["costs"])
-    costs = CostParams(
-        c_o=costs_raw["c_o"],
-        c_h=costs_raw["c_h"],
-        c_so=costs_raw["c_so"],
-        ordering_mode=OrderingMode(costs_raw["ordering_mode"]),
-    )
-    exp_raw = dict(raw["experiment"])
-    exp_costs = CostParams(
-        c_o=costs.c_o,
-        c_h=costs.c_h,
-        c_so=costs.c_so,
-        ordering_mode=OrderingMode(exp_raw.pop("ordering_mode")),
-    )
-    experiment = ExperimentConfig(
-        process=process,
-        policy=policy,
-        costs=exp_costs,
-        n_series=int(exp_raw["n_series"]),
-        window=int(exp_raw["window"]),
-        sim_start=int(exp_raw["sim_start"]),
-        sim_end=int(exp_raw["sim_end"]),
-        period_length=float(exp_raw["period_length"]),
-        base_seed=int(exp_raw["base_seed"]),
-        p_max=int(exp_raw["p_max"]),
-        q_max=int(exp_raw["q_max"]),
-        d_set=tuple(exp_raw["d_set"]),
-        trigger=exp_raw["trigger"],
-        forecaster=exp_raw["forecaster"],
-    )
+    costs_raw = raw["costs"]
+    costs = CostParams(**dict(costs_raw, ordering_mode=OrderingMode(costs_raw["ordering_mode"])))
+    exp_raw = dict(raw["experiment"], d_set=tuple(raw["experiment"]["d_set"]))
+    exp_costs = replace(costs, ordering_mode=OrderingMode(exp_raw.pop("ordering_mode")))
+    experiment = ExperimentConfig(process=process, policy=policy, costs=exp_costs, **exp_raw)
     return RunConfig(
         raw=raw,
         process=process,
         policy=policy,
         costs=costs,
-        grid=_build_grid(raw["grid"]),
-        series=RenewalSeriesConfig(
-            tail_tol=float(raw["series"]["tail_tol"]), n_max=int(raw["series"]["n_max"])
-        ),
-        n_paths=int(raw["mc"]["n_paths"]),
-        base_seed=int(raw["mc"]["base_seed"]),
-        validate_times=tuple(float(t) for t in raw["validate"]["times"]),
+        grid=_build_grid(**raw["grid"]),
+        series=RenewalSeriesConfig(**raw["series"]),
+        n_paths=raw["mc"]["n_paths"],
+        base_seed=raw["mc"]["base_seed"],
+        validate_times=tuple(raw["validate"]["times"]),
         experiment=experiment,
     )
 

@@ -176,6 +176,8 @@ def fit_candidate(z, p, q):
     failed = False, None, 0.0, 0
     n = z.shape[0]
     if p == 0 and q == 0:
+        if n == 0:  # a one-point window differenced: no mean to fit
+            return failed
         m = np.mean(z)
         resid = z - m
         return True, np.array([m]), resid @ resid, n

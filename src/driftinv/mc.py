@@ -242,6 +242,16 @@ def path_stats(
     }
 
 
+def path_costs(costs: CostParams, Q: float, stats: dict):
+    """Per-path (ordering, holding, shortage, total) cost of ``path_stats``
+    output: c_o(Q)*orders, c_h*int X+ and c_so*int X-, elementwise, so
+    each horizon row costs what its own batch would."""
+    ordering = costs.order_cost(Q) * stats["orders"]
+    holding = costs.c_h * stats["pos_integral"]
+    shortage = costs.c_so * stats["neg_integral"]
+    return ordering, holding, shortage, ordering + holding + shortage
+
+
 @dataclass(frozen=True)
 class SimSummary:
     """Aggregate path statistics; holding is on the positive inventory
@@ -270,10 +280,7 @@ def mc_summary(
     if n_paths < 2:
         raise ParameterError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     stats = path_stats(params, policy, horizon, n_paths, base_seed)
-    ordering = costs.order_cost(policy.Q) * stats["orders"]
-    holding = costs.c_h * stats["pos_integral"]
-    shortage = costs.c_so * stats["neg_integral"]
-    total = ordering + holding + shortage
+    ordering, holding, shortage, total = path_costs(costs, policy.Q, stats)
     holding_signed = costs.c_h * (stats["pos_integral"] - stats["neg_integral"])
     return SimSummary(
         n_paths=n_paths,

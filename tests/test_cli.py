@@ -1,7 +1,10 @@
 """CLI wiring: schemas, determinism, exit codes."""
 
+import copy
 import dataclasses
 import json
+import math
+import warnings
 
 import pytest
 
@@ -251,6 +254,85 @@ def test_byte_identical_reruns(tmp_path, small_config):
         assert main([command, "--config", str(small_config), "--out", str(out_b)]) in (0, 1)
         for f in sorted(out_a.iterdir()):
             assert (out_b / f.name).read_bytes() == f.read_bytes()
+
+
+def _int_spelling(value):
+    """``value`` with every integral float written as an integer literal."""
+    if isinstance(value, dict):
+        return {k: _int_spelling(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_int_spelling(v) for v in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _leaf_types(value, default, name=""):
+    if isinstance(default, dict):
+        for key, d in default.items():
+            yield from _leaf_types(value[key], d, f"{name}{key}.")
+    elif isinstance(default, list):
+        yield from ((name, type(v), type(default[0])) for v in value)
+    else:
+        yield name, type(value), type(default)
+
+
+def test_number_spelling_does_not_change_outputs(tmp_path):
+    # 50 and 50.0 are the same number: every command writes the same bytes
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    for section, values in SMALL_CONFIG.items():
+        config[section].update(values)
+    config["mc"]["n_paths"] = 200
+    config["experiment"]["trigger"] = "forecast_projected"
+    spelled = _int_spelling(config)
+    assert spelled["policy"]["a"] == 50 and type(spelled["policy"]["a"]) is int
+    outs = {}
+    for label, cfg in (("float", config), ("int", spelled)):
+        cfgfile = tmp_path / f"{label}.json"
+        cfgfile.write_text(json.dumps(cfg))
+        outs[label] = tmp_path / label
+        for command in driftinv.cli.COMMANDS:
+            rc = main([command, "--config", str(cfgfile), "--out", str(outs[label] / command)])
+            assert rc in (0, 1)
+    files = sorted(f.relative_to(outs["float"]) for f in outs["float"].rglob("*") if f.is_file())
+    assert len(files) >= 15
+    assert files == sorted(
+        f.relative_to(outs["int"]) for f in outs["int"].rglob("*") if f.is_file()
+    )
+    for f in files:
+        assert (outs["int"] / f).read_bytes() == (outs["float"] / f).read_bytes(), f
+
+
+def test_merge_stores_each_value_in_its_defaults_type(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(_int_spelling(DEFAULT_CONFIG)))
+    overrides = {
+        "grid": {"steps": 9.0},
+        "experiment": {"d_set": [1.0], "window": 3.0, "sim_start": 4},
+        "policy": {"Q": 40},
+        "validate": {"times": [1, 2.5]},
+    }
+    raw = load_config(cfgfile, overrides).raw
+    mismatched = [leaf for leaf in _leaf_types(raw, DEFAULT_CONFIG) if leaf[1] is not leaf[2]]
+    assert mismatched == []
+    assert raw["grid"]["steps"] == 9 and raw["experiment"]["d_set"] == [1]
+    assert raw["policy"]["Q"] == 40.0 and raw["validate"]["times"] == [1.0, 2.5]
+
+
+def test_one_point_differenced_window_forecasts_its_mean(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    experiment = {
+        "window": 1, "sim_start": 2, "d_set": [1], "trigger": "forecast_projected", "n_series": 3,
+    }
+    cfgfile.write_text(json.dumps({"experiment": experiment}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["table1", "--config", str(cfgfile), "--out", str(out)]) == 0
+    lines = (out / "table1.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    assert len(rows) == 48
+    assert all(math.isfinite(v) for row in rows for v in row.values())
+    assert all(row["mean_orders"] > 0 for row in rows)
 
 
 def test_bad_config_exit_code(tmp_path):

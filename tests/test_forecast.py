@@ -128,6 +128,13 @@ def test_constant_series_falls_back_to_mean():
     assert forecast_window(w, 2, 2, True, True) == pytest.approx(15.0)
 
 
+def test_empty_differenced_window_falls_back_to_mean():
+    # one point differenced leaves nothing to fit: no candidate is ok
+    assert fit_candidate(np.array([]), 0, 0)[0] is False
+    assert fit_window(np.array([]), 2, 2) is None
+    assert forecast_window(np.array([3.0]), 2, 2, False, True) == 3.0
+
+
 def test_ar1_recovery():
     rng = np.random.default_rng(8)
     n = 500
