@@ -52,9 +52,6 @@ DEFAULT_CONFIG = {
         "ordering_mode": "per_order",
         "trigger": "on_hand",
         "forecaster": "arima",
-        "p_max": 2,
-        "q_max": 2,
-        "d_set": [0, 1],
     },
 }
 
@@ -66,7 +63,7 @@ def _kind(default):
     if isinstance(default, str):
         return "a string"
     if isinstance(default, list):
-        return "a list of " + ("integers" if isinstance(default[0], int) else "finite numbers")
+        return "a list of finite numbers"
     return "an integer" if isinstance(default, int) else "a finite number"
 
 
@@ -154,7 +151,7 @@ def build_config(raw: dict) -> RunConfig:
     policy = PolicyParams(**raw["policy"])
     costs_raw = raw["costs"]
     costs = CostParams(**dict(costs_raw, ordering_mode=OrderingMode(costs_raw["ordering_mode"])))
-    exp_raw = dict(raw["experiment"], d_set=tuple(raw["experiment"]["d_set"]))
+    exp_raw = dict(raw["experiment"])
     exp_costs = replace(costs, ordering_mode=OrderingMode(exp_raw.pop("ordering_mode")))
     experiment = ExperimentConfig(process=process, policy=policy, costs=exp_costs, **exp_raw)
     return RunConfig(

@@ -14,8 +14,9 @@ components.  Two closed forms of E[orders] are kept side by side:
 
 The same identity puts the inventory in (x0 - a, x0 - a + Q] once D_t
 reaches a, and above x0 - a before, so the shortage component is
-exactly zero.  The Monte Carlo module measures the shortage all the
-same, so that any departure from this stays observable.
+exactly zero.  The Monte Carlo writes its shortage integral as zero
+by the same argument; only its minimum inventory (``shortage_fraction``)
+would show a departure from this.
 """
 
 import math

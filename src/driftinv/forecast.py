@@ -2,7 +2,7 @@
 
 The forecaster is a small ARIMA: differencing order d in {0, 1} picked
 by comparing sample variances of the raw and differenced window, then a
-grid search over (p, q) fitted by two-stage conditional least squares
+grid search over p, q <= 2 fitted by two-stage conditional least squares
 (a long autoregression proxies the innovations, then AR and MA terms
 are regressed jointly) and scored by AIC.  A mean model is always in
 the grid, so degenerate windows fall back to the trailing-window mean.
@@ -34,6 +34,9 @@ from .errors import InsufficientDataError, ParameterError
 from .params import CostParams, PolicyParams, ProcessParams
 
 TRIGGERS = ("on_hand", "forecast_projected")
+# (p, q) orders the ARIMA fit tries, p, q <= 2, in tie-break order:
+# smaller p + q first, then smaller p
+CANDIDATES = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1), (2, 2))
 TABLE_CSV_HEADER = "R,Q,C_h,C_o,C_so,mean_total,stderr_total,mean_orders,stockout_rate"
 
 # (R, Q, C_h, C_o, C_so) rows of the 48-point experiment grid.
@@ -60,9 +63,6 @@ class ExperimentConfig:
     sim_end: int = 50
     period_length: float = 1.0
     base_seed: int = 7_000_000
-    p_max: int = 2
-    q_max: int = 2
-    d_set: tuple = (0, 1)
     trigger: str = "on_hand"
     forecaster: str = "arima"
 
@@ -80,10 +80,6 @@ class ExperimentConfig:
             raise ParameterError("period_length must be positive")
         if self.n_series < 1:
             raise ParameterError("n_series must be >= 1")
-        if not (0 <= self.p_max <= 2 and 0 <= self.q_max <= 2):
-            raise ParameterError("p_max and q_max must lie in {0, 1, 2}")
-        if not set(self.d_set) <= {0, 1} or len(self.d_set) == 0:
-            raise ParameterError(f"d_set must be a non-empty subset of {{0, 1}}")
         if self.trigger not in TRIGGERS:
             raise ParameterError(f"unknown trigger rule {self.trigger!r}")
         if self.forecaster not in ("arima", "croston"):
@@ -214,22 +210,19 @@ def fit_candidate(z, p, q):
     return True, beta, rss, rows
 
 
-def fit_window(z, p_max, q_max):
-    """AIC-selected (p, q) fit; candidates scanned in tie-break order
-    (smaller p+q first, then smaller p), a later one winning only with a
-    strictly smaller AIC.  Returns (aic, p, q, beta), or None when no
-    candidate fits."""
+def fit_window(z):
+    """AIC-selected (p, q) fit over ``CANDIDATES``, a later candidate
+    winning only with a strictly smaller AIC.  Returns (aic, p, q, beta),
+    or None when no candidate fits."""
     best = None
-    for total in range(p_max + q_max + 1):
-        for p in range(max(total - q_max, 0), min(total, p_max) + 1):
-            q = total - p
-            ok, beta, rss, rows = fit_candidate(z, p, q)
-            if not ok:
-                continue
-            mean_sq = max(rss / rows, 1e-12)
-            aic = rows * np.log(mean_sq) + 2.0 * (p + q + 1)
-            if best is None or aic < best[0]:
-                best = aic, p, q, beta
+    for p, q in CANDIDATES:
+        ok, beta, rss, rows = fit_candidate(z, p, q)
+        if not ok:
+            continue
+        mean_sq = max(rss / rows, 1e-12)
+        aic = rows * np.log(mean_sq) + 2.0 * (p + q + 1)
+        if best is None or aic < best[0]:
+            best = aic, p, q, beta
     return best
 
 
@@ -254,23 +247,17 @@ def sample_var(v):
     return np.var(v, ddof=1) if v.shape[0] > 1 else 0.0
 
 
-def pick_d(w, allow_d0, allow_d1):
-    if allow_d0 and not allow_d1:
-        return 0
-    if allow_d1 and not allow_d0:
-        return 1
-    dw = np.diff(w)
-    if sample_var(dw) < sample_var(w):
-        return 1
-    return 0
+def pick_d(w):
+    """Differencing order: 1 when differencing lowers the sample variance."""
+    return 1 if sample_var(np.diff(w)) < sample_var(w) else 0
 
 
-def forecast_window(w, p_max, q_max, allow_d0, allow_d1):
+def forecast_window(w):
     """One-step forecast from one trailing window, clamped to
     [0, max(window)]."""
-    d = pick_d(w, allow_d0, allow_d1)
+    d = pick_d(w)
     z = np.diff(w) if d == 1 else w
-    fit = fit_window(z, p_max, q_max)
+    fit = fit_window(z)
     if fit is None:
         yhat = w.mean()
     else:
@@ -340,7 +327,7 @@ def rolling_forecast(series, cfg: ExperimentConfig) -> np.ndarray:
     for k in range(cfg.n_sim_periods):
         end = cfg.sim_start - 1 + k
         w = y[end - cfg.window : end].copy()
-        out[k] = forecast_window(w, cfg.p_max, cfg.q_max, 0 in cfg.d_set, 1 in cfg.d_set)
+        out[k] = forecast_window(w)
     return out
 
 

@@ -11,8 +11,10 @@ so the orders of each stretch between two jumps are a run of
 consecutive thresholds, the integral of the order count is a sum of
 arithmetic series, and X = x0 - D + Q*R gives the inventory integral,
 all without quadrature error.  This module is the brute-force oracle
-for every closed-form quantity and the only measurement of the
-shortage term.
+for every closed-form quantity.  It does not measure the shortage
+term: since 0 < a < x0 the inventory never falls below x0 - a > 0, so
+``batch_stats`` writes the negative-part integral as 0.0.  Only the
+minimum inventory, which gives ``shortage_fraction``, is observed.
 """
 
 import json
@@ -152,10 +154,6 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
 class Trajectory:
     """Event log of one simulated path: jumps and the orders they trigger."""
 
-    params: ProcessParams
-    policy: PolicyParams
-    horizon: float
-    seed: int
     times: np.ndarray
     kinds: np.ndarray
     inventory_after: np.ndarray
@@ -190,15 +188,7 @@ def trajectory_from_path(path: SamplePath, policy: PolicyParams) -> Trajectory:
         path.horizon,
     )
     times, kinds, inv = np.array(log, dtype=np.float64).reshape(-1, 3).T.copy()
-    return Trajectory(
-        params=path.params,
-        policy=policy,
-        horizon=path.horizon,
-        seed=path.seed,
-        times=times,
-        kinds=kinds.astype(np.int8),
-        inventory_after=inv,
-    )
+    return Trajectory(times=times, kinds=kinds.astype(np.int8), inventory_after=inv)
 
 
 def path_stats(

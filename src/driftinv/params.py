@@ -110,7 +110,7 @@ class CostParams:
                 f"cost ordering c_h <= c_o <= c_so does not hold "
                 f"(c_h={self.c_h}, c_o={self.c_o}, c_so={self.c_so})",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the line that built the record
             )
 
     def order_cost(self, Q: float) -> float:

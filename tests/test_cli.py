@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import pathlib
 import warnings
 
 import pytest
@@ -12,6 +13,8 @@ import driftinv.cli
 from driftinv.cli import main, run_validation
 from driftinv.config import DEFAULT_CONFIG, MAX_STEPS, load_config
 from driftinv.cost import exact_moments
+from driftinv.forecast import ExperimentConfig, run_table_experiment
+from driftinv.renewal import RenewalSeriesConfig
 
 from conftest import exact_expected_orders
 
@@ -306,22 +309,44 @@ def test_merge_stores_each_value_in_its_defaults_type(tmp_path):
     cfgfile.write_text(json.dumps(_int_spelling(DEFAULT_CONFIG)))
     overrides = {
         "grid": {"steps": 9.0},
-        "experiment": {"d_set": [1.0], "window": 3.0, "sim_start": 4},
+        "experiment": {"window": 3.0, "sim_start": 4},
         "policy": {"Q": 40},
         "validate": {"times": [1, 2.5]},
     }
     raw = load_config(cfgfile, overrides).raw
     mismatched = [leaf for leaf in _leaf_types(raw, DEFAULT_CONFIG) if leaf[1] is not leaf[2]]
     assert mismatched == []
-    assert raw["grid"]["steps"] == 9 and raw["experiment"]["d_set"] == [1]
+    assert raw["grid"]["steps"] == 9 and raw["experiment"]["window"] == 3
     assert raw["policy"]["Q"] == 40.0 and raw["validate"]["times"] == [1.0, 2.5]
+
+
+def test_record_defaults_equal_the_config_defaults():
+    # both records carry their own defaults: they must be the shipped ones
+    for record, section in ((ExperimentConfig, "experiment"), (RenewalSeriesConfig, "series")):
+        for field in dataclasses.fields(record):
+            if field.default is not dataclasses.MISSING:
+                value = DEFAULT_CONFIG[section][field.name]
+                assert (type(value), value) == (type(field.default), field.default), field.name
+
+
+def test_cost_ordering_warning_names_the_line_that_built_the_record():
+    # the warning points past the dataclass-generated __init__ (<string>)
+    # to the driftinv line that built the record
+    with pytest.warns(UserWarning, match="cost ordering") as record:
+        load_config(overrides={"costs": {"c_o": 0.5}})
+    with pytest.warns(UserWarning, match="cost ordering") as row_record:
+        run_table_experiment(load_config().experiment, [(40.0, 50.0, 1.0, 0.5, 10.0)])
+    for warning, module in ((record[0], "config.py"), (row_record[0], "forecast.py")):
+        path = pathlib.Path(warning.filename)
+        assert path.parent == pathlib.Path(driftinv.cli.__file__).parent
+        assert path.name == module
 
 
 def test_one_point_differenced_window_forecasts_its_mean(tmp_path):
     cfgfile = tmp_path / "c.json"
-    experiment = {
-        "window": 1, "sim_start": 2, "d_set": [1], "trigger": "forecast_projected", "n_series": 3,
-    }
+    # a one-point window picks d = 0 and fits its mean; the empty
+    # differenced window is tests/test_forecast.py's
+    experiment = {"window": 1, "sim_start": 2, "trigger": "forecast_projected", "n_series": 3}
     cfgfile.write_text(json.dumps({"experiment": experiment}))
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -376,9 +401,12 @@ def test_out_names_a_file_exit_code(tmp_path, capsys):
         ({"mc": {"n_paths": True}}, "'mc.n_paths' must be an integer"),
         ({"grid": {"steps": 9.5}}, "'grid.steps' must be an integer"),
         ({"validate": {"times": [2.0, "5"]}}, "'validate.times' must be a list of finite numbers"),
-        ({"experiment": {"d_set": [0.5]}}, "'experiment.d_set' must be a list of integers"),
+        # the ARIMA grid is fixed: d_set, p_max and q_max are unknown keys
+        ({"experiment": {"d_set": [1]}}, "unknown config key 'experiment.d_set'"),
         ({"grid": 12.0}, "'grid' must be an object"),
         ([1, 2], "must hold a JSON object"),
+        ({"experiment": {"p_max": 1}}, "unknown config key 'experiment.p_max'"),
+        ({"experiment": {"q_max": 1}}, "unknown config key 'experiment.q_max'"),
     ],
 )
 def test_strict_config_exit_code(tmp_path, capsys, config, message):

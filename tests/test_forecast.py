@@ -19,6 +19,7 @@ from driftinv import (
     run_table_experiment,
 )
 from driftinv.forecast import (
+    CANDIDATES,
     TABLE1_GRID,
     TRIGGERS,
     ar_stationary,
@@ -115,24 +116,22 @@ def test_experiment_config_validation():
         make_cfg(trigger=trigger)
     with pytest.raises(ParameterError, match="unknown trigger rule 'psychic'"):
         make_cfg(trigger="psychic")
-    with pytest.raises(ParameterError):
-        make_cfg(d_set=(2,))
 
 
 def test_constant_series_falls_back_to_mean():
     w = np.full(12, 15.0)
-    assert pick_d(w, True, True) == 0
-    _, p, q, beta = fit_window(w, 2, 2)
+    assert pick_d(w) == 0
+    _, p, q, beta = fit_window(w)
     assert (p, q) == (0, 0)
     assert beta.tolist() == pytest.approx([15.0])
-    assert forecast_window(w, 2, 2, True, True) == pytest.approx(15.0)
+    assert forecast_window(w) == pytest.approx(15.0)
 
 
 def test_empty_differenced_window_falls_back_to_mean():
     # one point differenced leaves nothing to fit: no candidate is ok
     assert fit_candidate(np.array([]), 0, 0)[0] is False
-    assert fit_window(np.array([]), 2, 2) is None
-    assert forecast_window(np.array([3.0]), 2, 2, False, True) == 3.0
+    assert fit_window(np.array([])) is None
+    assert forecast_window(np.array([3.0])) == 3.0
 
 
 def test_ar1_recovery():
@@ -141,11 +140,10 @@ def test_ar1_recovery():
     y = np.zeros(n)
     for t in range(1, n):
         y[t] = 0.8 * y[t - 1] + rng.normal()
-    # pure AR fits recover the coefficient; the unrestricted grid may
-    # pick an overparameterized ARMA with a near-cancelling factor
-    assert pick_d(y, True, False) == 0
-    _, p, q, beta = fit_window(y, 1, 0)
-    assert (p, q) == (1, 0)
+    # pure AR fits recover the coefficient; the full grid may pick an
+    # overparameterized ARMA with a near-cancelling factor
+    ok, beta, _, _ = fit_candidate(y, 1, 0)
+    assert ok
     assert beta[1] == pytest.approx(0.8, abs=0.1)
     ok, beta, _, _ = fit_candidate(y, 2, 0)
     assert ok
@@ -155,7 +153,7 @@ def test_ar1_recovery():
 
 def test_linear_trend_selects_differencing():
     series = 3.0 * np.arange(20.0) + 1.0
-    assert pick_d(series, True, True) == 1
+    assert pick_d(series) == 1
 
 
 def test_fitted_ar_roots_outside_unit_disk(ref_process):
@@ -163,8 +161,8 @@ def test_fitted_ar_roots_outside_unit_disk(ref_process):
     rng = np.random.default_rng(4)
     for _ in range(30):
         window = rng.poisson(1.0, 12) * 10.0 + 5.0
-        z = np.diff(window) if pick_d(window, True, True) == 1 else window
-        _, p, _, beta = fit_window(z, 2, 2)
+        z = np.diff(window) if pick_d(window) == 1 else window
+        _, p, _, beta = fit_window(z)
         if p:
             poly = np.concatenate(([1.0], -beta[1 : p + 1]))
             roots = np.roots(poly[::-1])  # roots of 1 - phi1 z - phi2 z^2
@@ -185,6 +183,8 @@ def test_fit_window_minimises_aic_then_order():
     # the scan keeps a later candidate only at a strictly smaller AIC, and
     # scans by p+q, then p: the winner minimises (aic, p+q, p) over the
     # candidates that fit
+    assert sorted(CANDIDATES) == [(p, q) for p in range(3) for q in range(3)]
+    assert list(CANDIDATES) == sorted(CANDIDATES, key=lambda pq: (sum(pq), pq[0]))
     rng = np.random.default_rng(13)
     spike = np.full(12, 5.0)
     spike[7] = 45.0
@@ -193,30 +193,33 @@ def test_fit_window_minimises_aic_then_order():
     windows += [5.0 + 10.0 * rng.poisson(lam, 12) for lam in (0.2, 1.0, 3.0) for _ in range(10)]
     for w in windows:
         for z in (w, np.diff(w)):
-            for p_max, q_max in ((2, 2), (1, 2), (2, 0), (0, 1)):
-                fits = []
-                for p in range(p_max + 1):
-                    for q in range(q_max + 1):
-                        ok, beta, rss, rows = fit_candidate(z, p, q)
-                        if ok:
-                            aic = rows * np.log(max(rss / rows, 1e-12)) + 2.0 * (p + q + 1)
-                            fits.append(((aic, p + q, p), q, beta))
-                (aic, _, p), q, beta = min(fits, key=lambda fit: fit[0])
-                got = fit_window(z, p_max, q_max)
-                assert got[:3] == (aic, p, q)
-                assert np.array_equal(got[3], beta)
+            fits = []
+            for p in range(3):
+                for q in range(3):
+                    ok, beta, rss, rows = fit_candidate(z, p, q)
+                    if ok:
+                        aic = rows * np.log(max(rss / rows, 1e-12)) + 2.0 * (p + q + 1)
+                        fits.append(((aic, p + q, p), q, beta))
+            (aic, _, p), q, beta = min(fits, key=lambda fit: fit[0])
+            got = fit_window(z)
+            assert got[:3] == (aic, p, q)
+            assert np.array_equal(got[3], beta)
 
 
 def test_fit_window_breaks_aic_ties_by_smaller_p(monkeypatch):
-    # every candidate with p+q = 2 fits equally well and best, so they tie
-    # on AIC: the smallest p wins, and a tie never replaces the fit held
-    def equal_fits(z, p, q):
-        return True, np.array([float(p), float(q)]), 1e-3 if p + q == 2 else 1.0, 10
-
-    monkeypatch.setattr(driftinv.forecast, "fit_candidate", equal_fits)
+    # every candidate with p+q = 2 that fits fits equally well and best, so
+    # they tie on AIC: the smallest p wins, and a tie never replaces the
+    # fit held; candidates with q above q_fits do not fit
     z = np.arange(12.0)
-    for p_max, q_max, want in ((2, 2, (0, 2)), (2, 1, (1, 1)), (2, 0, (2, 0))):
-        _, p, q, beta = fit_window(z, p_max, q_max)
+    for q_fits, want in ((2, (0, 2)), (1, (1, 1)), (0, (2, 0))):
+
+        def equal_fits(z, p, q):
+            if q > q_fits:
+                return False, None, 0.0, 0
+            return True, np.array([float(p), float(q)]), 1e-3 if p + q == 2 else 1.0, 10
+
+        monkeypatch.setattr(driftinv.forecast, "fit_candidate", equal_fits)
+        _, p, q, beta = fit_window(z)
         assert (p, q) == want
         assert beta.tolist() == [p, q]
 
