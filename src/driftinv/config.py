@@ -14,7 +14,7 @@ number was spelled.
 import copy
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,14 +145,20 @@ def _check_domains(raw: dict) -> None:
     _require(raw["fpt"]["t_end"] > 0, "fpt.t_end", "positive", raw["fpt"]["t_end"])
 
 
+def _costs(raw_costs: dict, mode: str) -> CostParams:
+    """``raw_costs`` charged in ordering mode ``mode``.  The run's and the
+    experiment's records are both built on this line, so an out-of-order
+    cost set warns once under the default warning filter."""
+    return CostParams(**dict(raw_costs, ordering_mode=OrderingMode(mode)))
+
+
 def build_config(raw: dict) -> RunConfig:
     _check_domains(raw)
     process = ProcessParams(**raw["process"])
     policy = PolicyParams(**raw["policy"])
-    costs_raw = raw["costs"]
-    costs = CostParams(**dict(costs_raw, ordering_mode=OrderingMode(costs_raw["ordering_mode"])))
+    costs = _costs(raw["costs"], raw["costs"]["ordering_mode"])
     exp_raw = dict(raw["experiment"])
-    exp_costs = replace(costs, ordering_mode=OrderingMode(exp_raw.pop("ordering_mode")))
+    exp_costs = _costs(raw["costs"], exp_raw.pop("ordering_mode"))
     experiment = ExperimentConfig(process=process, policy=policy, costs=exp_costs, **exp_raw)
     return RunConfig(
         raw=raw,

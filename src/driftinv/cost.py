@@ -1,8 +1,8 @@
 """Closed-form expected inventory and expected total cost.
 
 Expected inventory is x0 - (mu + alpha*lam) t + Q * E[orders by t]; the
-expected total cost decomposes into ordering, holding and shortage
-components.  Two closed forms of E[orders] are kept side by side:
+expected total cost is its ordering plus its holding component.  Two
+closed forms of E[orders] are kept side by side:
 
 - the paper's gamma first-passage series (``renewal.py``), used by
   ``expected_total_cost``, ``cost_curve`` and ``sweep``, which sum it
@@ -13,10 +13,11 @@ components.  Two closed forms of E[orders] are kept side by side:
   E[int_0^t R] are sums over the Poisson law of N_t.
 
 The same identity puts the inventory in (x0 - a, x0 - a + Q] once D_t
-reaches a, and above x0 - a before, so the shortage component is
-exactly zero.  The Monte Carlo writes its shortage integral as zero
-by the same argument; only its minimum inventory (``shortage_fraction``)
-would show a departure from this.
+reaches a, and above x0 - a before, so nothing is ever short: the
+breakdown's shortage is 0.0, kept only for the shortage column of the
+cost CSVs.  The Monte Carlo has no shortage term by the same argument;
+only its minimum inventory (``shortage_fraction``) would show a
+departure from this.
 """
 
 import math
@@ -43,7 +44,6 @@ class CostBreakdown:
     holding: float
     shortage: float
     total: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,8 @@ def _breakdown(
     holding = costs.c_h * (
         policy.x0 * t - 0.5 * t * t * params.demand_rate + policy.Q * integrated_orders
     )
-    shortage = 0.0
     return CostBreakdown(
-        ordering=ordering,
-        holding=holding,
-        shortage=shortage,
-        total=ordering + holding + shortage,
-        t=t,
+        ordering=ordering, holding=holding, shortage=0.0, total=ordering + holding
     )
 
 

@@ -254,15 +254,13 @@ def pick_d(w):
 
 def forecast_window(w):
     """One-step forecast from one trailing window, clamped to
-    [0, max(window)]."""
+    [0, max(window)].  The (0, 0) candidate fits any non-empty z, and z
+    is never empty: a one-point window has no variance to lower, so it
+    picks d = 0."""
     d = pick_d(w)
     z = np.diff(w) if d == 1 else w
-    fit = fit_window(z)
-    if fit is None:
-        yhat = w.mean()
-    else:
-        zhat = one_step(z, *fit[1:])
-        yhat = w[-1] + zhat if d == 1 else zhat
+    zhat = one_step(z, *fit_window(z)[1:])
+    yhat = w[-1] + zhat if d == 1 else zhat
     return min(max(yhat, 0.0), w.max())
 
 

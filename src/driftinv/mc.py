@@ -11,10 +11,10 @@ so the orders of each stretch between two jumps are a run of
 consecutive thresholds, the integral of the order count is a sum of
 arithmetic series, and X = x0 - D + Q*R gives the inventory integral,
 all without quadrature error.  This module is the brute-force oracle
-for every closed-form quantity.  It does not measure the shortage
-term: since 0 < a < x0 the inventory never falls below x0 - a > 0, so
-``batch_stats`` writes the negative-part integral as 0.0.  Only the
-minimum inventory, which gives ``shortage_fraction``, is observed.
+for every closed-form quantity.  It has no shortage term: since
+0 < a < x0 the inventory never falls below x0 - a > 0, so the integral
+of max(-X, 0) is identically zero and no function computes it.  Only
+the minimum inventory, which gives ``shortage_fraction``, is observed.
 """
 
 import json
@@ -88,9 +88,9 @@ def _first_true(pred, x):
 def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
     """Exact path functionals on [0, horizon] of each packed jump path.
 
-    Returns an (n_paths, 6) array with the columns of ``path_stats``:
-    orders, final inventory, integral of the order count, of max(X, 0)
-    and of max(-X, 0), and the minimum inventory.
+    Returns an (n_paths, 5) array with the columns of ``path_stats``:
+    orders, final inventory, integral of the order count and of X, and
+    the minimum inventory.
 
     Demand is monotone, so the orders placed in each segment between two
     jumps are a run of consecutive thresholds.  The orders standing after
@@ -99,11 +99,10 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
     ``simulate_events`` stops on, so the counts match it exactly.  The
     drift run adds an arithmetic series to the integral of R, and the
     inventory integral is x0*T - (integral of D) + Q*(integral of R).
-    Since 0 < a < x0 the inventory never falls below x0 - a > 0, so the
-    negative-part integral is 0.  Paths go through in chunks of about
-    ``CHUNK_SEGMENTS`` segments (see ``demand.path_segments``).
+    Paths go through in chunks of about ``CHUNK_SEGMENTS`` segments (see
+    ``demand.path_segments``).
     """
-    out = np.empty((offsets.shape[0] - 1, 6))
+    out = np.empty((offsets.shape[0] - 1, 5))
     for seg in path_segments(flat, offsets, alpha, horizon):
         t_end, s_before = seg.t_end, seg.s_before
         drift = _first_true(
@@ -145,8 +144,7 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
         rows[:, 1] = inv[seg.last]
         rows[:, 2] = int_r
         rows[:, 3] = x0 * horizon - (0.5 * mu * horizon * horizon + alpha * jump_ages) + Q * int_r
-        rows[:, 4] = 0.0
-        rows[:, 5] = np.minimum(np.minimum.reduceat(low, seg.start), x0)
+        rows[:, 4] = np.minimum(np.minimum.reduceat(low, seg.start), x0)
     return out
 
 
@@ -201,11 +199,12 @@ def path_stats(
     """Per-path functionals of paths 0 .. n_paths - 1 of the batch keyed
     ``base_seed`` (``demand.batch_jump_times``).
 
-    Keys: orders, inv_end, int_renewals, pos_integral, neg_integral,
-    min_inv (each an array of length n_paths).  ``horizon`` may also be
-    a sequence: one batch is then sampled to the longest horizon, each
-    shorter one keeps its jumps before it (the batch it would sample
-    itself), and every array has one row per horizon.
+    Keys: orders, inv_end, int_renewals, pos_integral (the integral of
+    X, which never falls below x0 - a > 0) and min_inv, each an array
+    of length n_paths.  ``horizon`` may also be a sequence: one batch is
+    then sampled to the longest horizon, each shorter one keeps its
+    jumps before it (the batch it would sample itself), and every array
+    has one row per horizon.
     """
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
@@ -214,7 +213,7 @@ def path_stats(
         raise ParameterError(f"horizons must be positive, got {horizon}")
     longest = float(horizons.max())
     flat, offsets = batch_jump_times(params, longest, base_seed, n_paths)
-    out = np.empty((horizons.size, n_paths, 6))
+    out = np.empty((horizons.size, n_paths, 5))
     for row, h in zip(out, horizons.tolist()):
         jumps = (flat, offsets) if h == longest else truncate_batch(flat, offsets, h)
         row[...] = batch_stats(
@@ -227,26 +226,26 @@ def path_stats(
         "inv_end": out[..., 1],
         "int_renewals": out[..., 2],
         "pos_integral": out[..., 3],
-        "neg_integral": out[..., 4],
-        "min_inv": out[..., 5],
+        "min_inv": out[..., 4],
     }
 
 
 def path_costs(costs: CostParams, Q: float, stats: dict):
-    """Per-path (ordering, holding, shortage, total) cost of ``path_stats``
-    output: c_o(Q)*orders, c_h*int X+ and c_so*int X-, elementwise, so
-    each horizon row costs what its own batch would."""
+    """Per-path (ordering, holding, total) cost of ``path_stats`` output:
+    c_o(Q)*orders and c_h*int X, elementwise, so each horizon row costs
+    what its own batch would.  Nothing is ever short, so there is no
+    shortage cost."""
     ordering = costs.order_cost(Q) * stats["orders"]
     holding = costs.c_h * stats["pos_integral"]
-    shortage = costs.c_so * stats["neg_integral"]
-    return ordering, holding, shortage, ordering + holding + shortage
+    return ordering, holding, ordering + holding
 
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Aggregate path statistics; holding is on the positive inventory
-    part, with the signed-inventory variant kept alongside so the
-    difference (the shortage approximation error) stays visible."""
+    """Aggregate path statistics.  The inventory never falls below
+    x0 - a > 0, so ``mean_shortage`` is 0.0 and ``mean_holding_signed``
+    (holding on the signed inventory) equals ``mean_holding``; both stay
+    in summary.json, whose format readers rely on."""
 
     n_paths: int
     mean_total: float
@@ -270,16 +269,16 @@ def mc_summary(
     if n_paths < 2:
         raise ParameterError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     stats = path_stats(params, policy, horizon, n_paths, base_seed)
-    ordering, holding, shortage, total = path_costs(costs, policy.Q, stats)
-    holding_signed = costs.c_h * (stats["pos_integral"] - stats["neg_integral"])
+    ordering, holding, total = path_costs(costs, policy.Q, stats)
+    mean_holding = float(np.mean(holding))
     return SimSummary(
         n_paths=n_paths,
         mean_total=float(np.mean(total)),
         stderr_total=float(np.std(total, ddof=1) / np.sqrt(n_paths)),
         mean_ordering=float(np.mean(ordering)),
-        mean_holding=float(np.mean(holding)),
-        mean_shortage=float(np.mean(shortage)),
-        mean_holding_signed=float(np.mean(holding_signed)),
+        mean_holding=mean_holding,
+        mean_shortage=0.0,
+        mean_holding_signed=mean_holding,
         mean_orders=float(np.mean(stats["orders"])),
         shortage_fraction=float(np.mean(stats["min_inv"] < 0)),
     )

@@ -44,7 +44,7 @@ def _report(criterion, passed, detail):
 
 def test_criterion_1_oracle_equivalence(default_cfg):
     """Exact closed-form E[R_t], E[X_t], E[int R], total cost vs >= 1e5-path
-    Monte Carlo within 3 standard errors (total gets shortage slack)."""
+    Monte Carlo within 3 standard errors, the same gate for every quantity."""
     assert default_cfg.n_paths >= 100_000
     t0 = time.time()
     rows = run_validation(default_cfg)

@@ -4,7 +4,10 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -184,6 +187,20 @@ def test_validate_reports_and_fails_on_defaults(tmp_path, small_config, capsys):
     assert ("all comparisons passed" in captured.out) == (not failed)
 
 
+def test_validate_gate_is_three_standard_errors(tmp_path, small_config):
+    # nothing is ever short, so no quantity gets slack: every row's
+    # limit is exactly 3 standard errors and its slack column reads 0.0
+    out = tmp_path / "out"
+    main(["validate", "--config", str(small_config), "--out", str(out)])
+    lines = (out / "validation.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 12
+    for r in rows:
+        assert r["slack"] == "0.0"
+        assert float(r["limit"]) == 3.0 * float(r["mc_stderr"])
+        assert r["status"] == ("pass" if float(r["abs_diff"]) <= float(r["limit"]) else "fail")
+
+
 def test_validate_low_path_warning(tmp_path, capsys):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"mc": {"n_paths": 100}, "validate": {"times": [2.0]}}))
@@ -329,23 +346,67 @@ def test_record_defaults_equal_the_config_defaults():
                 assert (type(value), value) == (type(field.default), field.default), field.name
 
 
-def test_cost_ordering_warning_names_the_line_that_built_the_record():
-    # the warning points past the dataclass-generated __init__ (<string>)
-    # to the driftinv line that built the record
-    with pytest.warns(UserWarning, match="cost ordering") as record:
-        load_config(overrides={"costs": {"c_o": 0.5}})
-    with pytest.warns(UserWarning, match="cost ordering") as row_record:
-        run_table_experiment(load_config().experiment, [(40.0, 50.0, 1.0, 0.5, 10.0)])
-    for warning, module in ((record[0], "config.py"), (row_record[0], "forecast.py")):
-        path = pathlib.Path(warning.filename)
-        assert path.parent == pathlib.Path(driftinv.cli.__file__).parent
-        assert path.name == module
+def test_cost_ordering_warning_names_the_line_that_built_the_record(tmp_path):
+    # every warning points past the dataclass-generated __init__ (<string>)
+    # to the driftinv line that built the record, never into the
+    # standard library
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"sweep": {"c_o_list": [0.5]}}))
+    out = str(tmp_path / "out")
+    cases = (
+        (lambda: load_config(overrides={"costs": {"c_o": 0.5}}), "config.py"),
+        (
+            lambda: run_table_experiment(load_config().experiment, [(40.0, 50.0, 1.0, 0.5, 10.0)]),
+            "forecast.py",
+        ),
+        (lambda: main(["sweep", "--config", str(cfgfile), "--out", out]), "cli.py"),
+    )
+    for build, module in cases:
+        with pytest.warns(UserWarning, match="cost ordering") as record:
+            build()
+        for warning in record:
+            path = pathlib.Path(warning.filename)
+            assert path.parent == pathlib.Path(driftinv.cli.__file__).parent
+            assert path.name == module
+
+
+@pytest.mark.parametrize(
+    "command, config, module",
+    [
+        ("expected-cost", {"costs": {"c_o": 0.5}}, "config.py"),
+        ("sweep", {"sweep": {"c_o_list": [0.5]}}, "cli.py"),
+    ],
+)
+def test_cost_ordering_warning_prints_once_in_a_fresh_interpreter(
+    tmp_path, command, config, module
+):
+    # the suite turns a UserWarning into an error, so it never sees a
+    # second one; a fresh interpreter under the default filters does
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(config))
+    package = pathlib.Path(driftinv.cli.__file__).parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "driftinv.cli", command, "--config", str(cfgfile), "--out", "out"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.count("cost ordering c_h <= c_o <= c_so does not hold") == 1, run.stderr
+    (line,) = [x for x in run.stderr.splitlines() if "UserWarning: cost ordering" in x]
+    path = pathlib.Path(line.split(":")[0])
+    assert path.parent == package
+    assert path.name == module
 
 
 def test_one_point_differenced_window_forecasts_its_mean(tmp_path):
     cfgfile = tmp_path / "c.json"
-    # a one-point window picks d = 0 and fits its mean; the empty
-    # differenced window is tests/test_forecast.py's
+    # a one-point window picks d = 0 and fits its mean; fits on an empty
+    # array are tests/test_forecast.py's
     experiment = {"window": 1, "sim_start": 2, "trigger": "forecast_projected", "n_series": 3}
     cfgfile.write_text(json.dumps({"experiment": experiment}))
     out = tmp_path / "out"

@@ -243,7 +243,7 @@ def test_gamma_curve_falls_when_drift_dominates(ref_costs, series_cfg):
 def test_argmax_tie_breaks_to_earliest():
     flat = CostCurve(
         grid=np.array([0.0, 1.0, 2.0]),
-        points=[CostBreakdown(0.0, 5.0, 0.0, 5.0, t) for t in (0.0, 1.0, 2.0)],
+        points=[CostBreakdown(0.0, 5.0, 0.0, 5.0)] * 3,
         orders=[0.0, 0.0, 0.0],
     )
     assert argmax_time(flat) == (0.0, 5.0)
@@ -251,7 +251,7 @@ def test_argmax_tie_breaks_to_earliest():
 
 def test_argmax_single_and_empty():
     single = CostCurve(
-        grid=np.array([3.0]), points=[CostBreakdown(1.0, 2.0, 0.0, 3.0, 3.0)], orders=[0.0]
+        grid=np.array([3.0]), points=[CostBreakdown(1.0, 2.0, 0.0, 3.0)], orders=[0.0]
     )
     assert argmax_time(single) == (3.0, 3.0)
     empty = CostCurve(grid=np.array([]), points=[], orders=[])

@@ -127,10 +127,14 @@ def test_constant_series_falls_back_to_mean():
     assert forecast_window(w) == pytest.approx(15.0)
 
 
-def test_empty_differenced_window_falls_back_to_mean():
-    # one point differenced leaves nothing to fit: no candidate is ok
+def test_empty_z_fits_nothing_and_one_point_window_fits_its_mean():
+    # an empty array has no mean to fit, so no candidate is ok; a
+    # one-point window picks d = 0, so forecast_window never fits one
+    # and the (0, 0) candidate forecasts the point itself
     assert fit_candidate(np.array([]), 0, 0)[0] is False
     assert fit_window(np.array([])) is None
+    assert pick_d(np.array([3.0])) == 0
+    assert fit_window(np.array([3.0]))[1:3] == (0, 0)
     assert forecast_window(np.array([3.0])) == 3.0
 
 
