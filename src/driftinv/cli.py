@@ -17,7 +17,7 @@ from .cost import (
     cost_curve,
     exact_moments,
     expected_inventory,  # noqa: F401 -- a name perfbench/layers.py traces in this module
-    expected_total_cost,
+    expected_total_cost,  # noqa: F401 -- likewise
     negative_inventory_times,
     sweep,
     write_curve_csv,
@@ -260,8 +260,8 @@ def cmd_fpt_diag(cfg, out_dir):
         kh.write("n,ks_gamma_vs_empirical,ks_batch_self\n")
         for n, emp_a, emp_b in zip(ns, emp_a_all, emp_b_all):
             spec = fpt_gamma_spec(cfg.process, cfg.policy, n)
-            gcdf = np.array([gamma_cdf(spec, t) for t in grid])
-            lit = np.array([literal_integrand_cdf(spec, t) for t in grid])
+            gcdf = gamma_cdf(spec, grid)
+            lit = literal_integrand_cdf(spec, grid)
             ks = float(np.max(np.abs(gcdf - emp_a)))
             ks_self = float(np.max(np.abs(emp_a - emp_b)))
             kh.write(f"{n},{ks!r},{ks_self!r}\n")
@@ -302,14 +302,11 @@ def cmd_compare(cfg, out_dir):
     periods, cum = cumulative_cost_profile(cfg.experiment)
     exp = cfg.experiment
     times = exp.period_length * np.arange(1, exp.n_sim_periods + 1)
-    ana = [
-        expected_total_cost(cfg.process, exp.policy, exp.costs, float(t), cfg.series).total
-        for t in times
-    ]
+    ana = cost_curve(cfg.process, exp.policy, exp.costs, times, cfg.series).totals()
     csv_file = out_dir / "compare.csv"
     with open(csv_file, "w") as fh:
         fh.write("period,t,analytical_total,forecast_sim_cum_cost\n")
-        for p, t, a, c in zip(periods, times, ana, cum.tolist()):
+        for p, t, a, c in zip(periods, times, ana.tolist(), cum.tolist()):
             fh.write(f"{int(p)},{float(t)!r},{a!r},{c!r}\n")
     line_chart(
         out_dir / "compare.svg",

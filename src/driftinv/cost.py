@@ -5,8 +5,9 @@ expected total cost is its ordering plus its holding component.  Two
 closed forms of E[orders] are kept side by side:
 
 - the paper's gamma first-passage series (``renewal.py``), used by
-  ``expected_total_cost``, ``cost_curve`` and ``sweep``, which sum it
-  once per (a, Q, t) and derive every cost from that one pass;
+  ``expected_total_cost``, ``cost_curve`` and ``sweep``; the last two
+  sum it once per (a, Q) curve, over its whole grid, and derive every
+  cost from that one pass;
 - the exact Poisson-law form (``exact_moments``).  With zero lead time
   cumulative demand D_t = mu*t + alpha*N_t is monotone, so the order
   count is R_t = max(floor((D_t - a)/Q) + 1, 0) and E[R_t], E[X_t] and
@@ -158,42 +159,56 @@ def _exact_series(
     on, s_k = 0 and the terms sum to the Poisson loss
     E[(N_t - m)^+] = (x - m) P(N_t >= m) + x P(N_t = m - 1), x = lam*t.
     Terms fall in n, and the series stops at the first P(D_t >= L_n)
-    below ``tail_tol``.
+    below ``tail_tol``.  The tails P(N_t >= k) are evaluated for a range
+    of k per call, and the P(k+1, lam*s_k) of every threshold summed in
+    one more call; the sums add them in the order of n and k.
     """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     mu, alpha, lam = params.mu, params.alpha, params.lam
     x = lam * t
-    upper = {}  # k -> P(N_t >= k)
+    # P(N_t >= k) for k = 0, 1, ...: the first call covers k < x + 8 sqrt(x)
+    # + 16, where the tail is far below the usual tail_tol, and any later
+    # one doubles the range
+    tails = [1.0]
 
     def tail(k):
-        if k not in upper:
-            upper[k] = 1.0 if k == 0 else reg_lower_gamma(float(k), x)
-        return upper[k]
+        if k >= len(tails):
+            stop = max(k + 1, 2 * len(tails), int(x + 8.0 * math.sqrt(x)) + 16)
+            tails.extend(reg_lower_gamma(np.arange(len(tails), stop), x).tolist())
+        return tails[k]
 
     total_r = 0.0
-    total_int = 0.0
-    p = 0.0
+    summed = []  # (L_n, j_n, m_n) of the thresholds in the sums
     for n in range(1, cfg.n_max + 1):
         level = policy.threshold(n)
         j = _min_jumps(level, mu * t, alpha)
         p = tail(j)
         if p < cfg.tail_tol:
-            return total_r, total_int
-        m = _min_jumps(level, 0.0, alpha)
-        acc = (x - m) * tail(m) + x * poisson_pmf(m - 1, x)
-        for k in range(j, m):
-            acc += tail(k + 1) - reg_lower_gamma(k + 1.0, lam * (level - alpha * k) / mu)
+            break
         total_r += p
+        summed.append((level, j, _min_jumps(level, 0.0, alpha)))
+    else:
+        raise SeriesNotConvergedError(
+            f"exact series hit the cap n_max={cfg.n_max} at t={t} with the "
+            f"last term {p:.3e} still >= tail_tol={cfg.tail_tol:.3e}",
+            partial_sum=total_r,
+            n_terms=cfg.n_max,
+            last_term=p,
+            t=t,
+        )
+    # one incomplete-gamma call for P(k+1, lam*s_k), j_n <= k < m_n, of every threshold
+    levels = np.array([level for level, j, m in summed for _ in range(j, m)])
+    ks = np.array([k for _, j, m in summed for k in range(j, m)], dtype=np.float64)
+    at_s = iter(reg_lower_gamma(ks + 1.0, lam * (levels - alpha * ks) / mu).tolist())
+    pmfs = poisson_pmf(np.array([m - 1 for *_, m in summed]), x)
+    total_int = 0.0
+    for (_, j, m), pmf in zip(summed, pmfs.tolist()):
+        acc = (x - m) * tail(m) + x * pmf
+        for k in range(j, m):
+            acc += tail(k + 1) - next(at_s)
         total_int += acc / lam
-    raise SeriesNotConvergedError(
-        f"exact series hit the cap n_max={cfg.n_max} at t={t} with the "
-        f"last term {p:.3e} still >= tail_tol={cfg.tail_tol:.3e}",
-        partial_sum=total_r,
-        n_terms=cfg.n_max,
-        last_term=p,
-        t=t,
-    )
+    return total_r, total_int
 
 
 def exact_moments(
@@ -237,13 +252,15 @@ def cost_curve(
     grid,
     cfg: RenewalSeriesConfig,
 ) -> CostCurve:
-    """Expected cost breakdowns and E[R_t] on ``grid``, one renewal
-    series per grid time."""
+    """Expected cost breakdowns and E[R_t] on ``grid``, from one renewal
+    series summed over the whole grid."""
     grid = np.asarray(grid, dtype=np.float64)
-    times = grid.tolist()
-    sums = [expected_renewal_sums(params, policy, t, cfg) for t in times]
-    points = [_breakdown(params, policy, costs, t, er, ei) for t, (er, ei) in zip(times, sums)]
-    return CostCurve(grid=grid, points=points, orders=[er for er, _ in sums])
+    er, ei = expected_renewal_sums(params, policy, grid, cfg)
+    points = [
+        _breakdown(params, policy, costs, t, r, i)
+        for t, r, i in zip(grid.tolist(), er.tolist(), ei.tolist())
+    ]
+    return CostCurve(grid=grid, points=points, orders=er)
 
 
 def argmax_time(curve: CostCurve):
@@ -288,8 +305,8 @@ def sweep(
     lexicographic order.  Yields (a, Q, costs, t, CostBreakdown) rows.
 
     The renewal series does not depend on the costs, so it is summed
-    once per (a, Q, t) and every entry of ``costs_list`` is applied to
-    that one (E[R_t], E[int_0^t R]) pair."""
+    once per (a, Q), over the whole grid, and every entry of
+    ``costs_list`` is applied to those (E[R_t], E[int_0^t R]) pairs."""
     if not (len(costs_list) and len(a_list) and len(Q_list)):
         raise ParameterError("sweep lists must be non-empty")
     grid = np.asarray(grid, dtype=np.float64)
@@ -300,10 +317,11 @@ def sweep(
     for a in a_list:
         for Q in Q_list:
             policy = PolicyParams(x0=x0, a=a, Q=Q)
-            sums = [expected_renewal_sums(params, policy, t, cfg) for t in times]
+            er, ei = expected_renewal_sums(params, policy, grid, cfg)
+            sums = list(zip(times, er.tolist(), ei.tolist()))
             for costs in costs_list:
-                for t, (er, ei) in zip(times, sums):
-                    rows.append((a, Q, costs, t, _breakdown(params, policy, costs, t, er, ei)))
+                for t, er_t, ei_t in sums:
+                    rows.append((a, Q, costs, t, _breakdown(params, policy, costs, t, er_t, ei_t)))
     return rows
 
 

@@ -1,12 +1,24 @@
-"""Regularized lower incomplete gamma function P(a, x).
+"""Regularized lower incomplete gamma function P(a, x), elementwise.
 
 P(a, x) = gamma(a, x) / Gamma(a) is the CDF of a Gamma(shape=a, rate=1)
-variable at x.  Evaluation follows the classic split: a power series for
-x < a + 1 and a modified-Lentz continued fraction for the complement
-otherwise.  Absolute error is well below 1e-10 over the shapes used here
-(verified against quadrature and scipy in the test suite).
+variable at x.  Evaluation follows the classic split (Press et al.,
+*Numerical Recipes* §6.2): a power series for x < a + 1 and a
+modified-Lentz continued fraction for the complement otherwise.
+Absolute error is well below 1e-10 over the shapes used here (verified
+against quadrature and scipy in the test suite).
 
-log Gamma(a) is math.lgamma, the one log-gamma in the package.
+Both functions take arrays: the arguments broadcast together, and
+each element gets the arithmetic of the one-element algorithm in its
+order, so a value does not depend on what it is evaluated with.  The
+iterations step all elements not yet converged at once, a block of
+steps at a time, and each element takes the value of the step its own
+stopping test first passes.  Scalar arguments give a float.  The
+working arrays of one call are bounded (``_SLICE``, ``_BLOCK``)
+whatever its size.
+
+log Gamma(a) is math.lgamma, the one log-gamma in the package; the
+logs and exponentials of the prefactor are also the math module's,
+taken per element, because numpy's round differently in the last bit.
 ``poisson_pmf`` is the one x^k e^-x / Gamma(k+1), the step of the
 recurrence P(k+1, x) = P(k, x) - x^k e^-x / Gamma(k+1) (DLMF 8.8.5;
 Abramowitz & Stegun 6.5.21).
@@ -14,63 +26,186 @@ Abramowitz & Stegun 6.5.21).
 
 import math
 
+import numpy as np
+
 _MAX_ITER = 20000
 _EPS = 1e-16
 _TINY = 1e-300
+# elements per pass of the iterations, and values per block of their
+# steps: together they bound the working arrays of any one call
+_SLICE = 1024
+_BLOCK = 8192
+
+
+def _math_map(fn, v):
+    """The math-module function fn of every element of the array v."""
+    return np.array([fn(u) for u in v.ravel().tolist()], dtype=np.float64).reshape(v.shape)
+
+
+def _log_prefactor(power, x, lgamma):
+    """power * log(x) - x - lgamma, broadcast, with math.log taken once per
+    element of x where x > 0 (the value where x <= 0 is never read)."""
+    return power * _math_map(math.log, np.where(x <= 0.0, 1.0, x)) - x - lgamma
+
+
+def _value(out):
+    """A float for a 0-d result, else the array."""
+    return out if out.ndim else float(out)
 
 
 def poisson_pmf(k, x):
     """x^k e^-x / Gamma(k+1): P(N = k) for N ~ Poisson(x), and for real
     k the step P(k, x) - P(k+1, x).  In log space so large k cannot
     overflow."""
-    if x <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(x) - x - math.lgamma(k + 1.0))
+    k = np.asarray(k, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    lg = _log_prefactor(k, x, _math_map(math.lgamma, k + 1.0))
+    out = np.zeros(lg.shape)
+    out[np.broadcast_to(k == 0.0, lg.shape)] = 1.0
+    live = np.broadcast_to(~(x <= 0.0), lg.shape)
+    out[live] = _math_map(math.exp, lg[live])
+    return _value(out)
 
 
 def reg_lower_gamma(a, x):
-    if x <= 0.0:
-        return 0.0
-    # log prefactor x^a e^-x / Gamma(a); underflows cleanly to 0.
-    lg = a * math.log(x) - x - math.lgamma(a)
-    if lg < -745.0:
-        # e^lg underflows; the function value is 0 or 1 depending on side.
-        return 0.0 if x < a else 1.0
-    pref = math.exp(lg)
-    if x < a + 1.0:
+    """P(a, x) for a > 0, elementwise over a and x broadcast together.
+
+    math.lgamma is taken once per element of a and math.log once per
+    element of x, before they are broadcast, so a row of n shapes
+    against a column of m points takes n log-gammas and m logs."""
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    # log prefactor x^a e^-x / Gamma(a); P = 0 where x <= 0
+    lg = _log_prefactor(a, x, _math_map(math.lgamma, a))
+    a, x = np.broadcast_to(a, lg.shape), np.broadcast_to(x, lg.shape)
+    out = np.zeros(lg.shape)
+    live = ~(x <= 0.0)
+    # e^lg underflows; the function value is 0 or 1 depending on side.
+    under = live & (lg < -745.0)
+    out[under & ~(x < a)] = 1.0
+    live &= ~under
+    below = x < a + 1.0
+    series = live & below
+    if series.any():
         # series: P(a,x) = pref * sum_k x^k / (a (a+1) ... (a+k))
-        ap = a
-        term = 1.0 / a
-        total = term
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                break
-        p = pref * total
-        return 1.0 if p > 1.0 else p
-    # continued fraction for Q(a,x), modified Lentz
+        p = _math_map(math.exp, lg[series]) * _in_slices(_series, a[series], x[series])
+        out[series] = np.where(p > 1.0, 1.0, p)
+    fraction = live & ~below
+    if fraction.any():
+        # continued fraction for Q(a,x)
+        h = _in_slices(_fraction, a[fraction], x[fraction])
+        p = 1.0 - _math_map(math.exp, lg[fraction]) * h
+        out[fraction] = np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
+    return _value(out)
+
+
+def _in_slices(fn, a, x):
+    """fn(a, x) on _SLICE elements at a time."""
+    return np.concatenate([fn(a[i : i + _SLICE], x[i : i + _SLICE]) for i in range(0, a.size, _SLICE)])
+
+
+def _series(a, x):
+    """sum_k x^k / (a (a+1) ... (a+k)), each element stopped at its first
+    term below _EPS of its sum (every term is positive, so this is the
+    test |term| < |total| * _EPS).
+
+    The steps ap += 1, term *= x / ap, total += term are taken a block
+    at a time, each as a sequential accumulate along a row; the elements
+    that converged in a block drop out."""
+    out = np.empty(a.size)
+    idx = np.arange(a.size)
+    ap = a
+    term = total = 1.0 / a
+    steps = 0
+    width = 32
+    while idx.size and steps < _MAX_ITER:
+        n = idx.size
+        width = min(width, max(_BLOCK // n, 8), _MAX_ITER - steps)
+        aps = np.ones((n, width + 1))
+        aps[:, 0] = ap
+        aps = np.add.accumulate(aps, axis=1)
+        terms = np.empty((n, width + 1))
+        terms[:, 0] = term
+        np.divide(x[:, None], aps[:, 1:], out=terms[:, 1:])
+        terms = np.multiply.accumulate(terms, axis=1)
+        totals = terms.copy()
+        totals[:, 0] = total
+        totals = np.add.accumulate(totals, axis=1)
+        done = terms[:, 1:] < totals[:, 1:] * _EPS
+        hit = done.any(axis=1)
+        rows = np.flatnonzero(hit)
+        out[idx[rows]] = totals[rows, done[rows].argmax(axis=1) + 1]
+        keep = ~hit
+        idx, x = idx[keep], x[keep]
+        ap, term, total = aps[keep, -1], terms[keep, -1], totals[keep, -1]
+        steps += width
+        width *= 2
+    out[idx] = total
+    return out
+
+
+def _fraction(a, x):
+    """The modified-Lentz continued fraction h with Q(a, x) = pref * h,
+    each element stopped at its first factor within _EPS of 1.
+
+    The recurrences for d and c are stepped one at a time for all
+    elements at once; the factors delta = d*c, their running product h
+    and the stopping test are then taken for a block of steps at once.
+    An element takes the h of its first passing step, and the elements
+    that passed drop out."""
+    out = np.empty(a.size)
+    idx = np.arange(a.size)
     b = x + 1.0 - a
-    c = 1.0 / _TINY
+    c = np.full(a.size, 1.0 / _TINY)
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    q = pref * h
-    p = 1.0 - q
-    if p < 0.0:
-        return 0.0
-    return 1.0 if p > 1.0 else p
+    i = 1
+    while idx.size and i < _MAX_ITER:
+        width = min(max(_BLOCK // idx.size, 8), 16, _MAX_ITER - i)
+        steps = np.arange(i, i + width)[:, None]
+        ans = -steps * (steps - a)
+        bs = np.full((width + 1, idx.size), 2.0)
+        bs[0] = b
+        bs = np.add.accumulate(bs, axis=0)[1:]
+        # a denominator below _TINY is rare: the block is stepped as if
+        # none were, and stepped again with them kept off zero if one was
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            raw_ds, cs = _lentz_steps(ans, bs, c, d, clamp=False)
+            low = min(np.abs(raw_ds).min(), np.abs(cs).min())
+        if low < _TINY:
+            raw_ds, cs = _lentz_steps(ans, bs, c, d, clamp=True)
+        # row 0 is h, then the factors d*c and, accumulated, h after each step
+        hs = np.empty((width + 1, idx.size))
+        hs[0] = h
+        np.multiply(np.divide(1.0, raw_ds, out=raw_ds), cs, out=hs[1:])
+        done = np.abs(hs[1:] - 1.0) < _EPS
+        hs = np.multiply.accumulate(hs, axis=0)[1:]
+        hit = done.any(axis=0)
+        cols = np.flatnonzero(hit)
+        out[idx[cols]] = hs[done[:, cols].argmax(axis=0), cols]
+        keep = ~hit
+        idx, a = idx[keep], a[keep]
+        b, c, d, h = bs[-1, keep], cs[-1, keep], raw_ds[-1, keep], hs[-1, keep]
+        i += width
+    out[idx] = h
+    return out
+
+
+def _lentz_steps(ans, bs, c, d, clamp):
+    """an * d + b, before it is inverted into the next d, and the next
+    c = b + an / c, at each step over the rows of ans and bs.  With
+    clamp, a value below _TINY in magnitude is set to _TINY before it
+    is used, as the modified Lentz method has it."""
+    raw_ds = np.empty(ans.shape)
+    cs = np.empty(ans.shape)
+    for an, b, d_raw, c_next in zip(ans, bs, raw_ds, cs):
+        np.multiply(an, d, out=d_raw)
+        d_raw += b
+        np.divide(an, c, out=c_next)
+        c_next += b
+        if clamp:
+            d_raw[np.abs(d_raw) < _TINY] = _TINY
+            c_next[np.abs(c_next) < _TINY] = _TINY
+        d = 1.0 / d_raw
+        c = c_next
+    return raw_ds, cs

@@ -66,82 +66,123 @@ def fpt_gamma_spec(params: ProcessParams, policy: PolicyParams, n: int) -> Gamma
     return GammaSpec(shape=shape, rate=params.alpha * params.lam)
 
 
-def gamma_cdf(spec: GammaSpec, t: float) -> float:
-    """P(T < t) for T ~ Gamma(shape, rate)."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return float(reg_lower_gamma(spec.shape, spec.rate * t))
+def _times(t) -> np.ndarray:
+    """t as a float64 array; DomainError names its first negative time."""
+    times = np.asarray(t, dtype=np.float64)
+    negative = np.flatnonzero(times < 0)
+    if negative.size:
+        raise DomainError(f"t must be >= 0, got {float(times.flat[negative[0]])}")
+    return times
 
 
-def literal_integrand_cdf(spec: GammaSpec, t: float) -> float:
+def gamma_cdf(spec: GammaSpec, t):
+    """P(T < t) for T ~ Gamma(shape, rate), at each time of t."""
+    return reg_lower_gamma(spec.shape, spec.rate * _times(t))
+
+
+def literal_integrand_cdf(spec: GammaSpec, t):
     """Integral of the literal diagnostic integrand
     (rate*s)^(shape-1) / Gamma(shape) * s * exp(-rate*s) on [0, t],
-    which is (shape/rate^2) * P(shape + 1, rate*t)."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return spec.shape / spec.rate**2 * float(reg_lower_gamma(spec.shape + 1.0, spec.rate * t))
+    which is (shape/rate^2) * P(shape + 1, rate*t), at each time of t."""
+    return spec.shape / spec.rate**2 * reg_lower_gamma(spec.shape + 1.0, spec.rate * _times(t))
 
 
-def truncated_mean(spec: GammaSpec, t: float) -> float:
-    """E[T 1{T < t}] for T ~ Gamma(shape, rate)."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return spec.mean * float(reg_lower_gamma(spec.shape + 1.0, spec.rate * t))
+def truncated_mean(spec: GammaSpec, t):
+    """E[T 1{T < t}] for T ~ Gamma(shape, rate), at each time of t."""
+    return spec.mean * reg_lower_gamma(spec.shape + 1.0, spec.rate * _times(t))
+
+
+# incomplete-gamma values per call of the renewal series, which bounds
+# its working set whatever the grid and the number of terms
+_BLOCK_ELEMENTS = 2048
 
 
 def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
-    """Sum CDF terms and their integrated counterparts until the CDF
-    term drops below tail_tol.  Returns (sum_cdf, sum_integrated,
-    n_terms, last_term, converged).
+    """Sum CDF terms and their integrated counterparts at each time of t,
+    until there the CDF term drops below tail_tol.  Returns (sum_cdf,
+    sum_integrated, n_terms, last_term, converged): n_terms counts the
+    terms summed over all of t, and the rest are arrays of t's shape.  A
+    time that did not converge summed n_max terms.
+
+    Term n has the shape k = shape0 + dshape*(n-1) at every time, so the
+    terms are evaluated in blocks: 32 consecutive n, then twice as many
+    each time, at the times still summing, and at most _BLOCK_ELEMENTS
+    values per call of ``reg_lower_gamma``.  A time stops at its first
+    term below tail_tol, and its sums add its terms in order of n (a
+    sequential cumsum), so each time gets the bits a loop over n at that
+    time alone gives.  Past that term, at most the rest of its block is
+    evaluated.
 
     The integrated term of shape k is t*P(k, x) - (k/rate)*P(k+1, x),
     x = rate*t, with P(k+1, x) taken from P(k, x) by the recurrence, so
-    each term costs one incomplete-gamma evaluation: a converged series
-    of n terms makes n + 1 calls to ``reg_lower_gamma``.  Where x is far
+    each term costs one incomplete-gamma evaluation.  Where x is far
     below k the subtraction keeps the term accurate to the scale
     (k/rate)*P(k, x), not to its own much smaller size."""
-    x = rate * t
-    total_cdf = 0.0
-    total_int = 0.0
-    last = 0.0
-    for n in range(1, n_max + 1):
-        k = shape0 + dshape * (n - 1)
-        cdf = reg_lower_gamma(k, x)
-        last = cdf
-        if cdf < tail_tol:
-            return total_cdf, total_int, n - 1, last, True
-        term_int = t * cdf - (k / rate) * (cdf - poisson_pmf(k, x))
-        if term_int < 0.0:
-            term_int = 0.0
-        total_cdf += cdf
-        total_int += term_int
-    return total_cdf, total_int, n_max, last, False
+    t = np.asarray(t, dtype=np.float64)
+    times = t.ravel()
+    sum_cdf = np.zeros(times.size)
+    sum_int = np.zeros(times.size)
+    last = np.zeros(times.size)
+    n_terms = 0
+    for lo in range(0, times.size, _BLOCK_ELEMENTS):
+        active = np.arange(lo, min(lo + _BLOCK_ELEMENTS, times.size))
+        n = 0  # terms evaluated at every active time
+        width = 32
+        while active.size and n < n_max:
+            width = min(width, _BLOCK_ELEMENTS // active.size, n_max - n)
+            k = shape0 + dshape * np.arange(n, n + width)
+            ta = times[active][:, None]
+            x = rate * ta
+            cdf = reg_lower_gamma(k, x)
+            term_int = ta * cdf - (k / rate) * (cdf - poisson_pmf(k, x))
+            term_int = np.where(term_int < 0.0, 0.0, term_int)
+            below = cdf < tail_tol
+            stopped = below.any(axis=1)
+            summed = np.where(stopped, below.argmax(axis=1), width)
+            rows = np.arange(active.size)
+            for total, terms in ((sum_cdf, cdf), (sum_int, term_int)):
+                running = np.cumsum(np.hstack((total[active][:, None], terms)), axis=1)
+                total[active] = running[rows, summed]
+            last[active] = cdf[rows, np.minimum(summed, width - 1)]
+            n_terms += int(summed.sum())
+            active = active[~stopped]
+            n += width
+            width *= 2
+    last = last.reshape(t.shape)
+    return sum_cdf.reshape(t.shape), sum_int.reshape(t.shape), n_terms, last, last < tail_tol
 
 
 def expected_renewal_sums(
-    params: ProcessParams, policy: PolicyParams, t: float, cfg: RenewalSeriesConfig
+    params: ProcessParams, policy: PolicyParams, t, cfg: RenewalSeriesConfig
 ):
     """(E[orders by t], E[integral of the order count over [0, t]]) from
-    one pass of the renewal series (gamma-series form)."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    er, ei, n_terms, last, converged = renewal_series(
+    one pass of the renewal series over every time of t (gamma-series
+    form): floats for a scalar t, arrays of its shape otherwise.  If the
+    series hits ``cfg.n_max`` anywhere, the error names the first such
+    time in the order of t."""
+    times = _times(t)
+    er, ei, _, last, converged = renewal_series(
         policy.a / params.mu,
         policy.Q / params.mu,
         params.alpha * params.lam,
-        t,
+        times,
         cfg.tail_tol,
         cfg.n_max,
     )
-    if not converged:
+    capped = np.flatnonzero(~converged)
+    if capped.size:
+        i = capped[0]
+        t_i, last_i = float(times.flat[i]), float(last.flat[i])
         raise SeriesNotConvergedError(
-            f"renewal series hit the cap n_max={cfg.n_max} at t={t} with the "
-            f"last term {last:.3e} still >= tail_tol={cfg.tail_tol:.3e}",
-            partial_sum=er,
-            n_terms=n_terms,
-            last_term=last,
-            t=t,
+            f"renewal series hit the cap n_max={cfg.n_max} at t={t_i} with the "
+            f"last term {last_i:.3e} still >= tail_tol={cfg.tail_tol:.3e}",
+            partial_sum=float(er.flat[i]),
+            n_terms=cfg.n_max,
+            last_term=last_i,
+            t=t_i,
         )
+    if times.ndim == 0:
+        return float(er), float(ei)
     return er, ei
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftinv import (
     CostParams,
@@ -25,9 +27,16 @@ from driftinv import (
 import driftinv.renewal
 from driftinv.cli import cmd_expected_cost
 from driftinv.config import load_config
-from driftinv.cost import CostBreakdown, CostCurve, negative_inventory_times, write_sweep_csv
+from driftinv.cost import (
+    CostBreakdown,
+    CostCurve,
+    _min_jumps,
+    negative_inventory_times,
+    write_sweep_csv,
+)
 
 from conftest import exact_expected_orders
+from test_gamma import scalar_poisson_pmf, scalar_reg_lower_gamma
 
 # (process, policy) pairs: the reference, a high-intensity process with
 # the same mean rate and thresholds off the jump lattice, and a
@@ -349,17 +358,68 @@ def series_calls(monkeypatch):
     return calls
 
 
-def test_sweep_sums_one_series_per_a_q_t(ref_process, series_cfg, series_calls):
+def test_sweep_sums_one_series_per_a_q(ref_process, series_cfg, series_calls):
+    # one series over the whole grid per (a, Q) curve, which every costs
+    # entry then shares
     costs_list = [CostParams(c_o=c, c_h=1.0, c_so=10.0) for c in (5.0, 7.5, 10.0)]
     a_list, q_list, grid = [40.0, 50.0, 60.0], [50.0, 60.0], np.linspace(0.0, 6.0, 7)
     sweep(ref_process, costs_list, a_list, q_list, grid, series_cfg)
-    assert len(series_calls) == len(a_list) * len(q_list) * grid.size
+    assert len(series_calls) == len(a_list) * len(q_list)
+    assert all(np.array_equal(args[3], grid) for args in series_calls)
 
 
-def test_expected_cost_sums_one_series_per_grid_time(tmp_path, series_calls):
+def test_expected_cost_sums_one_series_per_curve(tmp_path, series_calls):
     cfg = load_config(overrides={"grid": {"t_start": 0.0, "t_end": 6.0, "steps": 13}})
     assert cmd_expected_cost(cfg, tmp_path) == 0
-    assert len(series_calls) == cfg.grid.size
+    assert len(series_calls) == 1
+    assert np.array_equal(series_calls[0][3], cfg.grid)
+
+
+def scalar_exact_series(process, policy, t, cfg):
+    """Oracle: (E[R_t], E[int_0^t R]) threshold by threshold, one scalar
+    incomplete gamma per value."""
+    mu, alpha, lam = process.mu, process.alpha, process.lam
+    x = lam * t
+    upper = {}
+
+    def tail(k):
+        if k not in upper:
+            upper[k] = 1.0 if k == 0 else scalar_reg_lower_gamma(float(k), x)
+        return upper[k]
+
+    total_r = 0.0
+    total_int = 0.0
+    for n in range(1, cfg.n_max + 1):
+        level = policy.threshold(n)
+        j = _min_jumps(level, mu * t, alpha)
+        p = tail(j)
+        if p < cfg.tail_tol:
+            return total_r, total_int
+        m = _min_jumps(level, 0.0, alpha)
+        acc = (x - m) * tail(m) + x * scalar_poisson_pmf(m - 1, x)
+        for k in range(j, m):
+            acc += tail(k + 1) - scalar_reg_lower_gamma(k + 1.0, lam * (level - alpha * k) / mu)
+        total_r += p
+        total_int += acc / lam
+    raise AssertionError("the oracle reached n_max")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mu=st.one_of(st.floats(0.2, 10.0), st.integers(1, 10).map(float)),
+    alpha=st.one_of(st.floats(0.5, 20.0), st.integers(1, 20).map(float)),
+    lam=st.floats(0.05, 8.0),
+    a=st.floats(1.0, 80.0),
+    q=st.floats(1.0, 80.0),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+)
+def test_exact_series_matches_threshold_by_threshold_oracle(mu, alpha, lam, a, q, t, ref_costs):
+    # the batched calls give the bits of the one-value-at-a-time series
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    policy = PolicyParams(x0=100.0, a=a, Q=q)
+    cfg = RenewalSeriesConfig()
+    m = exact_moments(process, policy, ref_costs, t, cfg)
+    assert (m.orders, m.integrated_orders) == scalar_exact_series(process, policy, t, cfg)
 
 
 def test_sweep_empty_lists_rejected(ref_process, ref_costs, series_cfg):

@@ -1,6 +1,7 @@
 """Gamma CDF kernel, truncated means, and the diagnostic integrand."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,141 @@ from driftinv import (
     literal_integrand_cdf,
     truncated_mean,
 )
+import driftinv.gammainc
 from driftinv.gammainc import poisson_pmf, reg_lower_gamma
+
+MAX_ITER = 20000
+EPS = 1e-16
+TINY = 1e-300
+
+
+def scalar_reg_lower_gamma(a, x, tiny=TINY):
+    """Oracle: P(a, x) for one float pair, the power series and the
+    modified-Lentz continued fraction of Press et al., Numerical Recipes
+    section 6.2, with ``tiny`` the floor of the Lentz denominators."""
+    if x <= 0.0:
+        return 0.0
+    # log prefactor x^a e^-x / Gamma(a); underflows cleanly to 0.
+    lg = a * math.log(x) - x - math.lgamma(a)
+    if lg < -745.0:
+        # e^lg underflows; the function value is 0 or 1 depending on side.
+        return 0.0 if x < a else 1.0
+    pref = math.exp(lg)
+    if x < a + 1.0:
+        # series: P(a,x) = pref * sum_k x^k / (a (a+1) ... (a+k))
+        ap = a
+        term = 1.0 / a
+        total = term
+        for _ in range(MAX_ITER):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * EPS:
+                break
+        p = pref * total
+        return 1.0 if p > 1.0 else p
+    # continued fraction for Q(a,x), modified Lentz
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, MAX_ITER):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < EPS:
+            break
+    q = pref * h
+    p = 1.0 - q
+    if p < 0.0:
+        return 0.0
+    return 1.0 if p > 1.0 else p
+
+
+def scalar_poisson_pmf(k, x):
+    """Oracle: x^k e^-x / Gamma(k+1) for one pair."""
+    if x <= 0.0:
+        return 1.0 if k == 0 else 0.0
+    return math.exp(k * math.log(x) - x - math.lgamma(k + 1.0))
+
+
+def mixed_pairs(n, seed):
+    """(a, x) pairs with a in (0.01, 300) and x in [0, 400): x = 0, x on
+    either side of the switch at a + 1, the underflowing prefactor of
+    x far below a, and the rest spread over the square."""
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(math.log(0.01), math.log(300.0), n))
+    x = rng.uniform(0.0, 400.0, n)
+    q = n // 8
+    x[:q] = np.minimum(a[:q] + 1.0 + rng.uniform(-0.5, 0.5, q), 399.0)
+    x[q : 2 * q] = a[q : 2 * q] * rng.uniform(0.0, 2.0, q)
+    a[2 * q : 2 * q + q // 4] = rng.uniform(250.0, 300.0, q // 4)
+    x[2 * q : 2 * q + q // 4] = rng.uniform(0.0, 5.0, q // 4)
+    x[2 * q + q // 4 : 2 * q + q // 2] = 0.0
+    return a, x
+
+
+def test_kernel_matches_scalar_oracle_bit_for_bit():
+    a, x = mixed_pairs(40_000, seed=17)
+    want = np.array([scalar_reg_lower_gamma(u, v) for u, v in zip(a.tolist(), x.tolist())])
+    assert np.array_equal(reg_lower_gamma(a, x), want)
+    # every branch is taken: x <= 0, the underflow, the series and the fraction
+    with np.errstate(divide="ignore"):
+        lg = a * np.log(x) - x - np.array([math.lgamma(u) for u in a.tolist()])
+    assert np.sum(x == 0.0) > 1000
+    assert np.sum((x > 0.0) & (lg < -746.0)) > 1000
+    assert np.sum((lg > -744.0) & (x < a + 1.0)) > 1000
+    assert np.sum((lg > -744.0) & (x >= a + 1.0)) > 1000
+    # and one call on the same pairs as a (1, n) row against a column
+    assert np.array_equal(reg_lower_gamma(a[None, :200], x[:50, None]), np.array(
+        [[scalar_reg_lower_gamma(u, v) for u in a[:200].tolist()] for v in x[:50].tolist()]
+    ))
+
+
+def test_poisson_pmf_matches_scalar_oracle_bit_for_bit():
+    k, x = mixed_pairs(10_000, seed=18)
+    k[:100] = 0.0
+    want = np.array([scalar_poisson_pmf(u, v) for u, v in zip(k.tolist(), x.tolist())])
+    assert np.array_equal(poisson_pmf(k, x), want)
+
+
+def test_kernel_lentz_floor_matches_oracle(monkeypatch):
+    # with the floor raised, the Lentz denominators fall below it often,
+    # so the continued fraction takes its stepped-again path
+    monkeypatch.setattr(driftinv.gammainc, "_TINY", 0.3)
+    a, x = mixed_pairs(2_000, seed=19)
+    fraction = (x >= a + 1.0) & (x > 0.0)
+    a, x = a[fraction], x[fraction]
+    want = np.array([scalar_reg_lower_gamma(u, v, tiny=0.3) for u, v in zip(a.tolist(), x.tolist())])
+    assert np.array_equal(reg_lower_gamma(a, x), want)
+    assert not np.array_equal(want, [scalar_reg_lower_gamma(u, v) for u, v in zip(a.tolist(), x.tolist())])
+
+
+@pytest.mark.parametrize("fn", [reg_lower_gamma, poisson_pmf])
+def test_kernel_keeps_shapes(fn):
+    one = fn(2.5, 3.0)
+    assert type(one) is float and one == fn(np.array([2.5]), 3.0)[0]
+    assert fn(np.float64(2.5), np.array(3.0)) == one
+    assert fn(np.array([1.0, 2.5, 9.0]), 3.0).shape == (3,)
+    assert fn(np.ones((2, 1)), np.array([0.0, 1.0, 2.0])).shape == (2, 3)
+    assert fn(np.ones((4, 0)), 1.0).shape == (4, 0)
+
+
+def test_kernel_raises_no_warning():
+    a, x = mixed_pairs(2_000, seed=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reg_lower_gamma(a, x)
+        poisson_pmf(a, x)
+        reg_lower_gamma(np.array([1e-3, 5.0, 300.0]), np.array([[0.0], [1e-300], [1e300]]))
 
 
 def gamma_pdf(spec, s):
@@ -159,3 +294,16 @@ def test_poisson_pmf_matches_scipy():
         )
     assert poisson_pmf(0, 0.0) == 1.0
     assert poisson_pmf(2, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("fn", [gamma_cdf, literal_integrand_cdf, truncated_mean])
+def test_cdfs_take_a_time_array(fn):
+    # one call on a grid gives the bits of one call per time
+    spec = GammaSpec(shape=37.3, rate=4.2)
+    grid = np.linspace(0.0, 20.0, 101)
+    got = fn(spec, grid)
+    assert got.shape == grid.shape
+    assert got.tolist() == [fn(spec, t) for t in grid.tolist()]
+    assert type(fn(spec, 2.0)) is float
+    with pytest.raises(DomainError, match="got -0.5"):
+        fn(spec, np.array([0.0, 1.0, -0.5, -1.0]))

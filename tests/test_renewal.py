@@ -20,9 +20,12 @@ from driftinv import (
     gamma_cdf,
 )
 import driftinv.renewal
+from driftinv import renewal
 from driftinv.demand import batch_jump_times
 from driftinv.gammainc import reg_lower_gamma
 from driftinv.renewal import expected_renewal_sums, first_passage_times, renewal_series
+
+from test_gamma import scalar_poisson_pmf, scalar_reg_lower_gamma
 
 
 def test_fpt_spec_reference_values(ref_process, ref_policy):
@@ -174,35 +177,119 @@ def test_series_matches_two_evaluation_form(shape0, dshape, rate, t):
     assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12 * scale)
 
 
-def test_one_incomplete_gamma_call_per_term(monkeypatch, ref_process, ref_policy, series_cfg):
+def scalar_renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
+    """Oracle: the renewal series at one time, one scalar incomplete gamma
+    per term, as (sum_cdf, sum_integrated, n_terms, last_term, converged)."""
+    x = rate * t
+    total_cdf = 0.0
+    total_int = 0.0
+    last = 0.0
+    for n in range(1, n_max + 1):
+        k = shape0 + dshape * (n - 1)
+        cdf = scalar_reg_lower_gamma(k, x)
+        last = cdf
+        if cdf < tail_tol:
+            return total_cdf, total_int, n - 1, last, True
+        term_int = t * cdf - (k / rate) * (cdf - scalar_poisson_pmf(k, x))
+        if term_int < 0.0:
+            term_int = 0.0
+        total_cdf += cdf
+        total_int += term_int
+    return total_cdf, total_int, n_max, last, False
+
+
+def assert_matches_scalar_series(shape0, dshape, rate, grid, tail_tol, n_max):
+    got_cdf, got_int, got_terms, got_last, got_conv = renewal_series(
+        shape0, dshape, rate, np.array(grid), tail_tol, n_max
+    )
+    want = [scalar_renewal_series(shape0, dshape, rate, t, tail_tol, n_max) for t in grid]
+    assert got_cdf.tolist() == [w[0] for w in want]
+    assert got_int.tolist() == [w[1] for w in want]
+    assert got_last.tolist() == [w[3] for w in want]
+    assert got_conv.tolist() == [w[4] for w in want]
+    assert got_terms == sum(w[2] for w in want)
+    # each time alone, as the 0-d case, gives its own count and the same bits
+    for t, w in zip(grid, want):
+        one = renewal_series(shape0, dshape, rate, t, tail_tol, n_max)
+        assert (float(one[0]), float(one[1]), one[2], float(one[3]), bool(one[4])) == w
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    shape0=st.floats(0.1, 100.0),
+    dshape=st.floats(0.5, 100.0),
+    rate=st.floats(0.1, 30.0),
+    grid=st.lists(st.one_of(st.floats(0.0, 60.0), st.floats(1e-6, 1e-2)), min_size=1, max_size=40),
+    n_max=st.sampled_from([1, 3, 10_000]),
+)
+def test_grid_series_matches_scalar_series(shape0, dshape, rate, grid, n_max):
+    assert_matches_scalar_series(shape0, dshape, rate, [0.0] + grid, 1e-12, n_max)
+
+
+def test_grid_series_matches_scalar_series_on_the_sweep_blocks():
+    # the reference shapes and rate, on the grids of the shipped sweep
+    for t_end in (12.0, 60.0):
+        for a in (40.0, 50.0, 60.0):
+            for q in (45.0, 55.0):
+                grid = np.linspace(0.0, t_end, 61).tolist()
+                assert_matches_scalar_series(a / 5.0, q / 5.0, 10.0, grid, 1e-12, 10_000)
+
+
+def test_grid_hitting_n_max_names_its_first_time(ref_process, ref_policy):
+    cfg = RenewalSeriesConfig(tail_tol=1e-12, n_max=3)
+    # 0.05 converges after one term, 10.0 and then 2.0 reach the cap
+    grid = [0.0, 0.05, 10.0, 2.0]
+    with pytest.raises(SeriesNotConvergedError) as exc:
+        expected_renewal_sums(ref_process, ref_policy, np.array(grid), cfg)
+    total, _, n_terms, last, converged = scalar_renewal_series(10.0, 10.0, 10.0, 10.0, 1e-12, 3)
+    assert not converged
+    err = exc.value
+    assert (err.t, err.partial_sum, err.n_terms, err.last_term) == (10.0, total, 3, last)
+    assert str(err) == (
+        f"renewal series hit the cap n_max=3 at t=10.0 with the last term {last:.3e} "
+        f"still >= tail_tol={1e-12:.3e}"
+    )
+
+
+def test_series_evaluates_each_term_once_and_at_most_a_block_past_its_stop(
+    monkeypatch, ref_process, ref_policy, series_cfg
+):
     calls = []
 
     def counting(a, x):
-        calls.append((a, x))
+        calls.append((np.asarray(a), np.asarray(x)))
         return reg_lower_gamma(a, x)
 
     monkeypatch.setattr(driftinv.renewal, "reg_lower_gamma", counting)
-    for shape0, dshape, rate, t in [
-        (10.0, 10.0, 10.0, 12.0),
-        (9.86, 10.34, 10.0, 60.0),
-        (0.3, 0.7, 2.0, 5.0),
-        (5.0, 5.0, 1.0, 0.0),
-    ]:
+    cases = [
+        (10.0, 10.0, 10.0, [12.0], 10_000),
+        (9.86, 10.34, 10.0, [60.0], 10_000),
+        (0.3, 0.7, 2.0, [5.0], 10_000),
+        (5.0, 5.0, 1.0, [0.0], 10_000),
+        (10.0, 10.0, 10.0, np.linspace(0.0, 60.0, 61).tolist(), 10_000),
+        (10.0, 10.0, 10.0, np.linspace(0.0, 6.0, 2100).tolist(), 10_000),
+        (10.0, 10.0, 10.0, [0.0, 2.0, 12.0, 60.0], 3),
+    ]
+    for shape0, dshape, rate, grid, n_max in cases:
         calls.clear()
-        _, _, n_terms, _, converged = renewal_series(shape0, dshape, rate, t, 1e-12, 10_000)
-        assert converged
-        # one P(k, x) per summed term, and one for the term below tail_tol
-        assert len(calls) == n_terms + 1
-        assert [a for a, _ in calls] == [shape0 + dshape * i for i in range(n_terms + 1)]
-    calls.clear()
-    # a series cut at n_max evaluates exactly its n_max terms
-    *_, n_terms, _, converged = renewal_series(10.0, 10.0, 10.0, 12.0, 1e-12, 3)
-    assert (n_terms, converged, len(calls)) == (3, False, 3)
+        renewal_series(shape0, dshape, rate, np.array(grid), 1e-12, n_max)
+        shapes = [shape0 + dshape * i for i in range(n_max)]
+        for t in grid:
+            want = scalar_renewal_series(shape0, dshape, rate, t, 1e-12, n_max)
+            needed = min(want[2] + 1, n_max)
+            # the shapes of each call that evaluated this time
+            blocks = [a.tolist() for a, x in calls if np.any(x[:, 0] == rate * t)]
+            evaluated = [k for b in blocks for k in b]
+            # k_1, k_2, ... once each, in order, never past k_{n_max}
+            assert evaluated == shapes[: len(evaluated)]
+            assert needed <= len(evaluated) <= n_max
+            # past the term that stopped it, at most the rest of its last block
+            assert len(evaluated) - needed < len(blocks[-1])
+        assert all(np.broadcast(a, x).size <= renewal._BLOCK_ELEMENTS for a, x in calls)
     # the path every cost curve takes, at the reference shapes 10, 20, ... and rate 10
-    n_terms = renewal_series(10.0, 10.0, 10.0, 12.0, 1e-12, 10_000)[2]
     calls.clear()
-    expected_renewal_sums(ref_process, ref_policy, 12.0, series_cfg)
-    assert len(calls) == n_terms + 1
+    expected_renewal_sums(ref_process, ref_policy, np.linspace(0.0, 12.0, 49), series_cfg)
+    assert len(calls) == 1
 
 
 def test_empirical_cdf_basics(ref_process, ref_policy):
