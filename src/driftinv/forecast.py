@@ -270,13 +270,18 @@ def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, period_c
     ``actuals`` is an (S, P) array over the simulated periods of S
     series; ``forecasts`` is another, or None for the on-hand trigger.
     ``R``, ``Q``, ``c_h``, ``c_so`` and ``order_charge`` hold one value
-    per grid row, shape (G,).  Each period: order Q (it arrives
-    immediately) when the inventory, less the period's forecast if there
-    is one, is at or below R, subtract the demand, then accrue holding
-    on positive and shortage on negative end-of-period inventory;
-    backorders go negative.  The loop runs over the P periods on (G, S)
-    state, and every elementwise step is the one a per-pair scalar loop
-    takes, in the same order, so each pair gets that loop's bits.
+    per grid row, shape (G,); Q and the costs are finite and the costs
+    nonnegative, as ``_grid_rows`` checks.  Each period: order Q (it
+    arrives immediately) when the inventory, less the period's forecast
+    if there is one, is at or below R, subtract the demand, then accrue
+    holding on positive and shortage on negative end-of-period
+    inventory; backorders go negative.  The loop runs over the P periods
+    on (G, S) state, and every pair gets the bits of a per-pair scalar
+    loop that takes the same steps in the same order.  Where that loop
+    adds nothing (no order, or a cost whose sign test fails) this one
+    adds a zero: Q or a charge times False, or a cost clipped at 0.0 by
+    ``np.maximum``.  A sum plus a zero is the sum, because every sum
+    starts at +0.0 and so is never -0.0.
 
     Returns (G, S) arrays: ordering, holding and shortage cost, order
     count and whether the inventory ever went negative.  A (G, P)
@@ -286,31 +291,39 @@ def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, period_c
     act = np.ascontiguousarray(np.asarray(actuals, dtype=np.float64).T)
     if forecasts is not None:
         fc = np.ascontiguousarray(np.asarray(forecasts, dtype=np.float64).T)
-    R, Q, c_h, c_so, charge = (
-        np.asarray(v, dtype=np.float64).reshape(-1, 1) for v in (R, Q, c_h, c_so, order_charge)
+    shape = (np.size(R), act.shape[1])
+    R, Q, c_h, neg_c_so, charge = (
+        np.asarray(v, dtype=np.float64).reshape(-1, 1)
+        for v in (R, Q, c_h, -np.asarray(c_so, dtype=np.float64), order_charge)
     )
-    shape = (R.shape[0], act.shape[1])
     inv = np.full(shape, float(x0))
+    lowest = inv.copy()
     ordering = np.zeros(shape)
     holding = np.zeros(shape)
     shortage = np.zeros(shape)
     orders = np.zeros(shape, dtype=np.int64)
-    stockout = np.zeros(shape, dtype=bool)
+    order = np.empty(shape, dtype=bool)
+    added, h, s, cost = (np.empty(shape) for _ in range(4))
     for k in range(act.shape[0]):
-        order = (inv if forecasts is None else inv - fc[k]) <= R
-        np.add(inv, Q, out=inv, where=order)
+        if forecasts is None:
+            np.less_equal(inv, R, out=order)
+        else:
+            np.subtract(inv, fc[k], out=added)
+            np.less_equal(added, R, out=order)
         orders += order
-        np.add(ordering, charge, out=ordering, where=order)
+        inv += np.multiply(Q, order, out=added)
+        ordering += np.multiply(charge, order, out=added)
         inv -= act[k]
-        h = np.where(inv > 0.0, c_h * inv, 0.0)
-        s = np.where(inv < 0.0, -c_so * inv, 0.0)
-        stockout |= inv < 0.0
-        holding += h
-        shortage += s
+        np.minimum(lowest, inv, out=lowest)
+        holding += np.maximum(np.multiply(c_h, inv, out=h), 0.0, out=h)
+        shortage += np.maximum(np.multiply(neg_c_so, inv, out=s), 0.0, out=s)
         if period_cost is not None:
-            cost = np.where(order, charge, 0.0) + h + s
-            period_cost[:, k] = np.cumsum(cost, axis=1)[:, -1]
-    return ordering, holding, shortage, orders, stockout
+            cost.fill(0.0)
+            cost += added
+            cost += h
+            cost += s
+            period_cost[:, k] = np.cumsum(cost, axis=1, out=cost)[:, -1]
+    return ordering, holding, shortage, orders, lowest < 0.0
 
 
 def rolling_forecast(series, cfg: ExperimentConfig) -> np.ndarray:
@@ -332,30 +345,40 @@ def rolling_forecast(series, cfg: ExperimentConfig) -> np.ndarray:
 def croston_forecast(series, smoothing: float = 0.1) -> np.ndarray:
     """Croston recursion: exponential smoothing of nonzero sizes and of
     inter-demand intervals; element k forecasts period k from the prior
-    history (0 until the first demand)."""
+    history (0 until the first demand).
+
+    ``series`` is one series or an (S, n) matrix of S series, and the
+    result has its shape.  The recursion steps all series at once, one
+    period at a time, with each series' scalar operations in their
+    order: size += s*(y - size), interval += s*(since - interval), and
+    size/interval once a demand has been seen."""
     if not 0 < smoothing <= 1:
         raise ParameterError(f"smoothing must be in (0, 1], got {smoothing}")
     y = np.asarray(series, dtype=np.float64)
-    if np.any(y < 0):
-        raise ParameterError("demand series must be nonnegative")
-    out = np.zeros(y.size)
-    size = 0.0
-    interval = 0.0
-    seen = False
-    since = 0
-    for k in range(y.size):
-        out[k] = size / interval if seen else 0.0
-        since += 1
-        if y[k] > 0:
-            if not seen:
-                size = y[k]
-                interval = float(since)
-                seen = True
-            else:
-                size += smoothing * (y[k] - size)
-                interval += smoothing * (since - interval)
-            since = 0
-    return out
+    if not np.all(np.isfinite(y)) or np.any(y < 0):
+        raise ParameterError("demand series must be finite and nonnegative")
+    # period-major, so that every step reads and writes contiguous rows
+    y_t = np.ascontiguousarray(np.atleast_2d(y).T)
+    out = np.zeros(y_t.shape)
+    n_series = y_t.shape[1]
+    size = np.zeros(n_series)
+    interval = np.zeros(n_series)
+    since = np.zeros(n_series)
+    seen = np.zeros(n_series, dtype=bool)
+    for k, y_k in enumerate(y_t):
+        np.divide(size, interval, out=out[k], where=seen)
+        since += 1.0
+        # until its first demand a series holds the period's size and
+        # interval, so that at the first one the smoothing steps below
+        # add s*0.0 and leave them as the scalar loop sets them
+        np.copyto(size, y_k, where=~seen)
+        np.copyto(interval, since, where=~seen)
+        hit = y_k > 0.0
+        np.add(size, smoothing * (y_k - size), out=size, where=hit)
+        np.add(interval, smoothing * (since - interval), out=interval, where=hit)
+        seen |= hit
+        np.copyto(since, 0.0, where=hit)
+    return out.T.reshape(y.shape)
 
 
 def generate_demand_series(cfg: ExperimentConfig) -> np.ndarray:
@@ -369,15 +392,13 @@ def generate_demand_series(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def experiment_forecasts(series_mat: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """Forecast matrix aligned with the simulated periods of every series."""
-    n_fc = cfg.n_sim_periods
-    out = np.empty((series_mat.shape[0], n_fc))
+    """Forecast matrix aligned with the simulated periods of every series;
+    Croston forecasts every series in one call."""
+    if cfg.forecaster == "croston":
+        return croston_forecast(series_mat)[:, cfg.sim_start - 1 : cfg.sim_end]
+    out = np.empty((series_mat.shape[0], cfg.n_sim_periods))
     for i in range(series_mat.shape[0]):
-        if cfg.forecaster == "croston":
-            fc = croston_forecast(series_mat[i])
-            out[i] = fc[cfg.sim_start - 1 : cfg.sim_end]
-        else:
-            out[i] = rolling_forecast(series_mat[i], cfg)
+        out[i] = rolling_forecast(series_mat[i], cfg)
     return out
 
 
@@ -427,11 +448,17 @@ def run_table_experiment(cfg: ExperimentConfig, param_grid=None):
     ordering, holding, shortage, orders, stockout = discrete_sim(
         actuals_mat, forecasts_mat, cfg.policy.x0, *grid_rows
     )
-    # each row's statistics come from a contiguous 1-D slice: a reduction
-    # along an axis of the 2-D arrays may sum in another order
+    # every row of these C-ordered (G, S) arrays is one contiguous run,
+    # which a reduction along axis 1 sums in the order a 1-D call on that
+    # row takes (test_row_statistics_equal_per_row_calls pins it)
     totals = ordering + holding + shortage
-    orders = orders.astype(np.float64)
-    stockout = stockout.astype(np.float64)
+    mean_total = totals.mean(axis=1)
+    if n_series > 1:
+        stderr_total = np.std(totals, axis=1, ddof=1) / np.sqrt(n_series)
+    else:
+        stderr_total = np.zeros(len(param_grid))
+    mean_orders = orders.astype(np.float64).mean(axis=1)
+    stockout_rate = stockout.astype(np.float64).mean(axis=1)
     return [
         TableRow(
             R=R,
@@ -439,12 +466,10 @@ def run_table_experiment(cfg: ExperimentConfig, param_grid=None):
             c_h=c_h,
             c_o=c_o,
             c_so=c_so,
-            mean_total=float(np.mean(totals[g])),
-            stderr_total=float(
-                np.std(totals[g], ddof=1) / np.sqrt(n_series) if n_series > 1 else 0.0
-            ),
-            mean_orders=float(np.mean(orders[g])),
-            stockout_rate=float(np.mean(stockout[g])),
+            mean_total=float(mean_total[g]),
+            stderr_total=float(stderr_total[g]),
+            mean_orders=float(mean_orders[g]),
+            stockout_rate=float(stockout_rate[g]),
         )
         for g, (R, Q, c_h, c_o, c_so) in enumerate(param_grid)
     ]

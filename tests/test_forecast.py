@@ -66,6 +66,29 @@ def scalar_discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, p
     return ordering, holding, shortage, orders, stockout
 
 
+def scalar_croston_forecast(y, smoothing):
+    """Croston's recursion on one series, period by period: the reference
+    the batched ``croston_forecast`` must reproduce bit for bit."""
+    out = np.zeros(y.size)
+    size = 0.0
+    interval = 0.0
+    seen = False
+    since = 0
+    for k in range(y.size):
+        out[k] = size / interval if seen else 0.0
+        since += 1
+        if y[k] > 0:
+            if not seen:
+                size = y[k]
+                interval = float(since)
+                seen = True
+            else:
+                size += smoothing * (y[k] - size)
+                interval += smoothing * (since - interval)
+            since = 0
+    return out
+
+
 def assert_batch_matches_scalar(actuals, forecasts, x0, R, Q, c_h, c_so, charge):
     n_series, n_periods = actuals.shape
     period_cost = np.empty((R.size, n_periods))
@@ -279,6 +302,63 @@ def test_croston_examples():
         croston_forecast([-1.0])
 
 
+@pytest.mark.parametrize("series", [[np.nan, 5.0, 0.0, 3.0], [np.inf, 5.0, 0.0]])
+def test_croston_rejects_non_finite_demand(series):
+    # NaN passed the old y < 0 check and read as "no demand"; inf gave
+    # inf and then nan forecasts
+    with pytest.raises(ParameterError, match="demand series must be finite and nonnegative"):
+        croston_forecast(series)
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        croston_forecast(np.array([[1.0] * len(series), series]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    n_series=st.integers(1, 6),
+    n_periods=st.integers(1, 12),
+    smoothing=st.sampled_from([1.0, 1e-3, 0.1]) | st.floats(1e-4, 1.0),
+)
+def test_batched_croston_matches_scalar_recursion(data, n_series, n_periods, smoothing):
+    # rows mix zeros with lattice and off-lattice sizes; one row is all
+    # zeros and one sees its first demand in the last period
+    size = st.sampled_from([0.0, 0.0, 1.0, 5.0]) | st.floats(1e-6, 50.0)
+    y = np.array(
+        data.draw(st.lists(size, min_size=n_series * n_periods, max_size=n_series * n_periods))
+    ).reshape(n_series, n_periods)
+    y[0] = 0.0
+    if n_series > 1:
+        y[1, :-1] = 0.0
+        y[1, -1] = data.draw(st.floats(1e-6, 50.0))
+    want = np.array([scalar_croston_forecast(row, smoothing) for row in y])
+    got = croston_forecast(y, smoothing)
+    assert got.shape == y.shape
+    assert got.tobytes() == want.tobytes()
+    one = croston_forecast(y[-1], smoothing)  # a 1-D series is the one-row case
+    assert one.shape == (n_periods,)
+    assert one.tobytes() == want[-1].tobytes()
+
+
+def test_experiment_makes_one_croston_call(monkeypatch):
+    # every series goes through one call, so forecast.croston.self_s
+    # holds all Croston time
+    calls = []
+
+    def counted(series, *args, **kwargs):
+        calls.append(np.shape(series))
+        return croston_forecast(series, *args, **kwargs)
+
+    monkeypatch.setattr(driftinv.forecast, "croston_forecast", counted)
+    cfg = make_cfg(n_series=7, forecaster="croston", trigger="forecast_projected")
+    series_mat = generate_demand_series(cfg)
+    fc = experiment_forecasts(series_mat, cfg)
+    assert calls == [series_mat.shape]
+    assert fc.shape == (7, cfg.n_sim_periods)
+    run_table_experiment(cfg, TABLE1_GRID[:2])
+    cumulative_cost_profile(cfg)
+    assert calls == [series_mat.shape] * 3
+
+
 def test_reorder_sim_zero_demand(ref_policy):
     costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=OrderingMode.PER_ORDER)
     n = 10
@@ -435,7 +515,7 @@ def scalar_experiment(cfg, grid):
         rows.append((
             R, Q, c_h, c_o, c_so,
             float(np.mean(totals)),
-            float(np.std(totals, ddof=1) / np.sqrt(n_series)),
+            float(np.std(totals, ddof=1) / np.sqrt(n_series)) if n_series > 1 else 0.0,
             float(np.mean(np.array([r[3] for r in res], dtype=np.float64))),
             float(np.mean(np.array([float(r[4]) for r in res]))),
         ))
@@ -463,6 +543,24 @@ def test_table_and_profile_equal_scalar_replay(trigger, mode):
     rows = run_table_experiment(cfg, TABLE1_GRID)
     assert repr([tuple(vars(r).values()) for r in rows]) == repr(want_rows)
     assert cumulative_cost_profile(cfg)[1].tobytes() == want_profile.tobytes()
+
+
+@pytest.mark.parametrize("n_series", [1, 2, 129, 257])
+def test_row_statistics_equal_per_row_calls(n_series):
+    # the table takes its statistics along axis 1 of the (G, S) arrays;
+    # they must equal np.mean/np.std on each row as a 1-D array, with no
+    # tolerance: one series takes the stderr 0.0 branch, and 129 and 257
+    # cross numpy's 128-element pairwise-sum block
+    cfg = make_cfg(
+        n_series=n_series, forecaster="croston", trigger="forecast_projected",
+        process=ProcessParams(mu=5.3, alpha=9.7, lam=1.1),
+    )
+    grid = [TABLE1_GRID[0], TABLE1_GRID[-1]]
+    want_rows, _ = scalar_experiment(cfg, grid)
+    rows = run_table_experiment(cfg, grid)
+    assert repr([tuple(vars(r).values()) for r in rows]) == repr(want_rows)
+    if n_series == 1:
+        assert [r.stderr_total for r in rows] == [0.0, 0.0]
 
 
 def test_on_hand_replay_reads_no_forecast(monkeypatch):
