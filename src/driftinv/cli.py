@@ -168,31 +168,25 @@ def run_validation(cfg):
     # one batch to the latest time; each time keeps the jumps before it
     stats = path_stats(cfg.process, cfg.policy, cfg.validate_times, cfg.n_paths, cfg.base_seed)
     _, _, total = path_costs(cfg.costs, cfg.policy.Q, stats)
+    exact = exact_moments(cfg.process, cfg.policy, cfg.costs, cfg.validate_times, cfg.series)
+    quantities = {
+        "expected_orders": (exact.orders, stats["orders"]),
+        "expected_inventory": (exact.inventory, stats["inv_end"]),
+        "integrated_orders": (exact.integrated_orders, stats["int_renewals"]),
+        "total_cost": (exact.cost.total, total),
+    }
     for k, t in enumerate(cfg.validate_times):
-        exact = exact_moments(cfg.process, cfg.policy, cfg.costs, t, cfg.series)
-        ana = {
-            "expected_orders": exact.orders,
-            "expected_inventory": exact.inventory,
-            "integrated_orders": exact.integrated_orders,
-            "total_cost": exact.cost.total,
-        }
-        mc = {
-            "expected_orders": stats["orders"][k],
-            "expected_inventory": stats["inv_end"][k],
-            "integrated_orders": stats["int_renewals"][k],
-            "total_cost": total[k],
-        }
-        for name in ("expected_orders", "expected_inventory", "integrated_orders", "total_cost"):
-            sample = mc[name]
+        for name, (ana, mc) in quantities.items():
+            sample, analytical = mc[k], float(ana[k])
             mc_mean = float(np.mean(sample))
             stderr = float(np.std(sample, ddof=1) / np.sqrt(sample.size))
             limit = 3.0 * stderr
-            diff = abs(ana[name] - mc_mean)
+            diff = abs(analytical - mc_mean)
             rows.append(
                 {
                     "quantity": name,
                     "t": t,
-                    "analytical": float(ana[name]),
+                    "analytical": analytical,
                     "mc_mean": mc_mean,
                     "mc_stderr": stderr,
                     "abs_diff": diff,

@@ -1,24 +1,25 @@
 """Closed-form expected inventory and expected total cost.
 
-Expected inventory is x0 - (mu + alpha*lam) t + Q * E[orders by t]; the
-expected total cost is its ordering plus its holding component.  Two
-closed forms of E[orders] are kept side by side:
+Expected inventory is x0 - (mu + alpha*lam) t + Q E[R_t], with R_t the
+order count; the expected total cost is its ordering plus its holding
+component, from E[R_t] and E[int_0^t R].  Two closed forms give that
+pair under one contract: a scalar time gives floats and a grid arrays of
+its shape, the series is summed once over the whole grid, and the first
+bad time of the grid is named in a DomainError or, from the one cap
+check (``renewal.check_converged``), a SeriesNotConvergedError.
 
-- the paper's gamma first-passage series (``renewal.py``), used by
-  ``expected_total_cost``, ``cost_curve`` and ``sweep``; the last two
-  sum it once per (a, Q) curve, over its whole grid, and derive every
-  cost from that one pass;
-- the exact Poisson-law form (``exact_moments``).  With zero lead time
-  cumulative demand D_t = mu*t + alpha*N_t is monotone, so the order
-  count is R_t = max(floor((D_t - a)/Q) + 1, 0) and E[R_t], E[X_t] and
-  E[int_0^t R] are sums over the Poisson law of N_t.
+- ``expected_renewal_sums``: the paper's gamma first-passage series
+  (``renewal.py``), behind ``expected_total_cost``, ``cost_curve`` and
+  ``sweep``, which sum it once per (a, Q) curve;
+- ``exact_renewal_sums``: the exact Poisson-law form, behind
+  ``exact_moments``.  With zero lead time D_t = mu*t + alpha*N_t is
+  monotone, so R_t = max(floor((D_t - a)/Q) + 1, 0) and both sums are
+  series over the Poisson law of N_t.
 
 The same identity puts the inventory in (x0 - a, x0 - a + Q] once D_t
-reaches a, and above x0 - a before, so nothing is ever short: the
-breakdown's shortage is 0.0, kept only for the shortage column of the
-cost CSVs.  The Monte Carlo has no shortage term by the same argument;
-only its minimum inventory (``shortage_fraction``) would show a
-departure from this.
+reaches a and above x0 - a before, so nothing is ever short: the
+breakdown's shortage is 0.0, kept only for the cost CSVs' shortage
+column, and the Monte Carlo has no shortage term either.
 """
 
 import math
@@ -26,11 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SeriesNotConvergedError
+from .demand import first_true
+from .errors import ParameterError
 from .gammainc import poisson_pmf, reg_lower_gamma
 from .params import CostParams, PolicyParams, ProcessParams
 from .renewal import (  # expected_integrated_renewals: a name perfbench/layers.py traces here
     RenewalSeriesConfig,
+    as_times,
+    check_converged,
     expected_integrated_renewals,  # noqa: F401
     expected_renewal_sums,
     expected_renewals,
@@ -75,21 +79,16 @@ class CostCurve:
         return np.array([p.total for p in self.points])
 
 
-def _inventory(params: ProcessParams, policy: PolicyParams, t: float, orders: float) -> float:
-    """x0 - (mu + alpha*lam) t + Q * orders, with ``orders`` = E[R_t]."""
+def _inventory(params: ProcessParams, policy: PolicyParams, t, orders):
+    """x0 - (mu + alpha*lam) t + Q * orders elementwise, ``orders`` = E[R_t]."""
     return policy.x0 - params.demand_rate * t + policy.Q * orders
 
 
 def _breakdown(
-    params: ProcessParams,
-    policy: PolicyParams,
-    costs: CostParams,
-    t: float,
-    orders: float,
-    integrated_orders: float,
+    params: ProcessParams, policy: PolicyParams, costs: CostParams, t, orders, integrated_orders
 ) -> CostBreakdown:
-    """Cost components from E[R_t] and E[int_0^t R]; holding is c_h times
-    E[int_0^t X] = x0 t - (mu + alpha*lam) t^2 / 2 + Q E[int_0^t R]."""
+    """Cost components from E[R_t] and E[int_0^t R], elementwise; holding is
+    c_h E[int_0^t X] = c_h (x0 t - (mu + alpha*lam) t^2 / 2 + Q E[int_0^t R])."""
     ordering = costs.order_cost(policy.Q) * orders
     holding = costs.c_h * (
         policy.x0 * t - 0.5 * t * t * params.demand_rate + policy.Q * integrated_orders
@@ -124,105 +123,104 @@ def expected_total_cost(
 
 @dataclass(frozen=True)
 class ExactMoments:
-    """Exact expectations at time t under the Poisson law of demand."""
+    """Exact expectations under the Poisson law of demand, at t or over a grid."""
 
-    orders: float  # E[R_t]
-    integrated_orders: float  # E[int_0^t R_s ds]
-    inventory: float  # E[X_t]
+    orders: float | np.ndarray  # E[R_t]
+    integrated_orders: float | np.ndarray  # E[int_0^t R_s ds]
+    inventory: float | np.ndarray  # E[X_t]
     cost: CostBreakdown
 
 
-def _min_jumps(level: float, drift: float, alpha: float) -> int:
-    """Smallest k >= 0 with drift + alpha*k >= level, the comparison the
-    Monte Carlo makes when it fires an order."""
-    k = max(math.ceil((level - drift) / alpha), 0)
-    while k > 0 and drift + alpha * (k - 1) >= level:
-        k -= 1
-    while drift + alpha * k < level:
-        k += 1
-    return k
+def _poisson_tails(tails, x, k):
+    """``tails`` (row i: P(N_t >= k), k = 0, 1, ..., at lam*t = x[i]) widened
+    in one call to k + 1 columns or twice its width, if k is past its end."""
+    width = tails.shape[1]
+    if k < width:
+        return tails
+    new = np.arange(width, max(k + 1, 2 * width))
+    return np.hstack((tails, reg_lower_gamma(new, x[:, None])))
 
 
-def _exact_series(
-    params: ProcessParams, policy: PolicyParams, t: float, cfg: RenewalSeriesConfig
+def exact_renewal_sums(
+    params: ProcessParams, policy: PolicyParams, t, cfg: RenewalSeriesConfig
 ):
-    """(E[R_t], E[int_0^t R]) as series over the thresholds L_n = a + (n-1)Q.
+    """(E[R_t], E[int_0^t R]) under the exact Poisson law, with the
+    contract of ``expected_renewal_sums``.
 
-    R_t counts the thresholds that D_t has reached, so
-    E[R_t] = sum_n P(D_t >= L_n) = sum_n P(N_t >= j_n), with j_n the
-    fewest jumps that take mu*t + alpha*j_n to L_n.  Likewise
-    E[int_0^t R] = sum_n sum_k int_{s_k}^t P(N_s = k) ds, where
-    s_k = max((L_n - alpha*k)/mu, 0) is when drift carries k jumps' worth
-    of demand to L_n.  Each inner integral is
-    (P(k+1, lam*t) - P(k+1, lam*s_k)) / lam with P the regularized lower
-    incomplete gamma.  From m_n = the fewest jumps with alpha*m_n >= L_n
-    on, s_k = 0 and the terms sum to the Poisson loss
-    E[(N_t - m)^+] = (x - m) P(N_t >= m) + x P(N_t = m - 1), x = lam*t.
-    Terms fall in n, and the series stops at the first P(D_t >= L_n)
-    below ``tail_tol``.  The tails P(N_t >= k) are evaluated for a range
-    of k per call, and the P(k+1, lam*s_k) of every threshold summed in
-    one more call; the sums add them in the order of n and k.
+    R_t counts the thresholds L_n = a + (n-1)Q that D_t has reached, so
+    E[R_t] = sum_n P(N_t >= j_n), with j_n(t) the fewest jumps that take
+    mu*t + alpha*j_n to L_n, and E[int_0^t R] is
+    sum_n sum_k (P(k+1, lam*t) - P(k+1, lam*s_k)) / lam, P the regularized
+    lower incomplete gamma, where drift carries k jumps' worth of demand
+    to L_n at s_k = max((L_n - alpha*k)/mu, 0).  From m_n, the fewest jumps
+    with alpha*m_n >= L_n, on s_k = 0 and the terms sum to the Poisson loss
+    (x - m) P(N_t >= m) + x P(N_t = m - 1), x = lam*t.  A time stops at its
+    first P(N_t >= j_n) below ``tail_tol``.
+
+    The loop over n steps all times still summing.  The tails P(N_t >= k)
+    are one (time x k) matrix, widened when a k outruns it, and every
+    P(k+1, lam*s_k) (free of t) and P(N_t = m_n - 1) comes from one call.
+    A time adds its terms in the order of n, and within n the loss, then
+    the k terms in order (a sequential cumsum; k < j_n(t) adds 0.0).
     """
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    times = as_times(t)
     mu, alpha, lam = params.mu, params.alpha, params.lam
-    x = lam * t
-    # P(N_t >= k) for k = 0, 1, ...: the first call covers k < x + 8 sqrt(x)
-    # + 16, where the tail is far below the usual tail_tol, and any later
-    # one doubles the range
-    tails = [1.0]
-
-    def tail(k):
-        if k >= len(tails):
-            stop = max(k + 1, 2 * len(tails), int(x + 8.0 * math.sqrt(x)) + 16)
-            tails.extend(reg_lower_gamma(np.arange(len(tails), stop), x).tolist())
-        return tails[k]
-
-    total_r = 0.0
-    summed = []  # (L_n, j_n, m_n) of the thresholds in the sums
+    x = lam * times.ravel()
+    drift = mu * times.ravel()
+    # first k < x + 8 sqrt(x) + 16 at the latest time, where the tail is
+    # far below the usual tail_tol
+    x_max = float(x.max(initial=0.0))
+    tails = _poisson_tails(np.ones((x.size, 1)), x, int(x_max + 8.0 * math.sqrt(x_max)) + 15)
+    total_r, last = np.zeros(x.size), np.zeros(x.size)
+    active = np.arange(x.size)
+    summed = []  # (L_n, the times that sum threshold n, their j_n)
     for n in range(1, cfg.n_max + 1):
-        level = policy.threshold(n)
-        j = _min_jumps(level, mu * t, alpha)
-        p = tail(j)
-        if p < cfg.tail_tol:
+        if not active.size:
             break
-        total_r += p
-        summed.append((level, j, _min_jumps(level, 0.0, alpha)))
-    else:
-        raise SeriesNotConvergedError(
-            f"exact series hit the cap n_max={cfg.n_max} at t={t} with the "
-            f"last term {p:.3e} still >= tail_tol={cfg.tail_tol:.3e}",
-            partial_sum=total_r,
-            n_terms=cfg.n_max,
-            last_term=p,
-            t=t,
-        )
-    # one incomplete-gamma call for P(k+1, lam*s_k), j_n <= k < m_n, of every threshold
-    levels = np.array([level for level, j, m in summed for _ in range(j, m)])
-    ks = np.array([k for _, j, m in summed for k in range(j, m)], dtype=np.float64)
-    at_s = iter(reg_lower_gamma(ks + 1.0, lam * (levels - alpha * ks) / mu).tolist())
-    pmfs = poisson_pmf(np.array([m - 1 for *_, m in summed]), x)
-    total_int = 0.0
-    for (_, j, m), pmf in zip(summed, pmfs.tolist()):
-        acc = (x - m) * tail(m) + x * pmf
-        for k in range(j, m):
-            acc += tail(k + 1) - next(at_s)
-        total_int += acc / lam
-    return total_r, total_int
+        level = policy.threshold(n)
+        d = drift[active]
+        j = first_true(lambda k: d + alpha * k >= level, (level - d) / alpha)
+        tails = _poisson_tails(tails, x, int(j.max()))
+        p = tails[active, j]
+        last[active] = p
+        keep = ~(p < cfg.tail_tol)
+        active, j = active[keep], j[keep]
+        if active.size:
+            total_r[active] += p[keep]
+            summed.append((level, active, j))
+    check_converged("exact", cfg, times, total_r.reshape(times.shape), last.reshape(times.shape))
+    levels = np.array([level for level, _, _ in summed])
+    ms = first_true(lambda k: alpha * k >= levels, levels / alpha)
+    tails = _poisson_tails(tails, x, int(ms.max(initial=0)))
+    # P(k+1, lam*s_k) for every threshold n and k from its least j_n(t) to m_n - 1
+    ranges = [range(int(j.min()), m) for (_, _, j), m in zip(summed, ms.tolist())]
+    ks = np.array([k for r in ranges for k in r], dtype=np.float64)
+    levels_k = np.repeat(levels, [len(r) for r in ranges])
+    at_s = reg_lower_gamma(ks + 1.0, lam * (levels_k - alpha * ks) / mu)
+    pmfs = poisson_pmf(ms - 1, x[:, None])
+    total_int = np.zeros(x.size)
+    for col, ((_, rows, j), m, r) in enumerate(zip(summed, ms.tolist(), ranges)):
+        k = np.arange(r.start, r.stop)
+        s, at_s = at_s[: k.size], at_s[k.size :]
+        xr = x[rows]
+        terms = np.empty((rows.size, k.size + 1))
+        terms[:, 0] = (xr - m) * tails[rows, m] + xr * pmfs[rows, col]
+        terms[:, 1:] = np.where(k >= j[:, None], tails[rows[:, None], k + 1] - s, 0.0)
+        total_int[rows] += np.cumsum(terms, axis=1)[:, -1] / lam
+    er, ei = total_r.reshape(times.shape), total_int.reshape(times.shape)
+    if times.ndim == 0:
+        return float(er), float(ei)
+    return er, ei
 
 
 def exact_moments(
-    params: ProcessParams,
-    policy: PolicyParams,
-    costs: CostParams,
-    t: float,
-    cfg: RenewalSeriesConfig,
+    params: ProcessParams, policy: PolicyParams, costs: CostParams, t, cfg: RenewalSeriesConfig
 ) -> ExactMoments:
-    """Exact E[R_t], E[int_0^t R], E[X_t] and expected cost breakdown at t.
-
-    Truncation follows ``cfg`` as the gamma series does; hitting
-    ``cfg.n_max`` raises SeriesNotConvergedError."""
-    er, ei = _exact_series(params, policy, t, cfg)
+    """Exact E[R_t], E[int_0^t R], E[X_t] and expected cost breakdown at t,
+    under the contract of ``exact_renewal_sums``."""
+    er, ei = exact_renewal_sums(params, policy, t, cfg)
+    if np.ndim(t):
+        t = np.asarray(t, dtype=np.float64)
     return ExactMoments(
         orders=er,
         integrated_orders=ei,
@@ -285,11 +283,7 @@ def negative_inventory_times(
     drift mu.  With mu=5, alpha=0.1, lam=1 the series converges in at
     most two terms on [0, 40], yet E[R_20] is 4.6e-5 against the exact
     2.0.  Flagged so reports can mark them."""
-    return [
-        t
-        for t, er in zip(curve.grid.tolist(), curve.orders.tolist())
-        if _inventory(params, policy, t, er) < 0
-    ]
+    return curve.grid[_inventory(params, policy, curve.grid, curve.orders) < 0].tolist()
 
 
 def sweep(

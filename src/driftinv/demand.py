@@ -50,6 +50,24 @@ CHUNK_PATHS = 128
 ROUND_GAPS = 64
 
 
+def first_true(pred, x):
+    """Smallest k >= 0 with pred(k), elementwise, for pred monotone in k:
+    start at floor(x) + 1, which only a rounding can put off, and step to
+    it.  Counts of thresholds or jumps that demand reaches."""
+    k = np.maximum(np.floor(x) + 1.0, 0.0).astype(np.int64)
+    while True:
+        up = ~pred(k)
+        if not up.any():
+            break
+        k += up
+    while True:
+        down = (k > 0) & pred(k - 1)
+        if not down.any():
+            break
+        k -= down
+    return k
+
+
 @dataclass(frozen=True)
 class SamplePath:
     """One realization of the demand process on [0, horizon); ``seed`` is

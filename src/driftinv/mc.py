@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import SamplePath, batch_jump_times, path_segments, sample_path, truncate_batch
+from .demand import (
+    SamplePath, batch_jump_times, first_true, path_segments, sample_path, truncate_batch
+)
 from .errors import ParameterError
 from .params import CostParams, PolicyParams, ProcessParams
 
@@ -68,23 +70,6 @@ def simulate_events(jumps, mu, alpha, x0, a, Q, horizon):
     return log
 
 
-def _first_true(pred, x):
-    """Smallest k >= 0 with pred(k), for pred monotone in k: start at
-    floor(x) + 1, which only a rounding can put off, and step to it."""
-    k = np.maximum(np.floor(x) + 1.0, 0.0).astype(np.int64)
-    while True:
-        up = ~pred(k)
-        if not up.any():
-            break
-        k += up
-    while True:
-        down = (k > 0) & pred(k - 1)
-        if not down.any():
-            break
-        k -= down
-    return k
-
-
 def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
     """Exact path functionals on [0, horizon] of each packed jump path.
 
@@ -105,12 +90,12 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
     out = np.empty((offsets.shape[0] - 1, 5))
     for seg in path_segments(flat, offsets, alpha, horizon):
         t_end, s_before = seg.t_end, seg.s_before
-        drift = _first_true(
+        drift = first_true(
             lambda k: (a + Q * k - s_before) / mu > t_end, (mu * t_end + s_before - a) / Q
         )
         demand = mu * t_end[seg.is_jump] + seg.s_after[seg.is_jump]
         jump = np.zeros_like(drift)
-        jump[seg.is_jump] = _first_true(lambda k: a + Q * k > demand, (demand - a) / Q)
+        jump[seg.is_jump] = first_true(lambda k: a + Q * k > demand, (demand - a) / Q)
         # orders standing after each segment: a running maximum per path
         shift = seg.path * (int(max(drift.max(), jump.max())) + 1)
         after = np.maximum.accumulate(np.maximum(drift, jump) + shift) - shift

@@ -66,7 +66,7 @@ def fpt_gamma_spec(params: ProcessParams, policy: PolicyParams, n: int) -> Gamma
     return GammaSpec(shape=shape, rate=params.alpha * params.lam)
 
 
-def _times(t) -> np.ndarray:
+def as_times(t) -> np.ndarray:
     """t as a float64 array; DomainError names its first negative time."""
     times = np.asarray(t, dtype=np.float64)
     negative = np.flatnonzero(times < 0)
@@ -77,19 +77,19 @@ def _times(t) -> np.ndarray:
 
 def gamma_cdf(spec: GammaSpec, t):
     """P(T < t) for T ~ Gamma(shape, rate), at each time of t."""
-    return reg_lower_gamma(spec.shape, spec.rate * _times(t))
+    return reg_lower_gamma(spec.shape, spec.rate * as_times(t))
 
 
 def literal_integrand_cdf(spec: GammaSpec, t):
     """Integral of the literal diagnostic integrand
     (rate*s)^(shape-1) / Gamma(shape) * s * exp(-rate*s) on [0, t],
     which is (shape/rate^2) * P(shape + 1, rate*t), at each time of t."""
-    return spec.shape / spec.rate**2 * reg_lower_gamma(spec.shape + 1.0, spec.rate * _times(t))
+    return spec.shape / spec.rate**2 * reg_lower_gamma(spec.shape + 1.0, spec.rate * as_times(t))
 
 
 def truncated_mean(spec: GammaSpec, t):
     """E[T 1{T < t}] for T ~ Gamma(shape, rate), at each time of t."""
-    return spec.mean * reg_lower_gamma(spec.shape + 1.0, spec.rate * _times(t))
+    return spec.mean * reg_lower_gamma(spec.shape + 1.0, spec.rate * as_times(t))
 
 
 # incomplete-gamma values per call of the renewal series, which bounds
@@ -152,6 +152,24 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     return sum_cdf.reshape(t.shape), sum_int.reshape(t.shape), n_terms, last, last < tail_tol
 
 
+def check_converged(series: str, cfg: RenewalSeriesConfig, times, partial, last) -> None:
+    """The cap check of both closed forms: where the last term of E[R_t]
+    is not below ``cfg.tail_tol``, ``series`` hit ``cfg.n_max``, and the
+    error names the first such time of ``times`` with its partial sum."""
+    capped = np.flatnonzero(~(last < cfg.tail_tol))
+    if capped.size:
+        i = capped[0]
+        t_i, last_i = float(times.flat[i]), float(last.flat[i])
+        raise SeriesNotConvergedError(
+            f"{series} series hit the cap n_max={cfg.n_max} at t={t_i} with the "
+            f"last term {last_i:.3e} still >= tail_tol={cfg.tail_tol:.3e}",
+            partial_sum=float(partial.flat[i]),
+            n_terms=cfg.n_max,
+            last_term=last_i,
+            t=t_i,
+        )
+
+
 def expected_renewal_sums(
     params: ProcessParams, policy: PolicyParams, t, cfg: RenewalSeriesConfig
 ):
@@ -160,8 +178,8 @@ def expected_renewal_sums(
     form): floats for a scalar t, arrays of its shape otherwise.  If the
     series hits ``cfg.n_max`` anywhere, the error names the first such
     time in the order of t."""
-    times = _times(t)
-    er, ei, _, last, converged = renewal_series(
+    times = as_times(t)
+    er, ei, _, last, _ = renewal_series(
         policy.a / params.mu,
         policy.Q / params.mu,
         params.alpha * params.lam,
@@ -169,18 +187,7 @@ def expected_renewal_sums(
         cfg.tail_tol,
         cfg.n_max,
     )
-    capped = np.flatnonzero(~converged)
-    if capped.size:
-        i = capped[0]
-        t_i, last_i = float(times.flat[i]), float(last.flat[i])
-        raise SeriesNotConvergedError(
-            f"renewal series hit the cap n_max={cfg.n_max} at t={t_i} with the "
-            f"last term {last_i:.3e} still >= tail_tol={cfg.tail_tol:.3e}",
-            partial_sum=float(er.flat[i]),
-            n_terms=cfg.n_max,
-            last_term=last_i,
-            t=t_i,
-        )
+    check_converged("renewal", cfg, times, er, last)
     if times.ndim == 0:
         return float(er), float(ei)
     return er, ei

@@ -195,6 +195,8 @@ def test_validate_gate_is_three_standard_errors(tmp_path, small_config):
     lines = (out / "validation.csv").read_text().strip().splitlines()
     rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
     assert len(rows) == 12
+    # the columns between quantity and status are plain numbers
+    assert_numeric_cells([",".join(line.split(",")[1:-1]) for line in lines])
     for r in rows:
         assert r["slack"] == "0.0"
         assert float(r["limit"]) == 3.0 * float(r["mc_stderr"])

@@ -1,5 +1,7 @@
 """Closed-form cost engine: breakdowns, curves, sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from driftinv import (
     CostParams,
+    DomainError,
     OrderingMode,
     ParameterError,
     PolicyParams,
@@ -24,13 +27,13 @@ from driftinv import (
     long_run_rate,
     sweep,
 )
+import driftinv.cost
 import driftinv.renewal
 from driftinv.cli import cmd_expected_cost
 from driftinv.config import load_config
 from driftinv.cost import (
     CostBreakdown,
     CostCurve,
-    _min_jumps,
     negative_inventory_times,
     write_sweep_csv,
 )
@@ -375,6 +378,32 @@ def test_expected_cost_sums_one_series_per_curve(tmp_path, series_calls):
     assert np.array_equal(series_calls[0][3], cfg.grid)
 
 
+def scalar_min_jumps(level, drift, alpha):
+    """Oracle: the smallest k >= 0 with drift + alpha*k >= level, the
+    comparison the Monte Carlo makes when it fires an order."""
+    k = max(math.ceil((level - drift) / alpha), 0)
+    while k > 0 and drift + alpha * (k - 1) >= level:
+        k -= 1
+    while drift + alpha * k < level:
+        k += 1
+    return k
+
+
+def scalar_exact_terms(process, policy, t, cfg):
+    """Oracle: the terms P(D_t >= L_n) = P(N_t >= j_n) of E[R_t], threshold
+    by threshold up to the first below ``cfg.tail_tol`` (which is not
+    summed) or to ``cfg.n_max`` terms, with their (L_n, j_n)."""
+    terms = []
+    for n in range(1, cfg.n_max + 1):
+        level = policy.threshold(n)
+        j = scalar_min_jumps(level, process.mu * t, process.alpha)
+        p = 1.0 if j == 0 else scalar_reg_lower_gamma(float(j), process.lam * t)
+        terms.append((p, level, j))
+        if p < cfg.tail_tol:
+            break
+    return terms
+
+
 def scalar_exact_series(process, policy, t, cfg):
     """Oracle: (E[R_t], E[int_0^t R]) threshold by threshold, one scalar
     incomplete gamma per value."""
@@ -387,21 +416,19 @@ def scalar_exact_series(process, policy, t, cfg):
             upper[k] = 1.0 if k == 0 else scalar_reg_lower_gamma(float(k), x)
         return upper[k]
 
+    terms = scalar_exact_terms(process, policy, t, cfg)
+    if not terms[-1][0] < cfg.tail_tol:
+        raise AssertionError("the oracle reached n_max")
     total_r = 0.0
     total_int = 0.0
-    for n in range(1, cfg.n_max + 1):
-        level = policy.threshold(n)
-        j = _min_jumps(level, mu * t, alpha)
-        p = tail(j)
-        if p < cfg.tail_tol:
-            return total_r, total_int
-        m = _min_jumps(level, 0.0, alpha)
+    for p, level, j in terms[:-1]:
+        m = scalar_min_jumps(level, 0.0, alpha)
         acc = (x - m) * tail(m) + x * scalar_poisson_pmf(m - 1, x)
         for k in range(j, m):
             acc += tail(k + 1) - scalar_reg_lower_gamma(k + 1.0, lam * (level - alpha * k) / mu)
         total_r += p
         total_int += acc / lam
-    raise AssertionError("the oracle reached n_max")
+    return total_r, total_int
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -411,15 +438,28 @@ def scalar_exact_series(process, policy, t, cfg):
     lam=st.floats(0.05, 8.0),
     a=st.floats(1.0, 80.0),
     q=st.floats(1.0, 80.0),
-    t=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    times=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=4),
+    repeat=st.integers(0, 10),
 )
-def test_exact_series_matches_threshold_by_threshold_oracle(mu, alpha, lam, a, q, t, ref_costs):
-    # the batched calls give the bits of the one-value-at-a-time series
+def test_exact_series_matches_threshold_by_threshold_oracle(
+    mu, alpha, lam, a, q, times, repeat, ref_costs
+):
+    # one call over an unsorted grid with t = 0 and a repeated time gives
+    # at every time the bits of the one-value-at-a-time series
     process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
     policy = PolicyParams(x0=100.0, a=a, Q=q)
     cfg = RenewalSeriesConfig()
-    m = exact_moments(process, policy, ref_costs, t, cfg)
-    assert (m.orders, m.integrated_orders) == scalar_exact_series(process, policy, t, cfg)
+    grid = [0.0, *times]
+    grid.insert(repeat % (len(grid) + 1), grid[-1])
+    m = exact_moments(process, policy, ref_costs, grid, cfg)
+    assert m.orders.shape == m.integrated_orders.shape == m.inventory.shape == (len(grid),)
+    for t, er, ei in zip(grid, m.orders.tolist(), m.integrated_orders.tolist()):
+        assert (er, ei) == scalar_exact_series(process, policy, t, cfg)
+    # a scalar t gives floats, and the same bits
+    one = exact_moments(process, policy, ref_costs, grid[-1], cfg)
+    values = (one.orders, one.integrated_orders, one.inventory, one.cost.total)
+    assert all(type(v) is float for v in values)
+    assert (one.orders, one.integrated_orders) == (m.orders[-1], m.integrated_orders[-1])
 
 
 def test_sweep_empty_lists_rejected(ref_process, ref_costs, series_cfg):
@@ -537,3 +577,52 @@ def test_exact_series_cap(ref_process, ref_policy, ref_costs):
     assert info.value.n_terms == 2
     assert info.value.t == 10.0
     assert info.value.last_term >= cfg.tail_tol
+
+
+def test_exact_grid_hitting_n_max_names_its_first_time(ref_process, ref_policy, ref_costs):
+    # as the gamma series: 0.0 and 0.05 converge within two terms, 10.0
+    # and then 2.0 reach the cap, and the error names 10.0
+    cfg = RenewalSeriesConfig(tail_tol=1e-12, n_max=2)
+    with pytest.raises(SeriesNotConvergedError) as exc:
+        exact_moments(ref_process, ref_policy, ref_costs, np.array([0.0, 0.05, 10.0, 2.0]), cfg)
+    for t, converged in ((0.0, True), (0.05, True), (10.0, False), (2.0, False)):
+        terms = scalar_exact_terms(ref_process, ref_policy, t, cfg)
+        assert (terms[-1][0] < cfg.tail_tol) == converged
+    terms = [p for p, _, _ in scalar_exact_terms(ref_process, ref_policy, 10.0, cfg)]
+    err = exc.value
+    assert (err.t, err.partial_sum, err.n_terms, err.last_term) == (10.0, sum(terms), 2, terms[-1])
+    assert str(err) == (
+        f"exact series hit the cap n_max=2 at t=10.0 with the last term {terms[-1]:.3e} "
+        f"still >= tail_tol={1e-12:.3e}"
+    )
+
+
+def test_exact_grid_with_a_negative_time_names_it(ref_process, ref_policy, ref_costs, series_cfg):
+    with pytest.raises(DomainError, match=r"got -0\.5$"):
+        exact_moments(ref_process, ref_policy, ref_costs, [1.0, -0.5, 2.0, -3.0], series_cfg)
+
+
+def test_exact_series_evaluation_count_does_not_grow_with_the_grid(
+    monkeypatch, ref_process, ref_policy, ref_costs, series_cfg
+):
+    # the tails are one matrix per grid and P(k+1, lam*s_k) does not depend
+    # on t, so a 121-point grid makes as many incomplete-gamma and pmf calls
+    # as a 3-point one with the same last time: no call per time
+    calls = []
+
+    def counting(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(driftinv.cost, "reg_lower_gamma", counting(driftinv.cost.reg_lower_gamma))
+    monkeypatch.setattr(driftinv.cost, "poisson_pmf", counting(driftinv.cost.poisson_pmf))
+    counts = []
+    for grid in ([2.0, 7.0, 12.0], np.linspace(0.0, 12.0, 121)):
+        calls.clear()
+        exact_moments(ref_process, ref_policy, ref_costs, grid, series_cfg)
+        counts.append((calls.count("reg_lower_gamma"), calls.count("poisson_pmf")))
+    assert counts[0] == counts[1]
+    assert counts[0][1] == 1
