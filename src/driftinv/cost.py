@@ -10,7 +10,7 @@ check (``renewal.check_converged``), a SeriesNotConvergedError.
 
 - ``expected_renewal_sums``: the paper's gamma first-passage series
   (``renewal.py``), behind ``expected_total_cost``, ``cost_curve`` and
-  ``sweep``, which sum it once per (a, Q) curve;
+  ``sweep``, which sum it once per curve and once per sweep;
 - ``exact_renewal_sums``: the exact Poisson-law form, behind
   ``exact_moments``.  With zero lead time D_t = mu*t + alpha*N_t is
   monotone, so R_t = max(floor((D_t - a)/Q) + 1, 0) and both sums are
@@ -38,6 +38,7 @@ from .renewal import (  # expected_integrated_renewals: a name perfbench/layers.
     expected_integrated_renewals,  # noqa: F401
     expected_renewal_sums,
     expected_renewals,
+    policy_renewal_sums,
 )
 
 CSV_HEADER = "a,Q,c_h,c_o,c_so,mode,t,ordering,holding,shortage,total"
@@ -299,23 +300,25 @@ def sweep(
     lexicographic order.  Yields (a, Q, costs, t, CostBreakdown) rows.
 
     The renewal series does not depend on the costs, so it is summed
-    once per (a, Q), over the whole grid, and every entry of
-    ``costs_list`` is applied to those (E[R_t], E[int_0^t R]) pairs."""
+    once, over every (a, Q) and the whole grid, and every entry of
+    ``costs_list`` is applied to each (a, Q)'s (E[R_t], E[int_0^t R])
+    pairs."""
     if not (len(costs_list) and len(a_list) and len(Q_list)):
         raise ParameterError("sweep lists must be non-empty")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ParameterError("sweep grid must be non-empty")
     times = grid.tolist()
+    policies = [PolicyParams(x0=x0, a=a, Q=Q) for a in a_list for Q in Q_list]
+    er, ei = policy_renewal_sums(params, policies, grid, cfg)
     rows = []
-    for a in a_list:
-        for Q in Q_list:
-            policy = PolicyParams(x0=x0, a=a, Q=Q)
-            er, ei = expected_renewal_sums(params, policy, grid, cfg)
-            sums = list(zip(times, er.tolist(), ei.tolist()))
-            for costs in costs_list:
-                for t, er_t, ei_t in sums:
-                    rows.append((a, Q, costs, t, _breakdown(params, policy, costs, t, er_t, ei_t)))
+    for policy, er_p, ei_p in zip(policies, er.tolist(), ei.tolist()):
+        sums = list(zip(times, er_p, ei_p))
+        for costs in costs_list:
+            for t, er_t, ei_t in sums:
+                rows.append(
+                    (policy.a, policy.Q, costs, t, _breakdown(params, policy, costs, t, er_t, ei_t))
+                )
     return rows
 
 

@@ -11,14 +11,17 @@ Both functions take arrays: the arguments broadcast together, and
 each element gets the arithmetic of the one-element algorithm in its
 order, so a value does not depend on what it is evaluated with.  The
 iterations step all elements not yet converged at once, a block of
-steps at a time, and each element takes the value of the step its own
-stopping test first passes.  Scalar arguments give a float.  The
-working arrays of one call are bounded (``_SLICE``, ``_BLOCK``)
+steps at a time (``_STEPS`` steps of the series, each a few in-place
+ufuncs; for the continued fraction, ``_BLOCK`` values), and each
+element takes the value of the step its own stopping test first
+passes.  Scalar arguments give a float.  The elements are taken
+``_SLICE`` at a time, which bounds the working arrays of one call
 whatever its size.
 
-log Gamma(a) is math.lgamma, the one log-gamma in the package; the
-logs and exponentials of the prefactor are also the math module's,
-taken per element, because numpy's round differently in the last bit.
+log Gamma(a) is math.lgamma, the one log-gamma in the package, taken
+once per distinct value of a; the logs and exponentials of the
+prefactor are also the math module's, taken per element, because
+numpy's round differently in the last bit.
 ``poisson_pmf`` is the one x^k e^-x / Gamma(k+1), the step of the
 recurrence P(k+1, x) = P(k, x) - x^k e^-x / Gamma(k+1) (DLMF 8.8.5;
 Abramowitz & Stegun 6.5.21).
@@ -31,15 +34,25 @@ import numpy as np
 _MAX_ITER = 20000
 _EPS = 1e-16
 _TINY = 1e-300
-# elements per pass of the iterations, and values per block of their
-# steps: together they bound the working arrays of any one call
-_SLICE = 1024
+# elements per pass of the iterations, steps of the power series per
+# block between two stopping tests, and values per block of the
+# continued fraction's steps: together they bound the working arrays of
+# any one call
+_SLICE = 2048
+_STEPS = 8
 _BLOCK = 8192
 
 
 def _math_map(fn, v):
     """The math-module function fn of every element of the array v."""
-    return np.array([fn(u) for u in v.ravel().tolist()], dtype=np.float64).reshape(v.shape)
+    return np.fromiter(map(fn, v.ravel().tolist()), np.float64, v.size).reshape(v.shape)
+
+
+def _lgamma(a):
+    """math.lgamma of every element of the array a, taken once per
+    distinct value."""
+    distinct, inverse = np.unique(a, return_inverse=True)
+    return _math_map(math.lgamma, distinct)[inverse].reshape(a.shape)
 
 
 def _log_prefactor(power, x, lgamma):
@@ -59,7 +72,7 @@ def poisson_pmf(k, x):
     overflow."""
     k = np.asarray(k, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    lg = _log_prefactor(k, x, _math_map(math.lgamma, k + 1.0))
+    lg = _log_prefactor(k, x, _lgamma(k + 1.0))
     out = np.zeros(lg.shape)
     out[np.broadcast_to(k == 0.0, lg.shape)] = 1.0
     live = np.broadcast_to(~(x <= 0.0), lg.shape)
@@ -70,13 +83,14 @@ def poisson_pmf(k, x):
 def reg_lower_gamma(a, x):
     """P(a, x) for a > 0, elementwise over a and x broadcast together.
 
-    math.lgamma is taken once per element of a and math.log once per
-    element of x, before they are broadcast, so a row of n shapes
-    against a column of m points takes n log-gammas and m logs."""
+    math.lgamma is taken once per distinct value of a and math.log once
+    per element of x, before they are broadcast, so a row of n shapes
+    against a column of m points takes n log-gammas and m logs, and so
+    does an (m, n) block of shapes whose rows repeat the same n."""
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     # log prefactor x^a e^-x / Gamma(a); P = 0 where x <= 0
-    lg = _log_prefactor(a, x, _math_map(math.lgamma, a))
+    lg = _log_prefactor(a, x, _lgamma(a))
     a, x = np.broadcast_to(a, lg.shape), np.broadcast_to(x, lg.shape)
     out = np.zeros(lg.shape)
     live = ~(x <= 0.0)
@@ -109,37 +123,45 @@ def _series(a, x):
     term below _EPS of its sum (every term is positive, so this is the
     test |term| < |total| * _EPS).
 
-    The steps ap += 1, term *= x / ap, total += term are taken a block
-    at a time, each as a sequential accumulate along a row; the elements
-    that converged in a block drop out."""
+    The steps ap += 1, term *= x / ap, total += term are taken _STEPS at
+    a time over every element still pending, each as an in-place ufunc
+    that writes one row of a block: the block's ap and then x / ap, one
+    call for all rows, then its terms and sums.  The stopping test is
+    taken once per block; each element takes the sum of its first
+    passing step, and the elements that passed drop out."""
     out = np.empty(a.size)
     idx = np.arange(a.size)
     ap = a
     term = total = 1.0 / a
+    terms = np.empty((_STEPS, a.size))
+    totals = np.empty((_STEPS, a.size))
     steps = 0
-    width = 32
     while idx.size and steps < _MAX_ITER:
-        n = idx.size
-        width = min(width, max(_BLOCK // n, 8), _MAX_ITER - steps)
-        aps = np.ones((n, width + 1))
-        aps[:, 0] = ap
-        aps = np.add.accumulate(aps, axis=1)
-        terms = np.empty((n, width + 1))
-        terms[:, 0] = term
-        np.divide(x[:, None], aps[:, 1:], out=terms[:, 1:])
-        terms = np.multiply.accumulate(terms, axis=1)
-        totals = terms.copy()
-        totals[:, 0] = total
-        totals = np.add.accumulate(totals, axis=1)
-        done = terms[:, 1:] < totals[:, 1:] * _EPS
-        hit = done.any(axis=1)
-        rows = np.flatnonzero(hit)
-        out[idx[rows]] = totals[rows, done[rows].argmax(axis=1) + 1]
-        keep = ~hit
-        idx, x = idx[keep], x[keep]
-        ap, term, total = aps[keep, -1], terms[keep, -1], totals[keep, -1]
+        width = min(_STEPS, _MAX_ITER - steps)
+        ts, us = terms[:width, : idx.size], totals[:width, : idx.size]
+        # the rows of terms hold the block's ap, then x / ap, then its
+        # terms: term (a row of the last block) is copied out first, and
+        # the block's last ap before the division
+        term = term.copy()
+        for t_row in ts:
+            ap = np.add(ap, 1.0, out=t_row)
+        ap = ap.copy()
+        np.divide(x, ts, out=ts)
+        for t_row, u_row in zip(ts, us):
+            np.multiply(term, t_row, out=t_row)
+            np.add(total, t_row, out=u_row)
+            term, total = t_row, u_row
         steps += width
-        width *= 2
+        # x / ap < 1, so no term is larger than the one before it and no
+        # sum smaller: an element that passed the test at a step of the
+        # block passes it at the last one
+        hit = ts[-1] < us[-1] * _EPS
+        if hit.any():
+            cols = np.flatnonzero(hit)
+            first = (ts[:, cols] < us[:, cols] * _EPS).argmax(axis=0)
+            out[idx[cols]] = us[first, cols]
+            keep = ~hit
+            idx, x, ap, term, total = idx[keep], x[keep], ap[keep], term[keep], total[keep]
     out[idx] = total
     return out
 

@@ -99,18 +99,22 @@ _BLOCK_ELEMENTS = 2048
 
 def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     """Sum CDF terms and their integrated counterparts at each time of t,
-    until there the CDF term drops below tail_tol.  Returns (sum_cdf,
-    sum_integrated, n_terms, last_term, converged): n_terms counts the
-    terms summed over all of t, and the rest are arrays of t's shape.  A
-    time that did not converge summed n_max terms.
+    until there the CDF term drops below tail_tol.  shape0, dshape and t
+    broadcast together, so that for example shape0 and dshape of shape
+    (curves, 1) against a grid t sum one series per curve (a row) and
+    grid time (a column) in one pass.  Returns (sum_cdf, sum_integrated,
+    n_terms, last_term, converged): n_terms counts the terms summed over
+    all elements, and the rest are arrays of the broadcast shape.  An
+    element that did not converge summed n_max terms.
 
-    Term n has the shape k = shape0 + dshape*(n-1) at every time, so the
+    Term n of an element has the shape k = shape0 + dshape*(n-1), so the
     terms are evaluated in blocks: 32 consecutive n, then twice as many
-    each time, at the times still summing, and at most _BLOCK_ELEMENTS
-    values per call of ``reg_lower_gamma``.  A time stops at its first
-    term below tail_tol, and its sums add its terms in order of n (a
-    sequential cumsum), so each time gets the bits a loop over n at that
-    time alone gives.  Past that term, at most the rest of its block is
+    each time, at the elements still summing, and at most _BLOCK_ELEMENTS
+    values per call of ``reg_lower_gamma`` (whose shapes are then an
+    (elements x terms) block).  An element stops at its first term below
+    tail_tol, and its sums add its terms in order of n (a sequential
+    cumsum), so each gets the bits a loop over n at that time and shape
+    alone gives.  Past that term, at most the rest of its block is
     evaluated.
 
     The integrated term of shape k is t*P(k, x) - (k/rate)*P(k+1, x),
@@ -118,8 +122,11 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     each term costs one incomplete-gamma evaluation.  Where x is far
     below k the subtraction keeps the term accurate to the scale
     (k/rate)*P(k, x), not to its own much smaller size."""
-    t = np.asarray(t, dtype=np.float64)
-    times = t.ravel()
+    shape0, dshape, t = np.broadcast_arrays(
+        np.asarray(shape0, dtype=np.float64), np.asarray(dshape, dtype=np.float64),
+        np.asarray(t, dtype=np.float64),
+    )
+    shape0, dshape, times = shape0.ravel(), dshape.ravel(), t.ravel()
     sum_cdf = np.zeros(times.size)
     sum_int = np.zeros(times.size)
     last = np.zeros(times.size)
@@ -130,7 +137,7 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
         width = 32
         while active.size and n < n_max:
             width = min(width, _BLOCK_ELEMENTS // active.size, n_max - n)
-            k = shape0 + dshape * np.arange(n, n + width)
+            k = shape0[active][:, None] + dshape[active][:, None] * np.arange(n, n + width)
             ta = times[active][:, None]
             x = rate * ta
             cdf = reg_lower_gamma(k, x)
@@ -170,6 +177,27 @@ def check_converged(series: str, cfg: RenewalSeriesConfig, times, partial, last)
         )
 
 
+def policy_renewal_sums(params: ProcessParams, policies, t, cfg: RenewalSeriesConfig):
+    """(E[orders by t], E[integral of the order count over [0, t]]) for
+    every policy of ``policies`` at every time of t (gamma-series form),
+    as arrays with one row per policy and t's shape after it, from one
+    pass of the renewal series over all of them.  If the series hits
+    ``cfg.n_max`` anywhere, the error names the first such time of the
+    first such policy."""
+    times = as_times(t)
+    rows = (len(policies),) + (1,) * times.ndim
+    er, ei, _, last, _ = renewal_series(
+        np.array([p.a for p in policies], dtype=np.float64).reshape(rows) / params.mu,
+        np.array([p.Q for p in policies], dtype=np.float64).reshape(rows) / params.mu,
+        params.alpha * params.lam,
+        times,
+        cfg.tail_tol,
+        cfg.n_max,
+    )
+    check_converged("renewal", cfg, np.broadcast_to(times, er.shape), er, last)
+    return er, ei
+
+
 def expected_renewal_sums(
     params: ProcessParams, policy: PolicyParams, t, cfg: RenewalSeriesConfig
 ):
@@ -178,19 +206,10 @@ def expected_renewal_sums(
     form): floats for a scalar t, arrays of its shape otherwise.  If the
     series hits ``cfg.n_max`` anywhere, the error names the first such
     time in the order of t."""
-    times = as_times(t)
-    er, ei, _, last, _ = renewal_series(
-        policy.a / params.mu,
-        policy.Q / params.mu,
-        params.alpha * params.lam,
-        times,
-        cfg.tail_tol,
-        cfg.n_max,
-    )
-    check_converged("renewal", cfg, times, er, last)
-    if times.ndim == 0:
-        return float(er), float(ei)
-    return er, ei
+    er, ei = policy_renewal_sums(params, [policy], t, cfg)
+    if er.ndim == 1:
+        return float(er[0]), float(ei[0])
+    return er[0], ei[0]
 
 
 def expected_renewals(

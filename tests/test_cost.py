@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftinv import (
@@ -362,13 +362,88 @@ def series_calls(monkeypatch):
 
 
 def test_sweep_sums_one_series_per_a_q(ref_process, series_cfg, series_calls):
-    # one series over the whole grid per (a, Q) curve, which every costs
+    # one series over the whole grid for the whole sweep, with a row of
+    # shapes per (a, Q) curve in the sweep's order, which every costs
     # entry then shares
     costs_list = [CostParams(c_o=c, c_h=1.0, c_so=10.0) for c in (5.0, 7.5, 10.0)]
     a_list, q_list, grid = [40.0, 50.0, 60.0], [50.0, 60.0], np.linspace(0.0, 6.0, 7)
     sweep(ref_process, costs_list, a_list, q_list, grid, series_cfg)
-    assert len(series_calls) == len(a_list) * len(q_list)
-    assert all(np.array_equal(args[3], grid) for args in series_calls)
+    assert len(series_calls) == 1
+    shape0, dshape, rate, t = series_calls[0][:4]
+    pairs = [(a, Q) for a in a_list for Q in q_list]
+    assert shape0.shape == dshape.shape == (len(pairs), 1)
+    assert shape0[:, 0].tolist() == [a / ref_process.mu for a, _ in pairs]
+    assert dshape[:, 0].tolist() == [Q / ref_process.mu for _, Q in pairs]
+    assert rate == ref_process.alpha * ref_process.lam
+    assert np.array_equal(t, grid)
+
+
+def first_per_curve_error(process, policies, grid, cfg):
+    """The SeriesNotConvergedError a loop of one series per policy raises
+    first, or None."""
+    for policy in policies:
+        try:
+            driftinv.renewal.expected_renewal_sums(process, policy, np.array(grid), cfg)
+        except SeriesNotConvergedError as err:
+            return err
+    return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(1.0, 10.0),
+    alpha=st.floats(0.5, 10.0),
+    lam=st.floats(0.05, 2.0),
+    a_list=st.lists(st.floats(1.0, 80.0), min_size=1, max_size=3),
+    q_list=st.lists(st.floats(10.0, 80.0), min_size=1, max_size=3),
+    times=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=12),
+    repeat=st.integers(0, 20),
+    n_max=st.sampled_from([1, 2, 3, 5]),
+)
+# the grid is [0, 1, 0.5, 1]; the curves (79, 10) and (79, 20) converge,
+# and (5, 10) and then (5, 20) hit the cap with other partial sums, each
+# at t = 1 and 0.5
+@example(
+    mu=5.0, alpha=1.0, lam=1.0, a_list=[79.0, 5.0], q_list=[10.0, 20.0], times=[0.5, 1.0],
+    repeat=1, n_max=2,
+)
+def test_batched_sweep_matches_one_series_per_curve(
+    mu, alpha, lam, a_list, q_list, times, repeat, n_max
+):
+    # one series over every (a, Q) and an unsorted grid with t = 0 and a
+    # repeated time gives each curve the bits of a series of its own, also
+    # cut into at least 3 blocks of _BLOCK_ELEMENTS, and the cap error of
+    # the first curve and time a loop of one series per curve stops at
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0)
+    cfg = RenewalSeriesConfig()
+    grid = [0.0, *times]
+    grid.insert(repeat % (len(grid) + 1), grid[-1])
+    policies = [PolicyParams(x0=100.0, a=a, Q=Q) for a in a_list for Q in q_list]
+    rows = sweep(process, [costs], a_list, q_list, grid, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driftinv.renewal, "_BLOCK_ELEMENTS", len(policies) * len(grid) // 3)
+        er, ei = driftinv.renewal.policy_renewal_sums(process, policies, grid, cfg)
+        capped = RenewalSeriesConfig(n_max=n_max)
+        want_error = first_per_curve_error(process, policies, grid, capped)
+        if want_error is not None:
+            with pytest.raises(SeriesNotConvergedError) as exc:
+                sweep(process, [costs], a_list, q_list, grid, capped)
+            got, want = exc.value, want_error
+            assert str(got) == str(want)
+            assert (got.t, got.partial_sum, got.n_terms, got.last_term) == (
+                want.t, want.partial_sum, want.n_terms, want.last_term
+            )
+    assert er.shape == ei.shape == (len(policies), len(grid))
+    for i, policy in enumerate(policies):
+        want_er, want_ei = driftinv.renewal.expected_renewal_sums(process, policy, grid, cfg)
+        assert er[i].tolist() == want_er.tolist()
+        assert ei[i].tolist() == want_ei.tolist()
+        got = [bd for _, _, _, _, bd in rows[i * len(grid) : (i + 1) * len(grid)]]
+        assert got == [
+            driftinv.cost._breakdown(process, policy, costs, t, r, s)
+            for t, r, s in zip(grid, want_er.tolist(), want_ei.tolist())
+        ]
 
 
 def test_expected_cost_sums_one_series_per_curve(tmp_path, series_calls):

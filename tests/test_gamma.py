@@ -123,6 +123,71 @@ def test_poisson_pmf_matches_scalar_oracle_bit_for_bit():
     assert np.array_equal(poisson_pmf(k, x), want)
 
 
+def assert_matches_oracle(a, x):
+    want = [scalar_reg_lower_gamma(u, v) for u, v in zip(a.tolist(), x.tolist())]
+    assert reg_lower_gamma(a, x).tolist() == want
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["1", "slice-1", "slice", "slice+1"])
+def test_kernel_matches_oracle_at_the_slice_edges(offset):
+    n = 1 if offset is None else driftinv.gammainc._SLICE + offset
+    a, x = mixed_pairs(n, seed=21)
+    assert_matches_oracle(a, x)
+    # all n in one branch, so that the series and the fraction each get
+    # a call of n elements
+    assert_matches_oracle(a, a * 0.5)
+    assert_matches_oracle(a, a + 1.5)
+
+
+def series_steps(a, x):
+    """Steps the oracle's power series takes for one pair with x < a + 1."""
+    ap, term = a, 1.0 / a
+    total = term
+    for step in range(1, MAX_ITER + 1):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * EPS:
+            return step
+    return MAX_ITER
+
+
+def test_series_elements_stopping_at_every_offset_of_a_block():
+    # one call whose series elements stop at every step of a block of
+    # _STEPS, so each offset of the stopping test's block is taken
+    rng = np.random.default_rng(23)
+    a = np.exp(rng.uniform(math.log(0.05), math.log(200.0), 400))
+    x = a * rng.uniform(0.01, 1.0, 400)
+    steps = np.array([series_steps(u, v) for u, v in zip(a.tolist(), x.tolist())])
+    offsets = steps % driftinv.gammainc._STEPS
+    assert set(offsets.tolist()) == set(range(driftinv.gammainc._STEPS))
+    assert np.all(x < a + 1.0) and steps.max() > 4 * driftinv.gammainc._STEPS
+    assert_matches_oracle(a, x)
+
+
+def test_repeated_shapes_take_one_lgamma_each(monkeypatch):
+    # an (m, n) block of shapes with m equal rows, and some repeats
+    # within a row, as the renewal series passes them
+    shapes = np.array([0.37, 2.5, 2.5, 9.86, 37.3, 120.5, 0.37])
+    a = np.tile(shapes, (30, 1))
+    x = np.linspace(0.0, 150.0, 30)[:, None]
+    want = [[scalar_reg_lower_gamma(u, v) for u in shapes.tolist()] for v in x[:, 0].tolist()]
+    want_pmf = [[scalar_poisson_pmf(u, v) for u in shapes.tolist()] for v in x[:, 0].tolist()]
+    lgammas = []
+    lgamma = math.lgamma
+
+    def counting(v):
+        lgammas.append(v)
+        return lgamma(v)
+
+    monkeypatch.setattr(math, "lgamma", counting)
+    assert reg_lower_gamma(a, x).tolist() == want
+    assert sorted(lgammas) == sorted(set(shapes.tolist()))
+    lgammas.clear()
+    assert poisson_pmf(a, x).tolist() == want_pmf
+    assert sorted(lgammas) == sorted(set((shapes + 1.0).tolist()))
+
+
 def test_kernel_lentz_floor_matches_oracle(monkeypatch):
     # with the floor raised, the Lentz denominators fall below it often,
     # so the continued fraction takes its stepped-again path

@@ -277,8 +277,11 @@ def test_series_evaluates_each_term_once_and_at_most_a_block_past_its_stop(
         for t in grid:
             want = scalar_renewal_series(shape0, dshape, rate, t, 1e-12, n_max)
             needed = min(want[2] + 1, n_max)
-            # the shapes of each call that evaluated this time
-            blocks = [a.tolist() for a, x in calls if np.any(x[:, 0] == rate * t)]
+            # the shapes of each call that evaluated this time: its row of
+            # the call's (times x terms) block of shapes
+            rows = [(a, np.flatnonzero(x[:, 0] == rate * t)) for a, x in calls]
+            assert all(r.size <= 1 for _, r in rows)
+            blocks = [a[r[0]].tolist() for a, r in rows if r.size]
             evaluated = [k for b in blocks for k in b]
             # k_1, k_2, ... once each, in order, never past k_{n_max}
             assert evaluated == shapes[: len(evaluated)]
