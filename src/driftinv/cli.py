@@ -57,9 +57,9 @@ def cmd_expected_cost(cfg, out_dir):
         out_dir / "expected_cost.svg",
         curve.grid,
         [
-            ("total", curve.totals()),
-            ("ordering", [p.ordering for p in curve.points]),
-            ("holding", [p.holding for p in curve.points]),
+            ("total", curve.cost.total),
+            ("ordering", curve.cost.ordering),
+            ("holding", curve.cost.holding),
         ],
         title="Expected total cost over time",
         xlabel="t",
@@ -84,23 +84,21 @@ def cmd_sweep(cfg, out_dir):
     q_list = raw["Q_list"]
     c = cfg.costs
     costs_list = [CostParams(c_o, c.c_h, c.c_so, c.ordering_mode) for c_o in raw["c_o_list"]]
-    rows = sweep(cfg.process, costs_list, a_list, q_list, cfg.grid, cfg.series, x0=cfg.policy.x0)
+    cost = sweep(cfg.process, costs_list, a_list, q_list, cfg.grid, cfg.series, x0=cfg.policy.x0)
     csv_file = out_dir / "sweep.csv"
-    write_sweep_csv(rows, csv_file)
-
-    def curve_for(a, Q, costs):
-        return [
-            bd.total
-            for (ra, rq, rc, _, bd) in rows
-            if ra == a and rq == Q and rc is costs
-        ]
-
+    write_sweep_csv(cost, costs_list, a_list, q_list, cfg.grid, csv_file)
+    # totals[i, j, k] is the curve of (a_list[i], q_list[j], costs_list[k]);
+    # a repeated a or Q has equal curves, so its first index stands for it
+    totals = cost.total.reshape(len(a_list), len(q_list), len(costs_list), -1)
     base_a, base_q = cfg.policy.a, cfg.policy.Q
     if base_a in a_list and base_q in q_list:
         line_chart(
             out_dir / "sweep_vary_co.svg",
             cfg.grid,
-            [(f"c_o={c.c_o:g}", curve_for(base_a, base_q, c)) for c in costs_list],
+            [
+                (f"c_o={c.c_o:g}", curve)
+                for c, curve in zip(costs_list, totals[a_list.index(base_a), q_list.index(base_q)])
+            ],
             title=f"Total cost, a={base_a:g} Q={base_q:g}, ordering cost varied",
             xlabel="t",
             ylabel="total cost",
@@ -109,7 +107,7 @@ def cmd_sweep(cfg, out_dir):
         line_chart(
             out_dir / "sweep_vary_a.svg",
             cfg.grid,
-            [(f"a={a:g}", curve_for(a, base_q, costs_list[0])) for a in a_list],
+            [(f"a={a:g}", curve) for a, curve in zip(a_list, totals[:, q_list.index(base_q), 0])],
             title=f"Total cost, Q={base_q:g} c_o={costs_list[0].c_o:g}, threshold varied",
             xlabel="t",
             ylabel="total cost",
@@ -118,12 +116,12 @@ def cmd_sweep(cfg, out_dir):
         line_chart(
             out_dir / "sweep_vary_q.svg",
             cfg.grid,
-            [(f"Q={q:g}", curve_for(base_a, q, costs_list[0])) for q in q_list],
+            [(f"Q={q:g}", curve) for q, curve in zip(q_list, totals[a_list.index(base_a), :, 0])],
             title=f"Total cost, a={base_a:g} c_o={costs_list[0].c_o:g}, order quantity varied",
             xlabel="t",
             ylabel="total cost",
         )
-    print(f"wrote {csv_file} ({len(rows)} rows)")
+    print(f"wrote {csv_file} ({cost.total.size} rows)")
     return 0
 
 
@@ -296,7 +294,7 @@ def cmd_compare(cfg, out_dir):
     periods, cum = cumulative_cost_profile(cfg.experiment)
     exp = cfg.experiment
     times = exp.period_length * np.arange(1, exp.n_sim_periods + 1)
-    ana = cost_curve(cfg.process, exp.policy, exp.costs, times, cfg.series).totals()
+    ana = cost_curve(cfg.process, exp.policy, exp.costs, times, cfg.series).cost.total
     csv_file = out_dir / "compare.csv"
     with open(csv_file, "w") as fh:
         fh.write("period,t,analytical_total,forecast_sim_cum_cost\n")

@@ -18,8 +18,8 @@ check (``renewal.check_converged``), a SeriesNotConvergedError.
 
 The same identity puts the inventory in (x0 - a, x0 - a + Q] once D_t
 reaches a and above x0 - a before, so nothing is ever short: the
-breakdown's shortage is 0.0, kept only for the cost CSVs' shortage
-column, and the Monte Carlo has no shortage term either.
+breakdown has no shortage field, the cost CSVs write their shortage
+column as 0.0, and the Monte Carlo has no shortage term either.
 """
 
 import math
@@ -46,38 +46,34 @@ CSV_HEADER = "a,Q,c_h,c_o,c_so,mode,t,ordering,holding,shortage,total"
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    ordering: float
-    holding: float
-    shortage: float
-    total: float
+    """Expected ordering, holding and total cost: floats at a scalar time,
+    arrays of one shape over a grid or a sweep."""
+
+    ordering: float | np.ndarray
+    holding: float | np.ndarray
+    total: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class CostCurve:
-    """Cost breakdowns on a grid and E[R_t] at each grid time."""
+    """The cost breakdown on a grid and E[R_t], as arrays of the grid's shape."""
 
     grid: np.ndarray
-    points: list
     orders: np.ndarray
+    cost: CostBreakdown
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
         object.__setattr__(self, "grid", grid)
         if grid.size and np.any(np.diff(grid) <= 0):
             raise ParameterError("curve grid must be strictly increasing")
-        if len(self.points) != grid.size:
-            raise ParameterError(
-                f"curve has {len(self.points)} points for {grid.size} grid times"
-            )
         orders = np.asarray(self.orders, dtype=np.float64)
         object.__setattr__(self, "orders", orders)
-        if orders.size != grid.size:
-            raise ParameterError(
-                f"curve has {orders.size} order counts for {grid.size} grid times"
-            )
-
-    def totals(self) -> np.ndarray:
-        return np.array([p.total for p in self.points])
+        for name, values in {"order counts": orders, **vars(self.cost)}.items():
+            if np.shape(values) != grid.shape:
+                raise ParameterError(
+                    f"curve has {name} of shape {np.shape(values)} for {grid.size} grid times"
+                )
 
 
 def _inventory(params: ProcessParams, policy: PolicyParams, t, orders):
@@ -85,17 +81,19 @@ def _inventory(params: ProcessParams, policy: PolicyParams, t, orders):
     return policy.x0 - params.demand_rate * t + policy.Q * orders
 
 
-def _breakdown(
-    params: ProcessParams, policy: PolicyParams, costs: CostParams, t, orders, integrated_orders
-) -> CostBreakdown:
-    """Cost components from E[R_t] and E[int_0^t R], elementwise; holding is
+def _breakdown(params: ProcessParams, x0, Q, charge, c_h, t, orders, integrated) -> CostBreakdown:
+    """Cost components from E[R_t] and E[int_0^t R], elementwise and
+    broadcast, with ``charge`` the price of one order of size Q; holding is
     c_h E[int_0^t X] = c_h (x0 t - (mu + alpha*lam) t^2 / 2 + Q E[int_0^t R])."""
-    ordering = costs.order_cost(policy.Q) * orders
-    holding = costs.c_h * (
-        policy.x0 * t - 0.5 * t * t * params.demand_rate + policy.Q * integrated_orders
-    )
-    return CostBreakdown(
-        ordering=ordering, holding=holding, shortage=0.0, total=ordering + holding
+    ordering = charge * orders
+    holding = c_h * (x0 * t - 0.5 * t * t * params.demand_rate + Q * integrated)
+    return CostBreakdown(ordering=ordering, holding=holding, total=ordering + holding)
+
+
+def _policy_breakdown(params, policy: PolicyParams, costs: CostParams, t, orders, integrated):
+    """``_breakdown`` for one policy and one set of unit costs."""
+    return _breakdown(
+        params, policy.x0, policy.Q, costs.order_cost(policy.Q), costs.c_h, t, orders, integrated
     )
 
 
@@ -119,7 +117,7 @@ def expected_total_cost(
 ) -> CostBreakdown:
     """Expected cost breakdown at t (gamma-series form)."""
     er, ei = expected_renewal_sums(params, policy, t, cfg)
-    return _breakdown(params, policy, costs, t, er, ei)
+    return _policy_breakdown(params, policy, costs, t, er, ei)
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ def exact_moments(
         orders=er,
         integrated_orders=ei,
         inventory=_inventory(params, policy, t, er),
-        cost=_breakdown(params, policy, costs, t, er, ei),
+        cost=_policy_breakdown(params, policy, costs, t, er, ei),
     )
 
 
@@ -251,22 +249,19 @@ def cost_curve(
     grid,
     cfg: RenewalSeriesConfig,
 ) -> CostCurve:
-    """Expected cost breakdowns and E[R_t] on ``grid``, from one renewal
+    """Expected cost breakdown and E[R_t] on ``grid``, from one renewal
     series summed over the whole grid."""
     grid = np.asarray(grid, dtype=np.float64)
     er, ei = expected_renewal_sums(params, policy, grid, cfg)
-    points = [
-        _breakdown(params, policy, costs, t, r, i)
-        for t, r, i in zip(grid.tolist(), er.tolist(), ei.tolist())
-    ]
-    return CostCurve(grid=grid, points=points, orders=er)
+    cost = _policy_breakdown(params, policy, costs, grid, er, ei)
+    return CostCurve(grid=grid, orders=er, cost=cost)
 
 
 def argmax_time(curve: CostCurve):
     """Grid time with the largest total; earliest time wins ties."""
     if curve.grid.size == 0:
         raise ParameterError("cannot take the argmax of an empty curve")
-    totals = curve.totals()
+    totals = curve.cost.total
     idx = int(np.argmax(totals))  # np.argmax returns the first maximizer
     return float(curve.grid[idx]), float(totals[idx])
 
@@ -295,50 +290,46 @@ def sweep(
     grid,
     cfg: RenewalSeriesConfig,
     x0: float = 100.0,
-):
-    """Cross-product evaluation over (a, Q, costs, t), in that
-    lexicographic order.  Yields (a, Q, costs, t, CostBreakdown) rows.
+) -> CostBreakdown:
+    """Expected cost breakdown over (a, Q, costs, t), as arrays of shape
+    (len(a_list) * len(Q_list), len(costs_list), grid size) with the
+    policies in (a, Q) order; read in C order, the rows are in that
+    lexicographic order.
 
     The renewal series does not depend on the costs, so it is summed
-    once, over every (a, Q) and the whole grid, and every entry of
-    ``costs_list`` is applied to each (a, Q)'s (E[R_t], E[int_0^t R])
-    pairs."""
+    once, over every (a, Q) and the whole grid, and one ``_breakdown``
+    call broadcasts it over every entry of ``costs_list``."""
     if not (len(costs_list) and len(a_list) and len(Q_list)):
         raise ParameterError("sweep lists must be non-empty")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ParameterError("sweep grid must be non-empty")
-    times = grid.tolist()
     policies = [PolicyParams(x0=x0, a=a, Q=Q) for a in a_list for Q in Q_list]
     er, ei = policy_renewal_sums(params, policies, grid, cfg)
-    rows = []
-    for policy, er_p, ei_p in zip(policies, er.tolist(), ei.tolist()):
-        sums = list(zip(times, er_p, ei_p))
-        for costs in costs_list:
-            for t, er_t, ei_t in sums:
-                rows.append(
-                    (policy.a, policy.Q, costs, t, _breakdown(params, policy, costs, t, er_t, ei_t))
-                )
-    return rows
+    Q = np.array([[[p.Q]] for p in policies])
+    charges = np.array([[[c.order_cost(p.Q)] for c in costs_list] for p in policies])
+    c_h = np.array([[c.c_h] for c in costs_list])
+    return _breakdown(params, x0, Q, charges, c_h, grid, er[:, None], ei[:, None])
 
 
-def _format_row(a, Q, costs, t, bd):
-    mode = costs.ordering_mode.value
-    return (
-        f"{a!r},{Q!r},{costs.c_h!r},{costs.c_o!r},{costs.c_so!r},{mode},"
-        f"{t!r},{bd.ordering!r},{bd.holding!r},{bd.shortage!r},{bd.total!r}"
-    )
-
-
-def write_sweep_csv(rows, file) -> None:
+def write_sweep_csv(cost: CostBreakdown, costs_list, a_list, Q_list, grid, file) -> None:
+    """``sweep``'s breakdown, one row per (a, Q, costs, t) in that order;
+    the shortage column is 0.0."""
+    heads = [
+        f"{a!r},{Q!r},{c.c_h!r},{c.c_o!r},{c.c_so!r},{c.ordering_mode.value}"
+        for a in a_list
+        for Q in Q_list
+        for c in costs_list
+    ]
+    times = np.asarray(grid).tolist()
+    shape = (len(heads), len(times))
+    columns = [np.reshape(x, shape).tolist() for x in (cost.ordering, cost.holding, cost.total)]
     with open(file, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for a, Q, costs, t, bd in rows:
-            fh.write(_format_row(a, Q, costs, t, bd) + "\n")
+        for head, ordering, holding, total in zip(heads, *columns):
+            for t, o, h, tot in zip(times, ordering, holding, total):
+                fh.write(f"{head},{t!r},{o!r},{h!r},0.0,{tot!r}\n")
 
 
 def write_curve_csv(curve: CostCurve, policy: PolicyParams, costs: CostParams, file) -> None:
-    with open(file, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for t, bd in zip(curve.grid, curve.points):
-            fh.write(_format_row(policy.a, policy.Q, costs, float(t), bd) + "\n")
+    write_sweep_csv(curve.cost, [costs], [policy.a], [policy.Q], curve.grid, file)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -141,6 +142,27 @@ def test_sweep_outputs(tmp_path, small_config):
     assert (out / "sweep_vary_co.svg").exists()
     assert (out / "sweep_vary_a.svg").exists()
     assert (out / "sweep_vary_q.svg").exists()
+
+
+def test_sweep_charts_hold_one_curve_per_list_entry(tmp_path):
+    # repeated a, Q and c_o entries each get a polyline of grid-size
+    # points, and a repeated entry draws the curve of its first occurrence
+    config = tmp_path / "dup.json"
+    lists = {
+        "a_list": [50.0, 40.0, 50.0],
+        "Q_list": [50.0, 60.0, 50.0],
+        "c_o_list": [5.0, 10.0, 5.0],
+    }
+    config.write_text(json.dumps(dict(SMALL_CONFIG, sweep=lists)))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    steps = SMALL_CONFIG["grid"]["steps"]
+    for chart, key in (("vary_a", "a_list"), ("vary_q", "Q_list"), ("vary_co", "c_o_list")):
+        svg = (out / f"sweep_{chart}.svg").read_text()
+        polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert [len(points.split()) for points in polylines] == [steps] * len(lists[key])
+        first, second, third = polylines
+        assert third == first != second
 
 
 def test_simulate_outputs(tmp_path, small_config):

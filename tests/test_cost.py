@@ -1,5 +1,6 @@
 """Closed-form cost engine: breakdowns, curves, sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from driftinv.cost import (
     CostBreakdown,
     CostCurve,
     negative_inventory_times,
+    write_curve_csv,
     write_sweep_csv,
 )
 
@@ -49,6 +51,11 @@ EXACT_CASES = [
     (ProcessParams(mu=5.0, alpha=2.5, lam=4.0), PolicyParams(x0=100.0, a=49.3, Q=51.7)),
     (ProcessParams(mu=0.3, alpha=7.0, lam=2.2), PolicyParams(x0=30.0, a=12.0, Q=9.0)),
 ]
+
+
+def point(cost, index):
+    """The scalar breakdown at ``index`` of an array-valued one."""
+    return CostBreakdown(*(float(x[index]) for x in (cost.ordering, cost.holding, cost.total)))
 
 
 def test_policy_validation():
@@ -97,7 +104,7 @@ def test_inventory_early_linear(ref_process, ref_policy, series_cfg):
 
 def test_total_cost_at_zero(ref_process, ref_policy, ref_costs, series_cfg):
     bd = expected_total_cost(ref_process, ref_policy, ref_costs, 0.0, series_cfg)
-    assert (bd.ordering, bd.holding, bd.shortage, bd.total) == (0.0, 0.0, 0.0, 0.0)
+    assert (bd.ordering, bd.holding, bd.total) == (0.0, 0.0, 0.0)
 
 
 def test_only_ordering_when_holding_free(ref_process, ref_policy, series_cfg):
@@ -106,14 +113,15 @@ def test_only_ordering_when_holding_free(ref_process, ref_policy, series_cfg):
     bd = expected_total_cost(ref_process, ref_policy, costs, t, series_cfg)
     want = 5.0 * expected_renewals(ref_process, ref_policy, t, series_cfg)
     assert bd.total == pytest.approx(want, rel=1e-12)
-    assert bd.holding == 0.0 and bd.shortage == 0.0
+    assert bd.holding == 0.0
 
 
 def test_component_identity(ref_process, ref_policy, ref_costs, series_cfg):
+    # nothing is ever short, so the breakdown has no shortage component
+    assert [f.name for f in dataclasses.fields(CostBreakdown)] == ["ordering", "holding", "total"]
     for t in np.linspace(0.0, 10.0, 21):
         bd = expected_total_cost(ref_process, ref_policy, ref_costs, float(t), series_cfg)
-        assert bd.total == bd.ordering + bd.holding + bd.shortage
-        assert bd.shortage == 0.0
+        assert bd.total == bd.ordering + bd.holding
 
 
 def _gamma_form(process, policy, costs, t, cfg):
@@ -157,7 +165,7 @@ def test_holding_decomposition(ref_process, ref_policy, ref_costs, series_cfg):
 
 def test_curve_single_zero_point(ref_process, ref_policy, ref_costs, series_cfg):
     curve = cost_curve(ref_process, ref_policy, ref_costs, [0.0], series_cfg)
-    assert curve.points[0].total == 0.0
+    assert curve.cost.total.tolist() == [0.0]
     assert argmax_time(curve) == (0.0, 0.0)
 
 
@@ -165,7 +173,7 @@ def test_curve_continuity(ref_process, ref_policy, ref_costs, series_cfg):
     grid = np.linspace(0.0, 10.0, 201)
     curve = cost_curve(ref_process, ref_policy, ref_costs, grid, series_cfg)
     dt = grid[1] - grid[0]
-    diffs = np.abs(np.diff(curve.totals()))
+    diffs = np.abs(np.diff(curve.cost.total))
     # slope bound: C_o Q sum of densities + C_h (x + Q E[R_t]) stays
     # modest on this range; 2000 is a generous envelope
     assert np.max(diffs) <= 2000.0 * dt
@@ -184,7 +192,7 @@ def test_default_curve_is_increasing_argmax_at_end(
     # the argmax is the last grid point
     grid = np.linspace(0.0, 12.0, 121)
     curve = cost_curve(ref_process, ref_policy, ref_costs, grid, series_cfg)
-    totals = curve.totals()
+    totals = curve.cost.total
     assert np.all(np.diff(totals) > 0)
     t_star, total_star = argmax_time(curve)
     assert t_star == grid[-1]
@@ -241,7 +249,7 @@ def test_gamma_curve_falls_when_drift_dominates(ref_costs, series_cfg):
     grid = np.linspace(0.0, 40.0, 41)
     curve = cost_curve(p, pol, ref_costs, grid, series_cfg)
     assert argmax_time(curve)[0] == 20.0
-    assert curve.totals()[-1] < 0
+    assert curve.cost.total[-1] < 0
     assert curve.orders[20] == pytest.approx(4.6e-5, rel=0.02)
     assert exact_moments(p, pol, ref_costs, 20.0, series_cfg).orders == pytest.approx(2.0)
     # and the series has converged: at most two terms reach tail_tol anywhere
@@ -255,18 +263,21 @@ def test_gamma_curve_falls_when_drift_dominates(ref_costs, series_cfg):
 def test_argmax_tie_breaks_to_earliest():
     flat = CostCurve(
         grid=np.array([0.0, 1.0, 2.0]),
-        points=[CostBreakdown(0.0, 5.0, 0.0, 5.0)] * 3,
         orders=[0.0, 0.0, 0.0],
+        cost=CostBreakdown(np.zeros(3), np.full(3, 5.0), np.full(3, 5.0)),
     )
     assert argmax_time(flat) == (0.0, 5.0)
 
 
 def test_argmax_single_and_empty():
     single = CostCurve(
-        grid=np.array([3.0]), points=[CostBreakdown(1.0, 2.0, 0.0, 3.0)], orders=[0.0]
+        grid=np.array([3.0]),
+        orders=[0.0],
+        cost=CostBreakdown(np.array([1.0]), np.array([2.0]), np.array([3.0])),
     )
     assert argmax_time(single) == (3.0, 3.0)
-    empty = CostCurve(grid=np.array([]), points=[], orders=[])
+    nothing = np.array([])
+    empty = CostCurve(grid=nothing, orders=[], cost=CostBreakdown(nothing, nothing, nothing))
     with pytest.raises(ParameterError):
         argmax_time(empty)
 
@@ -287,64 +298,96 @@ def test_negative_inventory_flagging(series_cfg):
 
 
 def test_curve_orders_are_expected_renewals(ref_process, ref_policy, ref_costs, series_cfg):
+    # and the curve's breakdown has at every time the bits of the scalar one
     grid = np.linspace(0.0, 12.0, 13)
     curve = cost_curve(ref_process, ref_policy, ref_costs, grid, series_cfg)
     want = [expected_renewals(ref_process, ref_policy, float(t), series_cfg) for t in grid]
     assert curve.orders.tolist() == want
-    with pytest.raises(ParameterError):
-        CostCurve(grid=curve.grid, points=curve.points, orders=want[:-1])
+    assert [point(curve.cost, n) for n in range(grid.size)] == [
+        expected_total_cost(ref_process, ref_policy, ref_costs, t, series_cfg)
+        for t in grid.tolist()
+    ]
+    with pytest.raises(ParameterError, match="order counts of shape"):
+        CostCurve(grid=curve.grid, orders=want[:-1], cost=curve.cost)
+    short = dataclasses.replace(curve.cost, holding=curve.cost.holding[:-1])
+    with pytest.raises(ParameterError, match=r"holding of shape \(12,\) for 13 grid times"):
+        CostCurve(grid=curve.grid, orders=curve.orders, cost=short)
 
 
 def test_sweep_singletons_match_single_eval(ref_process, ref_policy, ref_costs, series_cfg):
-    rows = sweep(
+    cost = sweep(
         ref_process, [ref_costs], [ref_policy.a], [ref_policy.Q], [4.0], series_cfg,
         x0=ref_policy.x0,
     )
-    assert len(rows) == 1
-    a, Q, costs, t, bd = rows[0]
+    assert cost.ordering.shape == cost.holding.shape == cost.total.shape == (1, 1, 1)
     want = expected_total_cost(ref_process, ref_policy, ref_costs, 4.0, series_cfg)
-    assert bd == want
+    assert point(cost, (0, 0, 0)) == want
 
 
 def test_sweep_monotone_in_ordering_cost(ref_process, ref_policy, series_cfg):
     costs_list = [CostParams(c_o=c, c_h=1.0, c_so=10.0) for c in (5.0, 7.5, 10.0)]
-    rows = sweep(ref_process, costs_list, [50.0], [50.0], [6.0], series_cfg)
-    totals = [bd.total for (_, _, _, _, bd) in rows]
+    cost = sweep(ref_process, costs_list, [50.0], [50.0], [6.0], series_cfg)
+    totals = cost.total[0, :, 0].tolist()
     assert totals == sorted(totals)
 
 
 def test_sweep_ordering_component_falls_with_a(ref_process, series_cfg):
     costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0)
-    rows = sweep(ref_process, [costs], [40.0, 50.0, 60.0], [50.0], [6.0], series_cfg)
-    ordering = [bd.ordering for (_, _, _, _, bd) in rows]
+    cost = sweep(ref_process, [costs], [40.0, 50.0, 60.0], [50.0], [6.0], series_cfg)
+    ordering = cost.ordering[:, 0, 0].tolist()
     assert ordering[0] >= ordering[1] >= ordering[2]
 
 
 def test_sweep_row_order_and_csv(tmp_path, ref_process, series_cfg):
     costs_list = [CostParams(c_o=c, c_h=1.0, c_so=10.0) for c in (5.0, 10.0)]
-    rows = sweep(ref_process, costs_list, [40.0, 50.0], [50.0, 60.0], [2.0, 4.0], series_cfg)
-    keys = [(a, Q, costs.c_o, t) for (a, Q, costs, t, _) in rows]
-    assert keys == sorted(keys)
+    a_list, q_list, grid = [40.0, 50.0], [50.0, 60.0], [2.0, 4.0]
+    cost = sweep(ref_process, costs_list, a_list, q_list, grid, series_cfg)
+    assert cost.total.shape == (4, 2, 2)
     out = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, out)
+    write_sweep_csv(cost, costs_list, a_list, q_list, grid, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "a,Q,c_h,c_o,c_so,mode,t,ordering,holding,shortage,total"
-    assert len(lines) == 1 + len(rows)
+    assert len(lines) == 1 + cost.total.size
+    rows = [line.split(",") for line in lines[1:]]
+    keys = [(float(r[0]), float(r[1]), float(r[3]), float(r[6])) for r in rows]
+    assert keys == sorted(keys)
+
+
+def csv_line(policy, costs, t, bd):
+    """Oracle: one cost CSV row, built from a scalar breakdown."""
+    return (
+        f"{policy.a!r},{policy.Q!r},{costs.c_h!r},{costs.c_o!r},{costs.c_so!r},"
+        f"{costs.ordering_mode.value},{t!r},{bd.ordering!r},{bd.holding!r},0.0,{bd.total!r}"
+    )
 
 
 @pytest.mark.parametrize("mode", list(OrderingMode))
-def test_sweep_rows_equal_pointwise_cost(ref_process, series_cfg, mode):
+def test_sweep_rows_equal_pointwise_cost(tmp_path, ref_process, series_cfg, mode):
     # one series per (a, Q, t) shared by every costs entry must give the
-    # same bits as a full evaluation per row
-    costs_list = [CostParams(c_o=c, c_h=1.0, c_so=10.0, ordering_mode=mode) for c in (2.5, 7.0)]
-    a_list, q_list, grid = [40.0, 55.5], [45.0, 60.0], [0.0, 1.7, 6.0]
-    rows = sweep(ref_process, costs_list, a_list, q_list, grid, series_cfg, x0=100.0)
-    assert len(rows) == len(a_list) * len(q_list) * len(costs_list) * len(grid)
-    keys = [(a, Q, c, t) for a in a_list for Q in q_list for c in costs_list for t in grid]
-    assert [(a, Q, c, t) for (a, Q, c, t, _) in rows] == keys
-    for a, Q, costs, t, bd in rows:
-        policy = PolicyParams(x0=100.0, a=a, Q=Q)
-        assert bd == expected_total_cost(ref_process, policy, costs, t, series_cfg)
+    # same bits as a full evaluation per row, and so must the sweep's and
+    # each curve's CSV rows, also with repeated list entries
+    q_list, grid = [45.0, 60.0], [0.0, 1.7, 6.0]
+    for a_list, c_o_list in (([40.0, 55.5], [2.5, 7.0]), ([55.5, 40.0, 55.5], [7.0, 2.5, 7.0])):
+        costs_list = [CostParams(c_o=c, c_h=1.0, c_so=10.0, ordering_mode=mode) for c in c_o_list]
+        cost = sweep(ref_process, costs_list, a_list, q_list, grid, series_cfg, x0=100.0)
+        policies = [PolicyParams(x0=100.0, a=a, Q=Q) for a in a_list for Q in q_list]
+        assert cost.total.shape == (len(policies), len(costs_list), len(grid))
+        want_lines = []
+        for i, policy in enumerate(policies):
+            for k, costs in enumerate(costs_list):
+                want = [
+                    expected_total_cost(ref_process, policy, costs, t, series_cfg) for t in grid
+                ]
+                assert [point(cost, (i, k, n)) for n in range(len(grid))] == want
+                curve_lines = [csv_line(policy, costs, t, bd) for t, bd in zip(grid, want)]
+                curve = cost_curve(ref_process, policy, costs, grid, series_cfg)
+                write_curve_csv(curve, policy, costs, tmp_path / "curve.csv")
+                assert (tmp_path / "curve.csv").read_text().splitlines()[1:] == curve_lines
+                want_lines += curve_lines
+        write_sweep_csv(cost, costs_list, a_list, q_list, grid, tmp_path / "sweep.csv")
+        text = (tmp_path / "sweep.csv").read_text()
+        assert "np.float64(" not in text
+        assert text.splitlines()[1:] == want_lines
 
 
 @pytest.fixture()
@@ -420,7 +463,7 @@ def test_batched_sweep_matches_one_series_per_curve(
     grid = [0.0, *times]
     grid.insert(repeat % (len(grid) + 1), grid[-1])
     policies = [PolicyParams(x0=100.0, a=a, Q=Q) for a in a_list for Q in q_list]
-    rows = sweep(process, [costs], a_list, q_list, grid, cfg)
+    cost = sweep(process, [costs], a_list, q_list, grid, cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(driftinv.renewal, "_BLOCK_ELEMENTS", len(policies) * len(grid) // 3)
         er, ei = driftinv.renewal.policy_renewal_sums(process, policies, grid, cfg)
@@ -435,13 +478,13 @@ def test_batched_sweep_matches_one_series_per_curve(
                 want.t, want.partial_sum, want.n_terms, want.last_term
             )
     assert er.shape == ei.shape == (len(policies), len(grid))
+    assert cost.total.shape == (len(policies), 1, len(grid))
     for i, policy in enumerate(policies):
         want_er, want_ei = driftinv.renewal.expected_renewal_sums(process, policy, grid, cfg)
         assert er[i].tolist() == want_er.tolist()
         assert ei[i].tolist() == want_ei.tolist()
-        got = [bd for _, _, _, _, bd in rows[i * len(grid) : (i + 1) * len(grid)]]
-        assert got == [
-            driftinv.cost._breakdown(process, policy, costs, t, r, s)
+        assert [point(cost, (i, 0, n)) for n in range(len(grid))] == [
+            driftinv.cost._policy_breakdown(process, policy, costs, t, r, s)
             for t, r, s in zip(grid, want_er.tolist(), want_ei.tolist())
         ]
 
@@ -590,15 +633,19 @@ def test_exact_drift_only_limit(ref_costs, series_cfg):
 @pytest.mark.parametrize("case", range(len(EXACT_CASES)))
 def test_exact_inventory_bounds_and_no_shortage(case, ref_costs, series_cfg):
     # X_t = x0 - D_t in (x0 - a, x0] before D_t reaches a and lies in
-    # (x0 - a, x0 - a + Q] after, so its mean does too and nothing is short
+    # (x0 - a, x0 - a + Q] after, so its mean does too and nothing is
+    # short: the total is ordering plus holding, with no shortage term
     process, policy = EXACT_CASES[case]
     lo = policy.x0 - policy.a
     hi = max(policy.x0, policy.x0 - policy.a + policy.Q)
-    for t in np.linspace(0.0, 15.0, 31):
-        m = exact_moments(process, policy, ref_costs, float(t), series_cfg)
-        assert lo < m.inventory <= hi
-        assert m.cost.shortage == 0.0
-        assert m.cost.total == m.cost.ordering + m.cost.holding
+    grid = np.linspace(0.0, 15.0, 31)
+    m = exact_moments(process, policy, ref_costs, grid, series_cfg)
+    assert np.all((lo < m.inventory) & (m.inventory <= hi))
+    assert m.cost.total.shape == grid.shape
+    assert np.array_equal(m.cost.total, m.cost.ordering + m.cost.holding)
+    for n, t in enumerate(grid.tolist()):
+        one = exact_moments(process, policy, ref_costs, t, series_cfg)
+        assert point(m.cost, n) == one.cost
 
 
 def test_exact_holding_decomposition(ref_process, ref_policy, ref_costs, series_cfg):
