@@ -163,10 +163,12 @@ class Segments:
 
     Path p (numbered from 0 within the chunk) owns segments
     ``start[p]`` to ``last[p]``: one ending at each of its jumps, then one
-    ending at the horizon.  For segment s, ``path[s]`` is its path,
-    ``t_end[s]`` its end time and ``s_before[s]``/``s_after[s]`` the jump
-    demand alpha*(jumps so far) before and after its jump, summed one jump
-    at a time as a walk along the path sums it.
+    ending at the horizon.  Segment s of path ``path[s]`` runs from
+    ``t_start[s]`` (the jump before it, or 0.0) to ``t_end[s]`` with jump
+    demand ``s_before[s]`` = alpha*(jumps so far), summed one jump at a time
+    as a walk along the path sums it; ``s_before + alpha`` is the demand
+    after its jump.  Demand is monotone, so it first reaches a level L at
+    the minimum over a path's segments of max(t_start, (L - s_before)/mu).
     """
 
     first: int
@@ -174,9 +176,9 @@ class Segments:
     start: np.ndarray
     last: np.ndarray
     is_jump: np.ndarray
+    t_start: np.ndarray
     t_end: np.ndarray
     s_before: np.ndarray
-    s_after: np.ndarray
 
 
 def path_segments(flat, offsets, alpha: float, horizon: float):
@@ -185,7 +187,7 @@ def path_segments(flat, offsets, alpha: float, horizon: float):
     n_paths = offsets.shape[0] - 1
     counts = np.diff(offsets)
     # sums[k]: k jumps of alpha added in sequence
-    sums = np.concatenate(([0.0], np.cumsum(np.full(int(counts.max(initial=0)) + 1, alpha))))
+    sums = np.concatenate(([0.0], np.cumsum(np.full(int(counts.max(initial=0)), alpha))))
     through = offsets[1:] + np.arange(1, n_paths + 1)  # segments of paths 0..p
     p0 = 0
     while p0 < n_paths:
@@ -201,7 +203,9 @@ def path_segments(flat, offsets, alpha: float, horizon: float):
         t_end = np.empty(local.size)
         t_end[is_jump] = flat[offsets[p0] : offsets[p1]]
         t_end[last] = horizon
-        yield Segments(p0, path, start, last, is_jump, t_end, sums[local], sums[local + 1])
+        t_start = np.concatenate(([0.0], t_end[:-1]))
+        t_start[start] = 0.0
+        yield Segments(p0, path, start, last, is_jump, t_start, t_end, sums[local])
         p0 = p1
 
 

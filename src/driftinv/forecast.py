@@ -179,7 +179,8 @@ def fit_candidate(z, p, q):
         return True, np.array([m]), resid @ resid, n
     ehat = np.zeros(n)
     if q > 0:
-        L = min(max(p + q, 4), (n - 2) // 2)
+        # long-autoregression order: 4 >= p + q over CANDIDATES, or what n allows
+        L = min(4, (n - 2) // 2)
         if L < 1 or n - L < L + 2:
             return failed
         XA = np.empty((n - L, L + 1))

@@ -78,8 +78,10 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
     the minimum inventory.
 
     Demand is monotone, so the orders placed in each segment between two
-    jumps are a run of consecutive thresholds.  The orders standing after
-    the segment's drift and after its jump are the smallest k with
+    jumps are a run of consecutive thresholds, order n at the time min over
+    segments of max(t_start, (L_n - s_before)/mu) (``demand.Segments``;
+    ``t_start`` is the jump before a segment, or 0.0).  The orders standing
+    after the segment's drift and after its jump are the smallest k with
     (a + Q*k - jsum)/mu > t_end and with a + Q*k > demand, the predicates
     ``simulate_events`` stops on, so the counts match it exactly.  The
     drift run adds an arithmetic series to the integral of R, and the
@@ -93,7 +95,7 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
         drift = first_true(
             lambda k: (a + Q * k - s_before) / mu > t_end, (mu * t_end + s_before - a) / Q
         )
-        demand = mu * t_end[seg.is_jump] + seg.s_after[seg.is_jump]
+        demand = mu * t_end[seg.is_jump] + (s_before[seg.is_jump] + alpha)
         jump = np.zeros_like(drift)
         jump[seg.is_jump] = first_true(lambda k: a + Q * k > demand, (demand - a) / Q)
         # orders standing after each segment: a running maximum per path
@@ -102,9 +104,6 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
         before = np.empty_like(after)
         before[1:] = after[:-1]
         before[seg.start] = 0
-        t_prev = np.empty_like(t_end)
-        t_prev[1:] = t_end[:-1]
-        t_prev[seg.start] = 0.0
         drifted = np.maximum(before, drift)
         n_drift = drifted - before
         t_first = (a + Q * before - s_before) / mu
@@ -123,7 +122,7 @@ def batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizon):
         # and the run has one unless it rounded onto the event before it
         inv = x0 - (mu * t_end + s_before) + Q * drifted
         t_last = (a + Q * (drifted - 1) - s_before) / mu
-        low = np.where((n_drift > 0) & (t_last > t_prev), np.minimum(inv, x0 - a), inv)
+        low = np.where((n_drift > 0) & (t_last > seg.t_start), np.minimum(inv, x0 - a), inv)
         rows = out[seg.first : seg.first + seg.start.size]
         rows[:, 0] = after[seg.last]
         rows[:, 1] = inv[seg.last]

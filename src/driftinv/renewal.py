@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import demand
 from .demand import JUMP_BUDGET, batch_jump_times, path_segments
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
 from .gammainc import poisson_pmf, reg_lower_gamma
@@ -230,24 +231,22 @@ def first_passage_times(flat, offsets, mu, alpha, levels):
     """Exact first time mu*t + alpha*(jumps so far) reaches each of
     ``levels`` on each packed jump path, as a (len(levels), n_paths) array.
 
-    Every time is finite: past its last jump a path is extended by drift
-    alone, which reaches any level since mu > 0.  Events are taken in
-    path order, the drift reaching a level at a jump time before the
-    jump itself.
+    Demand is monotone, so with tau_0 = 0 and tau_j the j-th jump, level L
+    is first reached at T = min over j of max(tau_j, (L - alpha*j)/mu), one
+    maximum per segment (``demand.Segments``) and one minimum per path:
+    T <= t exactly when N_t, the jumps by t, is at least the fewest k with
+    mu*t + alpha*k >= L, whose law ``cost.exact_renewal_sums`` sums.  Every
+    time is finite, since drift alone reaches any level past the last jump.
     """
     levels = np.asarray(levels, dtype=np.float64)
     out = np.empty((levels.size, offsets.shape[0] - 1))
     for seg in path_segments(flat, offsets, alpha, np.inf):
-        index = np.arange(seg.t_end.size)
-        after_jump = mu * seg.t_end + seg.s_after
-        for row, level in zip(out, levels.tolist()):
-            t_drift = (level - seg.s_before) / mu
-            by_drift = t_drift <= seg.t_end
-            # each path's last segment ends at inf, so it always hits
-            hit = np.where(by_drift | (after_jump >= level), index, index.size)
-            first = np.minimum.reduceat(hit, seg.start)
-            row[seg.first : seg.first + first.size] = np.where(
-                by_drift[first], t_drift[first], seg.t_end[first]
+        # levels per pass, so that a pass holds about 8 * CHUNK_SEGMENTS values
+        step = max(1, 8 * demand.CHUNK_SEGMENTS // seg.t_start.size)
+        for lo in range(0, levels.size, step):
+            reach = np.maximum(seg.t_start, (levels[lo : lo + step, None] - seg.s_before) / mu)
+            out[lo : lo + step, seg.first : seg.first + seg.start.size] = np.minimum.reduceat(
+                reach, seg.start, axis=1
             )
     return out
 

@@ -11,13 +11,17 @@ from driftinv import (
     SamplePath,
     sample_path,
 )
+import driftinv.demand
 from driftinv.demand import (
     CHUNK_PATHS,
     ROUND_GAPS,
     batch_jump_times,
+    path_segments,
     period_increments,
     truncate_batch,
 )
+from driftinv.mc import batch_stats
+from driftinv.renewal import first_passage_times
 
 from conftest import demand_at, pack
 
@@ -262,3 +266,29 @@ def test_fpt_diag_batches_share_no_path(ref_process):
         firsts.append(flat[offsets[:-1]])
     # a path's first jump time identifies it
     assert np.unique(np.concatenate(firsts)).size == 2 * n
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_segment_chunks_leave_the_kernels_bit_equal(monkeypatch, chunk):
+    # the default chunk holds the whole batch; smaller chunks cut it between
+    # paths of zero to eight jumps, so a chunk holds one to three whole
+    # paths, a path longer than the chunk is a chunk alone, and at 1 and 2
+    # segments first_passage_times takes its levels in more than one pass
+    process = ProcessParams(mu=1.5, alpha=4.0, lam=0.8)
+    flat, offsets = batch_jump_times(process, 3.0, 17, 200)
+    levels = [1.0, 4.5, 9.0, 20.0]
+    x0, a, Q, horizon = 12.0, 6.0, 3.5, 3.0
+
+    def kernels():
+        return (
+            first_passage_times(flat, offsets, process.mu, process.alpha, levels),
+            batch_stats(flat, offsets, process.mu, process.alpha, x0, a, Q, horizon),
+        )
+
+    assert len(list(path_segments(flat, offsets, process.alpha, horizon))) == 1
+    want = kernels()
+    monkeypatch.setattr(driftinv.demand, "CHUNK_SEGMENTS", chunk)
+    chunks = list(path_segments(flat, offsets, process.alpha, horizon))
+    assert max(seg.start.size for seg in chunks) == {1: 1, 2: 2, 5: 3}[chunk]
+    for got, ref in zip(kernels(), want):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))

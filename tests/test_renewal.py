@@ -21,7 +21,7 @@ from driftinv import (
 )
 import driftinv.renewal
 from driftinv import renewal
-from driftinv.demand import batch_jump_times
+from driftinv.demand import batch_jump_times, first_true
 from driftinv.gammainc import reg_lower_gamma
 from driftinv.renewal import expected_renewal_sums, first_passage_times, renewal_series
 
@@ -376,6 +376,44 @@ def test_first_passage_times_ties_on_a_lattice():
         assert np.array_equal(row, scalar_first_passage_times(flat, offsets, 2.0, 3.0, level))
     assert got[1].tolist() == [1.0, 1.0, 2.5, 1.0]
     assert np.all(np.isfinite(got))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31),
+    n_values=st.integers(1, 6),
+    steps=st.integers(2, 80),
+    n_paths=st.integers(1, 60),
+)
+def test_passage_by_t_is_jump_count_reaching_the_exact_law(seed, n_values, steps, n_paths):
+    # T_n <= t exactly when N_t >= j_n(t), the fewest jumps k with
+    # mu*t + alpha*k >= L_n that the exact engine sums the Poisson law of.
+    # The two sides round differently, so the process is drawn in full
+    # precision (no lattice): no grid time lies within a rounding of a
+    # crossing, and the empirical CDF is the mean of N_t >= j_n(t).
+    rng = np.random.default_rng(seed)
+    mu, alpha, lam, a, Q, t_end = rng.uniform(
+        [0.05, 0.05, 0.05, 0.01, 0.01, 0.1], [20.0, 30.0, 5.0, 100.0, 100.0, 30.0]
+    ).tolist()
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    policy = PolicyParams(x0=a + Q, a=a, Q=Q)
+    ns = list(range(1, n_values + 1))
+    levels = np.array([policy.threshold(n) for n in ns])
+    grid = np.linspace(0.0, t_end, steps)
+    # the batch fpt_empirical_cdf draws
+    horizon = max(float(grid.max()), float(levels.max()) / mu) + 1.0
+    flat, offsets = batch_jump_times(process, horizon, seed, n_paths)
+    fpt = first_passage_times(flat, offsets, mu, alpha, levels)
+    paths = np.split(flat, offsets[1:-1])
+    n_t = np.stack([np.searchsorted(jumps, grid, side="right") for jumps in paths])
+    drift = mu * grid
+    j = np.stack(
+        [first_true(lambda k: drift + alpha * k >= L, (L - drift) / alpha) for L in levels]
+    )
+    reached = n_t[None, :, :] >= j[:, None, :]
+    assert np.array_equal(fpt[:, :, None] <= grid, reached)
+    cdf = fpt_empirical_cdf(process, policy, ns, grid, n_paths=n_paths, seed=seed)
+    assert np.array_equal(cdf, reached.sum(axis=1) / float(n_paths))
 
 
 def test_shared_batch_cdf_equals_batch_per_threshold(ref_process, ref_policy):
