@@ -9,7 +9,6 @@ Carlo oracle and a rolling-forecast baseline experiment.
 from .cost import (
     CostBreakdown,
     CostCurve,
-    ExactMoments,
     argmax_time,
     cost_curve,
     exact_moments,
@@ -53,7 +52,6 @@ __all__ = [
     "CostCurve",
     "CostParams",
     "DomainError",
-    "ExactMoments",
     "ExperimentConfig",
     "GammaSpec",
     "InsufficientDataError",

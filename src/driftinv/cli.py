@@ -67,7 +67,7 @@ def cmd_expected_cost(cfg, out_dir):
     )
     t_star, total_star = argmax_time(curve)
     print(f"argmax: t={t_star!r} total={total_star!r}")
-    flagged = negative_inventory_times(cfg.process, cfg.policy, curve)
+    flagged = negative_inventory_times(curve)
     if flagged:
         print(
             f"warning: expected inventory is negative at {len(flagged)} grid "

@@ -9,12 +9,16 @@ bad time of the grid is named in a DomainError or, from the one cap
 check (``renewal.check_converged``), a SeriesNotConvergedError.
 
 - ``expected_renewal_sums``: the paper's gamma first-passage series
-  (``renewal.py``), behind ``expected_total_cost``, ``cost_curve`` and
-  ``sweep``, which sum it once per curve and once per sweep;
+  (``renewal.py``), behind ``cost_curve`` and ``expected_total_cost``;
+  ``sweep`` sums its many-policy form, ``policy_renewal_sums``, once;
 - ``exact_renewal_sums``: the exact Poisson-law form, behind
   ``exact_moments``.  With zero lead time D_t = mu*t + alpha*N_t is
   monotone, so R_t = max(floor((D_t - a)/Q) + 1, 0) and both sums are
   series over the Poisson law of N_t.
+
+``cost_curve`` and ``exact_moments`` turn their pair into one
+``CostCurve`` through one builder and differ only in the sums function
+and in ``cost_curve``'s check that its grid is strictly increasing.
 
 The same identity puts the inventory in (x0 - a, x0 - a + Q] once D_t
 reaches a and above x0 - a before, so nothing is ever short: the
@@ -56,23 +60,27 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class CostCurve:
-    """The cost breakdown on a grid and E[R_t], as arrays of the grid's shape."""
+    """Times, E[R_t], E[int_0^t R], E[X_t] and the cost breakdown of one
+    policy: floats at a scalar time, arrays of the grid's shape otherwise."""
 
-    grid: np.ndarray
-    orders: np.ndarray
+    grid: float | np.ndarray
+    orders: float | np.ndarray  # E[R_t]
+    integrated_orders: float | np.ndarray  # E[int_0^t R_s ds]
+    inventory: float | np.ndarray  # E[X_t]
     cost: CostBreakdown
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        object.__setattr__(self, "grid", grid)
-        if grid.size and np.any(np.diff(grid) <= 0):
-            raise ParameterError("curve grid must be strictly increasing")
-        orders = np.asarray(self.orders, dtype=np.float64)
-        object.__setattr__(self, "orders", orders)
-        for name, values in {"order counts": orders, **vars(self.cost)}.items():
-            if np.shape(values) != grid.shape:
+        fields = {
+            "order counts": self.orders,
+            "integrated order counts": self.integrated_orders,
+            "inventory": self.inventory,
+            **vars(self.cost),
+        }
+        for name, values in fields.items():
+            if np.shape(values) != np.shape(self.grid):
                 raise ParameterError(
-                    f"curve has {name} of shape {np.shape(values)} for {grid.size} grid times"
+                    f"curve has {name} of shape {np.shape(values)} "
+                    f"for {np.size(self.grid)} grid times"
                 )
 
 
@@ -90,10 +98,18 @@ def _breakdown(params: ProcessParams, x0, Q, charge, c_h, t, orders, integrated)
     return CostBreakdown(ordering=ordering, holding=holding, total=ordering + holding)
 
 
-def _policy_breakdown(params, policy: PolicyParams, costs: CostParams, t, orders, integrated):
-    """``_breakdown`` for one policy and one set of unit costs."""
-    return _breakdown(
-        params, policy.x0, policy.Q, costs.order_cost(policy.Q), costs.c_h, t, orders, integrated
+def _curve(params: ProcessParams, policy: PolicyParams, costs: CostParams, t, sums) -> CostCurve:
+    """The record of one policy at t from either form's (E[R_t], E[int_0^t R])
+    pair ``sums``: floats at a scalar t, arrays of t's shape otherwise."""
+    orders, integrated = sums
+    t = np.asarray(t, dtype=np.float64) if np.ndim(t) else float(t)
+    charge = costs.order_cost(policy.Q)
+    return CostCurve(
+        grid=t,
+        orders=orders,
+        integrated_orders=integrated,
+        inventory=_inventory(params, policy, t, orders),
+        cost=_breakdown(params, policy.x0, policy.Q, charge, costs.c_h, t, orders, integrated),
     )
 
 
@@ -116,18 +132,7 @@ def expected_total_cost(
     cfg: RenewalSeriesConfig,
 ) -> CostBreakdown:
     """Expected cost breakdown at t (gamma-series form)."""
-    er, ei = expected_renewal_sums(params, policy, t, cfg)
-    return _policy_breakdown(params, policy, costs, t, er, ei)
-
-
-@dataclass(frozen=True)
-class ExactMoments:
-    """Exact expectations under the Poisson law of demand, at t or over a grid."""
-
-    orders: float | np.ndarray  # E[R_t]
-    integrated_orders: float | np.ndarray  # E[int_0^t R_s ds]
-    inventory: float | np.ndarray  # E[X_t]
-    cost: CostBreakdown
+    return _curve(params, policy, costs, t, expected_renewal_sums(params, policy, t, cfg)).cost
 
 
 def _poisson_tails(tails, x, k):
@@ -214,18 +219,11 @@ def exact_renewal_sums(
 
 def exact_moments(
     params: ProcessParams, policy: PolicyParams, costs: CostParams, t, cfg: RenewalSeriesConfig
-) -> ExactMoments:
+) -> CostCurve:
     """Exact E[R_t], E[int_0^t R], E[X_t] and expected cost breakdown at t,
-    under the contract of ``exact_renewal_sums``."""
-    er, ei = exact_renewal_sums(params, policy, t, cfg)
-    if np.ndim(t):
-        t = np.asarray(t, dtype=np.float64)
-    return ExactMoments(
-        orders=er,
-        integrated_orders=ei,
-        inventory=_inventory(params, policy, t, er),
-        cost=_policy_breakdown(params, policy, costs, t, er, ei),
-    )
+    under the contract of ``exact_renewal_sums``: t may be a scalar or a
+    grid in any order, with repeated times."""
+    return _curve(params, policy, costs, t, exact_renewal_sums(params, policy, t, cfg))
 
 
 def long_run_rate(params: ProcessParams, policy: PolicyParams, costs: CostParams) -> float:
@@ -249,16 +247,18 @@ def cost_curve(
     grid,
     cfg: RenewalSeriesConfig,
 ) -> CostCurve:
-    """Expected cost breakdown and E[R_t] on ``grid``, from one renewal
-    series summed over the whole grid."""
+    """The gamma-series record on ``grid``, a strictly increasing array of
+    times, from one renewal series summed over the whole grid."""
     grid = np.asarray(grid, dtype=np.float64)
-    er, ei = expected_renewal_sums(params, policy, grid, cfg)
-    cost = _policy_breakdown(params, policy, costs, grid, er, ei)
-    return CostCurve(grid=grid, orders=er, cost=cost)
+    sums = expected_renewal_sums(params, policy, grid, cfg)
+    if grid.size and np.any(np.diff(grid) <= 0):
+        raise ParameterError("curve grid must be strictly increasing")
+    return _curve(params, policy, costs, grid, sums)
 
 
 def argmax_time(curve: CostCurve):
-    """Grid time with the largest total; earliest time wins ties."""
+    """Grid time with the largest total; ties go to the first grid time,
+    which is the earliest on a ``cost_curve`` grid."""
     if curve.grid.size == 0:
         raise ParameterError("cannot take the argmax of an empty curve")
     totals = curve.cost.total
@@ -266,20 +266,15 @@ def argmax_time(curve: CostCurve):
     return float(curve.grid[idx]), float(totals[idx])
 
 
-def negative_inventory_times(
-    params: ProcessParams,
-    policy: PolicyParams,
-    curve: CostCurve,
-) -> list:
-    """Grid times of ``curve`` (from ``cost_curve`` with this process and
-    policy) where the closed-form expected inventory is negative.
+def negative_inventory_times(curve: CostCurve) -> list:
+    """Grid times of ``curve`` where its expected inventory is negative.
 
-    Late times can go negative when the gamma first-passage
-    approximation undercounts orders: its rate alpha*lam ignores the
-    drift mu.  With mu=5, alpha=0.1, lam=1 the series converges in at
-    most two terms on [0, 40], yet E[R_20] is 4.6e-5 against the exact
-    2.0.  Flagged so reports can mark them."""
-    return curve.grid[_inventory(params, policy, curve.grid, curve.orders) < 0].tolist()
+    Late times of a ``cost_curve`` can go negative when the gamma
+    first-passage approximation undercounts orders: its rate alpha*lam
+    ignores the drift mu.  With mu=5, alpha=0.1, lam=1 the series
+    converges in at most two terms on [0, 40], yet E[R_20] is 4.6e-5
+    against the exact 2.0.  Flagged so reports can mark them."""
+    return curve.grid[curve.inventory < 0].tolist()
 
 
 def sweep(

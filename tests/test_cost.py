@@ -260,24 +260,29 @@ def test_gamma_curve_falls_when_drift_dominates(ref_costs, series_cfg):
     assert all(converged and n_terms <= 2 for _, _, n_terms, _, converged in terms)
 
 
+def hand_curve(grid, ordering, holding):
+    """A ``CostCurve`` built by hand on ``grid``: no orders, zero inventory
+    and the given cost components."""
+    grid = np.asarray(grid, dtype=np.float64)
+    ordering = np.asarray(ordering, dtype=np.float64)
+    holding = np.asarray(holding, dtype=np.float64)
+    zeros = np.zeros(grid.shape)
+    cost = CostBreakdown(ordering, holding, ordering + holding)
+    return CostCurve(grid, zeros, zeros, zeros, cost)
+
+
 def test_argmax_tie_breaks_to_earliest():
-    flat = CostCurve(
-        grid=np.array([0.0, 1.0, 2.0]),
-        orders=[0.0, 0.0, 0.0],
-        cost=CostBreakdown(np.zeros(3), np.full(3, 5.0), np.full(3, 5.0)),
-    )
+    flat = hand_curve([0.0, 1.0, 2.0], np.zeros(3), np.full(3, 5.0))
     assert argmax_time(flat) == (0.0, 5.0)
+    # the record does not order its times: a tie goes to the first one
+    unsorted = hand_curve([2.0, 0.0, 1.0], np.zeros(3), np.full(3, 5.0))
+    assert argmax_time(unsorted) == (2.0, 5.0)
 
 
 def test_argmax_single_and_empty():
-    single = CostCurve(
-        grid=np.array([3.0]),
-        orders=[0.0],
-        cost=CostBreakdown(np.array([1.0]), np.array([2.0]), np.array([3.0])),
-    )
+    single = hand_curve([3.0], [1.0], [2.0])
     assert argmax_time(single) == (3.0, 3.0)
-    nothing = np.array([])
-    empty = CostCurve(grid=nothing, orders=[], cost=CostBreakdown(nothing, nothing, nothing))
+    empty = hand_curve([], [], [])
     with pytest.raises(ParameterError):
         argmax_time(empty)
 
@@ -288,13 +293,42 @@ def test_negative_inventory_flagging(series_cfg):
     pol = PolicyParams(x0=100.0, a=50.0, Q=10.0)
     costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0)
     curve = cost_curve(p, pol, costs, [0.5, 0.9, 1.5, 3.0], series_cfg)
-    flagged = negative_inventory_times(p, pol, curve)
+    flagged = negative_inventory_times(curve)
     assert flagged == [1.5, 3.0]
     # nothing to flag with the reference setup
     ref_p = ProcessParams(mu=5.0, alpha=10.0, lam=1.0)
     ref_pol = PolicyParams(x0=100.0, a=50.0, Q=50.0)
     ref_curve = cost_curve(ref_p, ref_pol, costs, np.linspace(0, 12, 25), series_cfg)
-    assert negative_inventory_times(ref_p, ref_pol, ref_curve) == []
+    assert negative_inventory_times(ref_curve) == []
+
+
+@pytest.mark.parametrize(
+    "process, policy, grid",
+    [
+        (
+            ProcessParams(mu=100.0, alpha=0.001, lam=0.001),
+            PolicyParams(x0=100.0, a=50.0, Q=10.0),
+            [0.5, 0.9, 1.5, 3.0],
+        ),
+        # the drift-dominated gamma curve that expected-cost warns about
+        (
+            ProcessParams(mu=5.0, alpha=0.1, lam=1.0),
+            PolicyParams(x0=100.0, a=50.0, Q=50.0),
+            np.linspace(0.0, 40.0, 41),
+        ),
+        (*EXACT_CASES[0], np.linspace(0.0, 12.0, 25)),
+    ],
+    ids=["drift", "gamma-undercount", "reference"],
+)
+def test_negative_inventory_times_match_inventory_oracle(
+    process, policy, grid, ref_costs, series_cfg
+):
+    # the flagged times are those where x0 - (mu + alpha*lam) t + Q E[R_t] < 0
+    curve = cost_curve(process, policy, ref_costs, grid, series_cfg)
+    t = np.asarray(grid, dtype=np.float64)
+    rate = process.mu + process.alpha * process.lam
+    want = t[policy.x0 - rate * t + policy.Q * curve.orders < 0].tolist()
+    assert negative_inventory_times(curve) == want
 
 
 def test_curve_orders_are_expected_renewals(ref_process, ref_policy, ref_costs, series_cfg):
@@ -308,10 +342,77 @@ def test_curve_orders_are_expected_renewals(ref_process, ref_policy, ref_costs, 
         for t in grid.tolist()
     ]
     with pytest.raises(ParameterError, match="order counts of shape"):
-        CostCurve(grid=curve.grid, orders=want[:-1], cost=curve.cost)
+        dataclasses.replace(curve, orders=want[:-1])
     short = dataclasses.replace(curve.cost, holding=curve.cost.holding[:-1])
     with pytest.raises(ParameterError, match=r"holding of shape \(12,\) for 13 grid times"):
-        CostCurve(grid=curve.grid, orders=curve.orders, cost=short)
+        dataclasses.replace(curve, cost=short)
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [("orders", "order counts"), ("integrated_orders", "integrated order counts"),
+     ("inventory", "inventory")],
+)
+def test_curve_checks_the_shape_of_every_field(field, name, ref_costs, series_cfg):
+    process, policy = EXACT_CASES[0]
+    curve = exact_moments(process, policy, ref_costs, [1.0, 2.0, 3.0], series_cfg)
+    message = rf"^curve has {name} of shape \(2,\) for 3 grid times$"
+    with pytest.raises(ParameterError, match=message):
+        dataclasses.replace(curve, **{field: getattr(curve, field)[:-1]})
+    # a scalar time takes scalar fields
+    one = exact_moments(process, policy, ref_costs, 2.0, series_cfg)
+    message = rf"^curve has {name} of shape \(1,\) for 1 grid times$"
+    with pytest.raises(ParameterError, match=message):
+        dataclasses.replace(one, **{field: np.array([getattr(one, field)])})
+
+
+def curve_fields(curve):
+    """Every field of a ``CostCurve``, the breakdown's spread out."""
+    return [
+        curve.grid, curve.orders, curve.integrated_orders, curve.inventory,
+        curve.cost.ordering, curve.cost.holding, curve.cost.total,
+    ]
+
+
+@pytest.mark.parametrize("t", [7, 7.0, np.float64(7.0), np.array(7.0)], ids=repr)
+def test_exact_moments_at_a_scalar_time_are_floats(
+    t, ref_process, ref_policy, ref_costs, series_cfg
+):
+    one = exact_moments(ref_process, ref_policy, ref_costs, t, series_cfg)
+    assert isinstance(one, CostCurve)
+    assert [type(v) for v in curve_fields(one)] == [float] * 7
+    assert one.grid == 7.0
+
+
+def test_both_forms_return_grid_shaped_curves(ref_process, ref_policy, ref_costs, series_cfg):
+    grid = np.linspace(0.0, 12.0, 25)
+    for form in (cost_curve, exact_moments):
+        curve = form(ref_process, ref_policy, ref_costs, grid, series_cfg)
+        assert type(curve) is CostCurve
+        assert all(type(v) is np.ndarray and v.shape == grid.shape for v in curve_fields(curve))
+        assert curve.grid.tolist() == grid.tolist()
+        # E[X_t] is the curve's own: x0 - (mu + alpha*lam) t + Q E[R_t]
+        assert curve.inventory.tolist() == (
+            ref_policy.x0 - ref_process.demand_rate * grid + ref_policy.Q * curve.orders
+        ).tolist()
+
+
+@pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+def test_exact_moments_on_unsorted_repeated_times_match_per_time_calls(
+    case, ref_costs, series_cfg
+):
+    process, policy = EXACT_CASES[case]
+    times = [10.0, 2.0, 5.0, 5.0]
+    curve = exact_moments(process, policy, ref_costs, times, series_cfg)
+    assert curve.grid.tolist() == times
+    for n, t in enumerate(times):
+        one = exact_moments(process, policy, ref_costs, t, series_cfg)
+        assert [v[n] for v in curve_fields(curve)] == curve_fields(one)
+    # the gamma form takes only a strictly increasing grid, after its series
+    with pytest.raises(ParameterError, match="^curve grid must be strictly increasing$"):
+        cost_curve(process, policy, ref_costs, times, series_cfg)
+    with pytest.raises(DomainError):
+        cost_curve(process, policy, ref_costs, [10.0, -1.0], series_cfg)
 
 
 def test_sweep_singletons_match_single_eval(ref_process, ref_policy, ref_costs, series_cfg):
@@ -484,7 +585,7 @@ def test_batched_sweep_matches_one_series_per_curve(
         assert er[i].tolist() == want_er.tolist()
         assert ei[i].tolist() == want_ei.tolist()
         assert [point(cost, (i, 0, n)) for n in range(len(grid))] == [
-            driftinv.cost._policy_breakdown(process, policy, costs, t, r, s)
+            driftinv.cost._curve(process, policy, costs, t, (r, s)).cost
             for t, r, s in zip(grid, want_er.tolist(), want_ei.tolist())
         ]
 
