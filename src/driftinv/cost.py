@@ -250,15 +250,30 @@ def cost_curve(
     """The gamma-series record on ``grid``, a strictly increasing array of
     times, from one renewal series summed over the whole grid."""
     grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ParameterError(
+            f"curve grid must be a one-dimensional array of times, got shape {grid.shape}"
+        )
     sums = expected_renewal_sums(params, policy, grid, cfg)
     if grid.size and np.any(np.diff(grid) <= 0):
         raise ParameterError("curve grid must be strictly increasing")
     return _curve(params, policy, costs, grid, sums)
 
 
+def _check_grid(curve: CostCurve, name: str) -> None:
+    """ParameterError unless ``curve`` lies on a one-dimensional grid of
+    times (a scalar-time record has no grid to search)."""
+    if np.ndim(curve.grid) != 1:
+        raise ParameterError(
+            f"{name} needs a curve on a one-dimensional grid of times, got times of shape "
+            f"{np.shape(curve.grid)}"
+        )
+
+
 def argmax_time(curve: CostCurve):
     """Grid time with the largest total; ties go to the first grid time,
     which is the earliest on a ``cost_curve`` grid."""
+    _check_grid(curve, "argmax_time")
     if curve.grid.size == 0:
         raise ParameterError("cannot take the argmax of an empty curve")
     totals = curve.cost.total
@@ -274,6 +289,7 @@ def negative_inventory_times(curve: CostCurve) -> list:
     ignores the drift mu.  With mu=5, alpha=0.1, lam=1 the series
     converges in at most two terms on [0, 40], yet E[R_20] is 4.6e-5
     against the exact 2.0.  Flagged so reports can mark them."""
+    _check_grid(curve, "negative_inventory_times")
     return curve.grid[curve.inventory < 0].tolist()
 
 

@@ -164,8 +164,34 @@ def ar_stationary(phi):
     return abs(phi2) < 1.0 and (phi1 + phi2) < 1.0 and (phi2 - phi1) < 1.0
 
 
-def fit_candidate(z, p, q):
-    """Two-stage conditional least squares for one (p, q) candidate.
+def long_autoregression(z):
+    """Stage one of the two-stage fit: the residuals of the long
+    autoregression of order L = min(4, (n - 2)//2) (4 >= p + q over
+    ``CANDIDATES``, or what n allows), as (L, residuals) with the first L
+    residuals 0, or None when n is too short or the regression singular.
+    It does not depend on (p, q), so ``fit_window`` fits it once for all
+    candidates."""
+    n = z.shape[0]
+    L = min(4, (n - 2) // 2)
+    if L < 1 or n - L < L + 2:
+        return None
+    XA = np.empty((n - L, L + 1))
+    XA[:, 0] = 1.0
+    for i in range(1, L + 1):
+        XA[:, i] = z[L - i : n - i]
+    ya = z[L:n].copy()
+    beta_a, _, ok_a = ols(XA, ya)
+    if not ok_a:
+        return None
+    ehat = np.zeros(n)
+    ehat[L:] = ya - XA @ beta_a
+    return L, ehat
+
+
+def fit_candidate(z, p, q, stage_one):
+    """Two-stage conditional least squares for one (p, q) candidate, with
+    ``stage_one`` the window's ``long_autoregression(z)`` (read only when
+    q > 0).
 
     Returns (ok, beta, rss, rows): beta = (c, phi_1..phi_p, theta_1..theta_q)
     in the column order of the final regression, None when not ok."""
@@ -177,21 +203,10 @@ def fit_candidate(z, p, q):
         m = np.mean(z)
         resid = z - m
         return True, np.array([m]), resid @ resid, n
-    ehat = np.zeros(n)
     if q > 0:
-        # long-autoregression order: 4 >= p + q over CANDIDATES, or what n allows
-        L = min(4, (n - 2) // 2)
-        if L < 1 or n - L < L + 2:
+        if stage_one is None:
             return failed
-        XA = np.empty((n - L, L + 1))
-        XA[:, 0] = 1.0
-        for i in range(1, L + 1):
-            XA[:, i] = z[L - i : n - i]
-        ya = z[L:n].copy()
-        beta_a, _, ok_a = ols(XA, ya)
-        if not ok_a:
-            return failed
-        ehat[L:] = ya - XA @ beta_a
+        L, ehat = stage_one
         s = L + max(p, q)
     else:
         s = p
@@ -216,8 +231,9 @@ def fit_window(z):
     winning only with a strictly smaller AIC.  Returns (aic, p, q, beta),
     or None when no candidate fits."""
     best = None
+    stage_one = long_autoregression(z)
     for p, q in CANDIDATES:
-        ok, beta, rss, rows = fit_candidate(z, p, q)
+        ok, beta, rss, rows = fit_candidate(z, p, q, stage_one)
         if not ok:
             continue
         mean_sq = max(rss / rows, 1e-12)

@@ -98,6 +98,30 @@ def truncated_mean(spec: GammaSpec, t):
 _BLOCK_ELEMENTS = 2048
 
 
+def _stop_bound(shape0, dshape, x, tail_tol):
+    """An upper bound on the number of terms, through the first below
+    tail_tol, of the series of P(shape0 + dshape*(n-1), x) over n = 1, 2,
+    ..., elementwise (as floats).
+
+    For k > x, P(k, x) <= exp(-k h(x/k)), h(l) = l - 1 - ln(l) (the
+    Chernoff bound of a Gamma(k) variable), and k h(x/k) >= (k - x)^2 / (2k),
+    so every k past the larger root x + L + sqrt(L^2 + 2Lx) of
+    (k - x)^2 = 2Lk, L = -ln(tail_tol), has P(k, x) <= tail_tol.  Newton
+    steps on k h(x/k) = L move that root down to the Chernoff bound's,
+    staying above it, because L - k h(x/k) is concave and decreasing in k;
+    a step is not taken where x/k underflows.  At x = 0 the first term,
+    P = 0, is below tail_tol."""
+    big = -np.log(tail_tol)
+    k = x + big + np.sqrt(big * (big + 2.0 * x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            log_ratio = np.log(x / k)
+            newton = k - (big - x + k + k * log_ratio) / log_ratio
+            k = np.where(np.isfinite(newton), newton, k)
+        n = np.ceil((k - shape0) / dshape) + 1.0
+    return np.where(x > 0.0, np.maximum(n, 1.0), 1.0)
+
+
 def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     """Sum CDF terms and their integrated counterparts at each time of t,
     until there the CDF term drops below tail_tol.  shape0, dshape and t
@@ -109,14 +133,18 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     element that did not converge summed n_max terms.
 
     Term n of an element has the shape k = shape0 + dshape*(n-1), so the
-    terms are evaluated in blocks: 32 consecutive n, then twice as many
-    each time, at the elements still summing, and at most _BLOCK_ELEMENTS
-    values per call of ``reg_lower_gamma`` (whose shapes are then an
-    (elements x terms) block).  An element stops at its first term below
-    tail_tol, and its sums add its terms in order of n (a sequential
-    cumsum), so each gets the bits a loop over n at that time and shape
-    alone gives.  Past that term, at most the rest of its block is
-    evaluated.
+    terms are evaluated in blocks of consecutive n.  An element's first
+    block is as wide as ``_stop_bound``, so that it holds the stopping
+    term; an element that has not stopped at the end of a block takes a
+    block twice as wide next.  The elements of one round are sorted by
+    width and cut into runs, each as many elements as fit in one
+    (elements x terms) block of _BLOCK_ELEMENTS values at the width of
+    its widest, and each block is one call of ``reg_lower_gamma`` (so
+    that math.log is taken once per time).  An element stops at its
+    first term below tail_tol, and its sums add its terms in order of n
+    (a sequential cumsum), so each gets the bits a loop over n at that
+    time and shape alone gives.  Past that term, at most the rest of its
+    block is evaluated.
 
     The integrated term of shape k is t*P(k, x) - (k/rate)*P(k+1, x),
     x = rate*t, with P(k+1, x) taken from P(k, x) by the recurrence, so
@@ -132,30 +160,45 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     sum_int = np.zeros(times.size)
     last = np.zeros(times.size)
     n_terms = 0
-    for lo in range(0, times.size, _BLOCK_ELEMENTS):
-        active = np.arange(lo, min(lo + _BLOCK_ELEMENTS, times.size))
-        n = 0  # terms evaluated at every active time
-        width = 32
-        while active.size and n < n_max:
-            width = min(width, _BLOCK_ELEMENTS // active.size, n_max - n)
-            k = shape0[active][:, None] + dshape[active][:, None] * np.arange(n, n + width)
-            ta = times[active][:, None]
+    done = np.zeros(times.size, dtype=np.int64)  # terms evaluated at each time
+    width = np.fmin(_stop_bound(shape0, dshape, rate * times, tail_tol), n_max)
+    width = width.astype(np.int64)
+    active = np.arange(times.size)
+    while active.size:
+        width[active] = np.minimum(width[active], np.minimum(n_max - done[active], _BLOCK_ELEMENTS))
+        active = active[np.argsort(width[active], kind="stable")]
+        going = []
+        lo = 0
+        while lo < active.size:
+            # the elements from lo on, as many as fit at the widest's width
+            # (no more than _BLOCK_ELEMENTS // width of the first)
+            ahead = width[active[lo : lo + _BLOCK_ELEMENTS // width[active[lo]]]]
+            fits = np.arange(1, ahead.size + 1) * ahead <= _BLOCK_ELEMENTS
+            rows = active[lo : lo + int(fits.sum())]
+            lo += rows.size
+            # no element is evaluated past its n_max-th term
+            w = int(min(width[rows[-1]], np.min(n_max - done[rows])))
+            n = done[rows][:, None]
+            k = shape0[rows][:, None] + dshape[rows][:, None] * (n + np.arange(w))
+            ta = times[rows][:, None]
             x = rate * ta
             cdf = reg_lower_gamma(k, x)
             term_int = ta * cdf - (k / rate) * (cdf - poisson_pmf(k, x))
             term_int = np.where(term_int < 0.0, 0.0, term_int)
             below = cdf < tail_tol
             stopped = below.any(axis=1)
-            summed = np.where(stopped, below.argmax(axis=1), width)
-            rows = np.arange(active.size)
+            summed = np.where(stopped, below.argmax(axis=1), w)
+            at = np.arange(rows.size)
             for total, terms in ((sum_cdf, cdf), (sum_int, term_int)):
-                running = np.cumsum(np.hstack((total[active][:, None], terms)), axis=1)
-                total[active] = running[rows, summed]
-            last[active] = cdf[rows, np.minimum(summed, width - 1)]
+                running = np.cumsum(np.hstack((total[rows][:, None], terms)), axis=1)
+                total[rows] = running[at, summed]
+            last[rows] = cdf[at, np.minimum(summed, w - 1)]
             n_terms += int(summed.sum())
-            active = active[~stopped]
-            n += width
-            width *= 2
+            done[rows] += w
+            width[rows] = 2 * w
+            going.append(rows[~stopped])
+        active = np.concatenate(going)
+        active = active[done[active] < n_max]
     last = last.reshape(t.shape)
     return sum_cdf.reshape(t.shape), sum_int.reshape(t.shape), n_terms, last, last < tail_tol
 

@@ -287,6 +287,32 @@ def test_argmax_single_and_empty():
         argmax_time(empty)
 
 
+def test_argmax_of_a_scalar_time_curve_is_a_parameter_error(
+    ref_process, ref_policy, ref_costs, series_cfg
+):
+    curve = exact_moments(ref_process, ref_policy, ref_costs, 2.0, series_cfg)
+    want = r"argmax_time needs a curve on a one-dimensional grid of times, got times of shape \(\)"
+    with pytest.raises(ParameterError, match=want):
+        argmax_time(curve)
+
+
+def test_negative_inventory_of_a_scalar_time_curve_is_a_parameter_error(
+    ref_process, ref_policy, ref_costs, series_cfg
+):
+    curve = exact_moments(ref_process, ref_policy, ref_costs, 2.0, series_cfg)
+    want = r"negative_inventory_times needs a curve on a one-dimensional grid"
+    with pytest.raises(ParameterError, match=want):
+        negative_inventory_times(curve)
+
+
+def test_cost_curve_on_a_scalar_time_is_a_parameter_error(
+    ref_process, ref_policy, ref_costs, series_cfg
+):
+    want = r"curve grid must be a one-dimensional array of times, got shape \(\)"
+    with pytest.raises(ParameterError, match=want):
+        cost_curve(ref_process, ref_policy, ref_costs, 2.0, series_cfg)
+
+
 def test_negative_inventory_flagging(series_cfg):
     # drift-dominated process: expected inventory goes negative past x0/mu
     p = ProcessParams(mu=100.0, alpha=0.001, lam=0.001)

@@ -29,6 +29,7 @@ from driftinv.forecast import (
     experiment_forecasts,
     fit_candidate,
     fit_window,
+    long_autoregression,
     forecast_window,
     ols,
     pick_d,
@@ -154,7 +155,7 @@ def test_empty_z_fits_nothing_and_one_point_window_fits_its_mean():
     # an empty array has no mean to fit, so no candidate is ok; a
     # one-point window picks d = 0, so forecast_window never fits one
     # and the (0, 0) candidate forecasts the point itself
-    assert fit_candidate(np.array([]), 0, 0)[0] is False
+    assert fit_candidate(np.array([]), 0, 0, None)[0] is False
     assert fit_window(np.array([])) is None
     assert pick_d(np.array([3.0])) == 0
     assert fit_window(np.array([3.0]))[1:3] == (0, 0)
@@ -169,10 +170,10 @@ def test_ar1_recovery():
         y[t] = 0.8 * y[t - 1] + rng.normal()
     # pure AR fits recover the coefficient; the full grid may pick an
     # overparameterized ARMA with a near-cancelling factor
-    ok, beta, _, _ = fit_candidate(y, 1, 0)
+    ok, beta, _, _ = fit_candidate(y, 1, 0, None)
     assert ok
     assert beta[1] == pytest.approx(0.8, abs=0.1)
-    ok, beta, _, _ = fit_candidate(y, 2, 0)
+    ok, beta, _, _ = fit_candidate(y, 2, 0, None)
     assert ok
     assert beta[1] == pytest.approx(0.8, abs=0.1)
     assert beta[2] == pytest.approx(0.0, abs=0.1)
@@ -223,7 +224,7 @@ def test_fit_window_minimises_aic_then_order():
             fits = []
             for p in range(3):
                 for q in range(3):
-                    ok, beta, rss, rows = fit_candidate(z, p, q)
+                    ok, beta, rss, rows = fit_candidate(z, p, q, long_autoregression(z))
                     if ok:
                         aic = rows * np.log(max(rss / rows, 1e-12)) + 2.0 * (p + q + 1)
                         fits.append(((aic, p + q, p), q, beta))
@@ -240,7 +241,7 @@ def test_fit_window_breaks_aic_ties_by_smaller_p(monkeypatch):
     z = np.arange(12.0)
     for q_fits, want in ((2, (0, 2)), (1, (1, 1)), (0, (2, 0))):
 
-        def equal_fits(z, p, q):
+        def equal_fits(z, p, q, stage_one):
             if q > q_fits:
                 return False, None, 0.0, 0
             return True, np.array([float(p), float(q)]), 1e-3 if p + q == 2 else 1.0, 10
@@ -278,7 +279,7 @@ def test_rolling_bounded_by_window_extremes():
             assert 0.0 <= fc[k] <= window.max() + 1e-9
 
 
-def test_rolling_underestimates_jump_periods():
+def test_rolling_underestimates_jump_periods(monkeypatch):
     # periods whose demand includes a jump exceed their forecasts on average
     cfg = make_cfg(n_series=200)
     series_mat = generate_demand_series(cfg)
@@ -286,6 +287,15 @@ def test_rolling_underestimates_jump_periods():
     act_mat = series_mat[:, cfg.sim_start - 1 : cfg.sim_end]
     jumpy = act_mat >= 15.0  # at least one jump landed in the period
     assert act_mat[jumpy].mean() > fc_mat[jumpy].mean()
+
+    # the long autoregression, fit once per window, gives the forecasts of
+    # a fit that refits it for each candidate, bit for bit (on every fifth
+    # series: a series' forecasts read only its own windows)
+    def refit(z, p, q, stage_one):
+        return fit_candidate(z, p, q, long_autoregression(z))
+
+    monkeypatch.setattr(driftinv.forecast, "fit_candidate", refit)
+    assert np.array_equal(experiment_forecasts(series_mat[::5], cfg), fc_mat[::5])
 
 
 def test_croston_examples():
@@ -675,7 +685,7 @@ def test_numpy_reductions_match_scalar_loops():
         m = _loop_sum(v) / n
         ss = _loop_sum((v - m) ** 2)
         assert sample_var(v) == pytest.approx(ss / (n - 1), rel=tol, abs=tol)
-        ok, beta, rss, rows = fit_candidate(v, 0, 0)
+        ok, beta, rss, rows = fit_candidate(v, 0, 0, None)
         assert ok and rows == n
         assert beta.shape == (1,) and beta[0] == pytest.approx(m, rel=tol)
         assert rss == pytest.approx(ss, rel=tol, abs=tol)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -18,15 +19,44 @@ from driftinv import (
     truncated_mean,
 )
 import driftinv.gammainc
-from driftinv.gammainc import poisson_pmf, reg_lower_gamma
+from driftinv.gammainc import _LOG_SERIES, _TEMME, _TEMME_A, _TEMME_MU, poisson_pmf, reg_lower_gamma
+
+import temme_coefficients
 
 MAX_ITER = 20000
 EPS = 1e-16
 TINY = 1e-300
 
 
+def in_temme_region(a, x):
+    return a > _TEMME_A and abs(x - a) < _TEMME_MU * a
+
+
+def scalar_temme(a, x):
+    """Oracle: P(a, x) from Temme's uniform expansion for one float pair,
+    each polynomial of the table by its own Horner scheme."""
+    mu = (x - a) / a
+    u = mu / (2.0 + mu)
+    w = u * u
+    s = _LOG_SERIES[-1]
+    for c in _LOG_SERIES[-2::-1]:
+        s = s * w + c
+    f = u * (mu - 2.0 * w * s)  # lambda - 1 - ln(lambda)
+    eta = math.copysign(math.sqrt(f + f), mu)
+    inv_a = 1.0 / a
+    total = None
+    for row in _TEMME[::-1]:
+        c_k = row[-1]
+        for d in row[-2::-1]:
+            c_k = c_k * eta + d
+        total = c_k if total is None else total * inv_a + c_k
+    r = math.exp(-a * f) / math.sqrt(2.0 * math.pi * a) * total
+    return 0.5 * math.erfc(-(eta * math.sqrt(0.5 * a))) - r
+
+
 def scalar_reg_lower_gamma(a, x, tiny=TINY):
-    """Oracle: P(a, x) for one float pair, the power series and the
+    """Oracle: P(a, x) for one float pair: Temme's expansion for a >
+    _TEMME_A with x near a, otherwise the power series and the
     modified-Lentz continued fraction of Press et al., Numerical Recipes
     section 6.2, with ``tiny`` the floor of the Lentz denominators."""
     if x <= 0.0:
@@ -36,6 +66,9 @@ def scalar_reg_lower_gamma(a, x, tiny=TINY):
     if lg < -745.0:
         # e^lg underflows; the function value is 0 or 1 depending on side.
         return 0.0 if x < a else 1.0
+    if in_temme_region(a, x):
+        p = scalar_temme(a, x)
+        return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
     pref = math.exp(lg)
     if x < a + 1.0:
         # series: P(a,x) = pref * sum_k x^k / (a (a+1) ... (a+k))
@@ -103,13 +136,19 @@ def test_kernel_matches_scalar_oracle_bit_for_bit():
     a, x = mixed_pairs(40_000, seed=17)
     want = np.array([scalar_reg_lower_gamma(u, v) for u, v in zip(a.tolist(), x.tolist())])
     assert np.array_equal(reg_lower_gamma(a, x), want)
-    # every branch is taken: x <= 0, the underflow, the series and the fraction
-    with np.errstate(divide="ignore"):
+    # every branch is taken: x <= 0, the underflow, Temme's expansion, the
+    # series, the fraction and the fraction's values set to 1.0 directly
+    with np.errstate(divide="ignore", invalid="ignore"):
         lg = a * np.log(x) - x - np.array([math.lgamma(u) for u in a.tolist()])
+        one = lg - np.log(x - a + 1.0) < -56.0 * math.log(2.0)
+    temme = np.array([in_temme_region(u, v) for u, v in zip(a.tolist(), x.tolist())])
+    live = (lg > -744.0) & ~temme
     assert np.sum(x == 0.0) > 1000
     assert np.sum((x > 0.0) & (lg < -746.0)) > 1000
-    assert np.sum((lg > -744.0) & (x < a + 1.0)) > 1000
-    assert np.sum((lg > -744.0) & (x >= a + 1.0)) > 1000
+    assert np.sum((lg > -744.0) & temme) > 1000
+    assert np.sum(live & (x < a + 1.0)) > 1000
+    assert np.sum(live & (x >= a + 1.0) & ~one) > 1000
+    assert np.sum(live & (x >= a + 1.0) & one) > 1000
     # and one call on the same pairs as a (1, n) row against a column
     assert np.array_equal(reg_lower_gamma(a[None, :200], x[:50, None]), np.array(
         [[scalar_reg_lower_gamma(u, v) for u in a[:200].tolist()] for v in x[:50].tolist()]
@@ -133,10 +172,11 @@ def test_kernel_matches_oracle_at_the_slice_edges(offset):
     n = 1 if offset is None else driftinv.gammainc._SLICE + offset
     a, x = mixed_pairs(n, seed=21)
     assert_matches_oracle(a, x)
-    # all n in one branch, so that the series and the fraction each get
-    # a call of n elements
+    # all n in one branch, so that the series, the fraction and Temme's
+    # expansion each get a call of n elements
     assert_matches_oracle(a, a * 0.5)
-    assert_matches_oracle(a, a + 1.5)
+    assert_matches_oracle(a, np.where(a > _TEMME_A, 1.55 * a, a + 1.5))
+    assert_matches_oracle(a + _TEMME_A, a + _TEMME_A)
 
 
 def series_steps(a, x):
@@ -154,15 +194,51 @@ def series_steps(a, x):
 
 def test_series_elements_stopping_at_every_offset_of_a_block():
     # one call whose series elements stop at every step of a block of
-    # _STEPS, so each offset of the stopping test's block is taken
+    # _STEPS, so each offset of the stopping test's block is taken; x is
+    # below a/2, out of Temme's region
     rng = np.random.default_rng(23)
     a = np.exp(rng.uniform(math.log(0.05), math.log(200.0), 400))
-    x = a * rng.uniform(0.01, 1.0, 400)
+    x = a * rng.uniform(0.01, 0.5, 400)
     steps = np.array([series_steps(u, v) for u, v in zip(a.tolist(), x.tolist())])
     offsets = steps % driftinv.gammainc._STEPS
     assert set(offsets.tolist()) == set(range(driftinv.gammainc._STEPS))
     assert np.all(x < a + 1.0) and steps.max() > 4 * driftinv.gammainc._STEPS
     assert_matches_oracle(a, x)
+
+
+def test_temme_table_is_the_generators_output():
+    # the committed literal is what tests/temme_coefficients.py derives
+    # with mpmath for the region the kernel uses
+    assert temme_coefficients.table() == _TEMME
+    assert all(len(r) >= len(s) for r, s in zip(_TEMME, _TEMME[1:]))
+
+
+# shapes over the workloads' range and x/a over (0.5, 2), and a bound on
+# the kernel's largest relative error against mpmath there: 4.7e-14 is
+# measured (numpy 2.4, glibc), 1.40e-12 was the series and fraction's
+# alone, from the rounding of a*ln(x) - lgamma(a) at large a
+WORKLOAD_GRID = (np.geomspace(8.0, 1000.0, 41), np.linspace(0.5, 2.0, 61)[1:-1])
+WORKLOAD_GRID_REL_ERROR = 1e-13
+
+
+def workload_grid_relative_error():
+    """The kernel's largest relative error against mpmath over
+    WORKLOAD_GRID, and the (a, x) where it is taken."""
+    shapes, ratios = WORKLOAD_GRID
+    a = np.repeat(shapes, ratios.size)
+    x = a * np.tile(ratios, shapes.size)
+    with mpmath.workdps(40):
+        want = np.array(
+            [float(mpmath.gammainc(u, 0, v, regularized=True)) for u, v in zip(a.tolist(), x.tolist())]
+        )
+    rel = np.abs(reg_lower_gamma(a, x) - want) / want
+    i = int(np.argmax(rel))
+    return float(rel[i]), float(a[i]), float(x[i])
+
+
+def test_kernel_matches_mpmath_on_the_workload_grid():
+    rel, a, x = workload_grid_relative_error()
+    assert rel <= WORKLOAD_GRID_REL_ERROR, (a, x)
 
 
 def test_repeated_shapes_take_one_lgamma_each(monkeypatch):

@@ -288,11 +288,29 @@ def test_series_evaluates_each_term_once_and_at_most_a_block_past_its_stop(
             assert needed <= len(evaluated) <= n_max
             # past the term that stopped it, at most the rest of its last block
             assert len(evaluated) - needed < len(blocks[-1])
+            # and a block as wide as the stopping bound holds the stop
+            assert len(blocks) == 1
         assert all(np.broadcast(a, x).size <= renewal._BLOCK_ELEMENTS for a, x in calls)
     # the path every cost curve takes, at the reference shapes 10, 20, ... and rate 10
     calls.clear()
     expected_renewal_sums(ref_process, ref_policy, np.linspace(0.0, 12.0, 49), series_cfg)
     assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape0=st.floats(0.1, 100.0),
+    dshape=st.floats(0.5, 100.0),
+    rate=st.floats(0.1, 30.0),
+    t=st.one_of(st.floats(0.0, 60.0), st.floats(1e-6, 1e-2)),
+    tail_tol=st.sampled_from([1e-6, 1e-12, 1e-15]),
+)
+def test_stop_bound_reaches_the_stopping_term(shape0, dshape, rate, t, tail_tol):
+    # the first block of a time holds its first term below tail_tol, so the
+    # series evaluates each time in one call
+    want = scalar_renewal_series(shape0, dshape, rate, t, tail_tol, 10_000)
+    bound = renewal._stop_bound(shape0, dshape, np.float64(rate * t), tail_tol)
+    assert want[4] and bound >= want[2] + 1
 
 
 def test_empirical_cdf_basics(ref_process, ref_policy):
