@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: expected-cost, sweep, simulate, validate, fpt-diag,
+Commands: expected-cost, sweep, simulate, validate, fpt-diag,
 table1, compare.  Each is deterministic given its config (seeds live in
 the config), writes CSV as the canonical output and SVG as convenience.
 """
@@ -39,6 +39,7 @@ from .mc import (
 )
 from .params import CostParams, OrderingMode
 from .renewal import (  # the two gamma-series names: see expected_inventory above
+    _BLOCK_ELEMENTS,
     expected_integrated_renewals,  # noqa: F401
     expected_renewals,  # noqa: F401
     fpt_empirical_cdf,
@@ -241,34 +242,42 @@ def cmd_fpt_diag(cfg, out_dir):
     diag_file = out_dir / "fpt_diag.csv"
     ks_file = out_dir / "fpt_ks.csv"
     # two independent batches, each sampled once for every threshold
-    ns = list(range(1, fpt_raw["n_values"] + 1))
+    ns = np.arange(1, fpt_raw["n_values"] + 1)
     emp_a_all = fpt_empirical_cdf(cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed)
     emp_b_all = fpt_empirical_cdf(
         cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed + cfg.n_paths
     )
+    # thresholds per incomplete-gamma call: one grid, or as many as fill a
+    # renewal-series block, which bounds the working set
+    per_call = max(1, _BLOCK_ELEMENTS // grid.size)
     chart_series = []
     with open(diag_file, "w") as fh, open(ks_file, "w") as kh:
         fh.write("n,shape,rate,t,gamma_cdf,literal_integrand,empirical\n")
         kh.write("n,ks_gamma_vs_empirical,ks_batch_self\n")
-        for n, emp_a, emp_b in zip(ns, emp_a_all, emp_b_all):
-            spec = fpt_gamma_spec(cfg.process, cfg.policy, n)
-            gcdf = gamma_cdf(spec, grid)
-            lit = literal_integrand_cdf(spec, grid)
-            ks = float(np.max(np.abs(gcdf - emp_a)))
-            ks_self = float(np.max(np.abs(emp_a - emp_b)))
-            kh.write(f"{n},{ks!r},{ks_self!r}\n")
-            print(
-                f"n={n}: KS(gamma approx, empirical) = {ks:.4f}; "
-                f"KS between independent batches = {ks_self:.4f}"
-            )
-            for t, g, l, e in zip(grid.tolist(), gcdf.tolist(), lit.tolist(), emp_a.tolist()):
-                fh.write(f"{n},{spec.shape!r},{spec.rate!r},{t!r},{g!r},{l!r},{e!r}\n")
-            if n == 1:
-                chart_series = [
-                    ("gamma approx", gcdf),
-                    ("literal integrand", lit),
-                    ("empirical", emp_a),
-                ]
+        for lo in range(0, ns.size, per_call):
+            block = slice(lo, lo + per_call)
+            spec = fpt_gamma_spec(cfg.process, cfg.policy, ns[block, None])
+            gcdf_rows = gamma_cdf(spec, grid)
+            lit_rows = literal_integrand_cdf(spec, grid)
+            for n, shape, gcdf, lit, emp_a, emp_b in zip(
+                ns[block].tolist(), spec.shape[:, 0].tolist(), gcdf_rows, lit_rows,
+                emp_a_all[block], emp_b_all[block],
+            ):
+                ks = float(np.max(np.abs(gcdf - emp_a)))
+                ks_self = float(np.max(np.abs(emp_a - emp_b)))
+                kh.write(f"{n},{ks!r},{ks_self!r}\n")
+                print(
+                    f"n={n}: KS(gamma approx, empirical) = {ks:.4f}; "
+                    f"KS between independent batches = {ks_self:.4f}"
+                )
+                for t, g, l, e in zip(grid.tolist(), gcdf.tolist(), lit.tolist(), emp_a.tolist()):
+                    fh.write(f"{n},{shape!r},{spec.rate!r},{t!r},{g!r},{l!r},{e!r}\n")
+                if n == 1:
+                    chart_series = [
+                        ("gamma approx", gcdf),
+                        ("literal integrand", lit),
+                        ("empirical", emp_a),
+                    ]
     if chart_series:
         line_chart(
             out_dir / "fpt_diag.svg",
@@ -328,19 +337,17 @@ def build_parser():
         prog="driftinv",
         description="Reorder-point inventory analysis under drifted-Poisson demand",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the base seed")
-        p.add_argument("--paths", type=int, default=None, help="override the MC path count")
-        p.add_argument(
-            "--mode",
-            choices=[m.value for m in OrderingMode],
-            default=None,
-            help="override the ordering-cost mode",
-        )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override the base seed")
+    parser.add_argument("--paths", type=int, default=None, help="override the MC path count")
+    parser.add_argument(
+        "--mode",
+        choices=[m.value for m in OrderingMode],
+        default=None,
+        help="override the ordering-cost mode",
+    )
     return parser
 
 

@@ -28,13 +28,14 @@ from .quadrature import adaptive_simpson  # noqa: F401 -- a name perfbench/layer
 
 @dataclass(frozen=True)
 class GammaSpec:
-    """Shape/rate pair of one first-passage-time approximation."""
+    """Shape/rate pair of one first-passage-time approximation, or of
+    several sharing the rate when shape is an array."""
 
     shape: float
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
+        if not (np.all(self.shape > 0) and self.rate > 0):
             raise ParameterError(
                 f"gamma shape and rate must be positive, got "
                 f"shape={self.shape}, rate={self.rate}"
@@ -59,11 +60,14 @@ class RenewalSeriesConfig:
             raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
 
 
-def fpt_gamma_spec(params: ProcessParams, policy: PolicyParams, n: int) -> GammaSpec:
-    """Gamma approximation of the time the n-th threshold is reached."""
-    if n < 1:
+def fpt_gamma_spec(params: ProcessParams, policy: PolicyParams, n) -> GammaSpec:
+    """Gamma approximation of the time the n-th threshold is reached.
+
+    ``n`` may also be an array of threshold indices: the spec's shape is
+    then the array of their shapes, each equal to its index's own."""
+    if np.any(np.asarray(n) < 1):
         raise ParameterError(f"threshold index must be >= 1, got {n}")
-    shape = policy.threshold(n) / params.mu
+    shape = (policy.a + (n - 1) * policy.Q) / params.mu
     return GammaSpec(shape=shape, rate=params.alpha * params.lam)
 
 

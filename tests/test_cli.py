@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import driftinv.cli
@@ -18,7 +19,7 @@ from driftinv.cli import main, run_validation
 from driftinv.config import DEFAULT_CONFIG, MAX_STEPS, load_config
 from driftinv.cost import exact_moments
 from driftinv.forecast import ExperimentConfig, run_table_experiment
-from driftinv.renewal import RenewalSeriesConfig
+from driftinv.renewal import RenewalSeriesConfig, fpt_gamma_spec, gamma_cdf, literal_integrand_cdf
 
 from conftest import exact_expected_orders
 
@@ -257,6 +258,36 @@ def test_fpt_diag_outputs(tmp_path, small_config, capsys):
     assert "KS" in capsys.readouterr().out
 
 
+def test_fpt_diag_blocks_write_what_the_per_threshold_loop_writes(tmp_path, capsys, monkeypatch):
+    # 5 thresholds on a 9-point grid: one call, blocks of 2, 2 and 1
+    # thresholds, and one threshold per call write the same bytes
+    cfgfile = tmp_path / "c.json"
+    fpt = {"n_values": 5, "t_end": 4.0, "steps": 9}
+    cfgfile.write_text(json.dumps({**SMALL_CONFIG, "fpt": fpt}))
+    runs = []
+    for block_elements in (driftinv.cli._BLOCK_ELEMENTS, 2 * 9, 1):
+        monkeypatch.setattr(driftinv.cli, "_BLOCK_ELEMENTS", block_elements)
+        out = tmp_path / str(block_elements)
+        args = ["fpt-diag", "--config", str(cfgfile), "--paths", "300", "--out", str(out)]
+        assert main(args) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        runs.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    # the shape, rate, gamma and literal columns are those of the scalar
+    # spec of each threshold, as the per-threshold loop wrote them
+    cfg = load_config(cfgfile)
+    lines = runs[0][0]["fpt_diag.csv"].decode().splitlines()[1:]
+    assert len(lines) == 5 * 9
+    for n in range(1, 6):
+        spec = fpt_gamma_spec(cfg.process, cfg.policy, n)
+        rows = [line.split(",") for line in lines[(n - 1) * 9 : n * 9]]
+        grid = np.array([float(r[3]) for r in rows])
+        want = zip(gamma_cdf(spec, grid).tolist(), literal_integrand_cdf(spec, grid).tolist())
+        for r, (g, lit) in zip(rows, want):
+            assert r[:3] == [str(n), repr(spec.shape), repr(spec.rate)]
+            assert r[4:6] == [repr(g), repr(lit)]
+
+
 def test_table1_outputs(tmp_path, small_config):
     out = tmp_path / "out"
     assert main(["table1", "--config", str(small_config), "--out", str(out)]) == 0
@@ -468,6 +499,76 @@ def test_out_names_a_file_exit_code(tmp_path, capsys):
     assert "--out" in err and str(outfile) in err
     assert "Traceback" not in err
     assert outfile.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["expected-cost", "--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+        (["simulate", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["simulate", "--paths", "1.5"], "argument --paths: invalid int value: '1.5'"),
+    ],
+)
+def test_malformed_command_line_exit_code(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: driftinv ")
+    assert f"driftinv: error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_command_is_accepted():
+    parser = driftinv.cli.build_parser()
+    for name in driftinv.cli.COMMANDS:
+        assert parser.parse_args([name]).command == name
+
+
+def test_flags_before_the_command_give_the_same_outputs(tmp_path, small_config, capsys):
+    flags = ["--config", str(small_config), "--seed", "5", "--paths", "300", "--mode", "per_order"]
+    runs = []
+    for name, argv in (("after", ["simulate", *flags]), ("before", [*flags, "simulate"])):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        runs.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
+    assert runs[0] == runs[1]
+
+
+def test_in_process_runs_write_what_a_fresh_run_writes(tmp_path, small_config, capsys):
+    # no state is carried from one main() call to the next
+    package = pathlib.Path(driftinv.cli.__file__).parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    for seed in ("5", "6"):
+        args = ["simulate", "--config", str(small_config), "--paths", "300", "--seed", seed]
+        assert main([*args, "--out", str(tmp_path / f"in-{seed}")]) == 0
+        in_process = capsys.readouterr().out.replace(str(tmp_path / f"in-{seed}"), "OUT")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "driftinv.cli", *args, "--out", f"fresh-{seed}"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.replace(f"fresh-{seed}", "OUT") == in_process
+        for f in sorted((tmp_path / f"fresh-{seed}").iterdir()):
+            assert (tmp_path / f"in-{seed}" / f.name).read_bytes() == f.read_bytes()
+
+
+def test_console_script_reads_sys_argv(tmp_path, small_config, monkeypatch):
+    # the driftinv entry point calls main() with no arguments
+    out = tmp_path / "out"
+    argv = ["driftinv", "expected-cost", "--config", str(small_config), "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert main() == 0
+    assert (out / "expected_cost.csv").exists()
 
 
 @pytest.mark.parametrize(
