@@ -11,7 +11,6 @@ is 9), so nothing downstream casts and no output depends on how a
 number was spelled.
 """
 
-import copy
 import json
 import sys
 from dataclasses import dataclass
@@ -81,10 +80,12 @@ def _fits(default, value) -> bool:
 
 
 def _merge(base, override, prefix=""):
-    """``base`` updated from ``override``; every key must already be in
-    ``base`` and every value must be of its default's kind, in which it
-    is stored: the one place a config value gets its type."""
-    out = copy.deepcopy(base)
+    """``base`` updated from ``override``, as a new dict whose every dict
+    and list is new too, so that nothing in it is shared with ``base``.
+    Every key must already be in ``base`` and every value must be of its
+    default's kind, in which it is stored: the one place a config value
+    gets its type."""
+    merged = {}
     for key, value in override.items():
         name = prefix + key
         if key not in base:
@@ -92,12 +93,15 @@ def _merge(base, override, prefix=""):
         default = base[key]
         if not _fits(default, value):
             raise ParameterError(f"config key {name!r} must be {_kind(default)}, got {value!r}")
+        merged[key] = _merge(default, value, name + ".") if isinstance(default, dict) else value
+    out = {}
+    for key, default in base.items():
         if isinstance(default, dict):
-            out[key] = _merge(default, value, name + ".")
+            out[key] = merged[key] if key in merged else _merge(default, {})
         elif isinstance(default, list):
-            out[key] = [type(default[0])(v) for v in value]
+            out[key] = [type(default[0])(v) for v in merged.get(key, default)]
         else:
-            out[key] = type(default)(value)
+            out[key] = type(default)(merged[key]) if key in merged else default
     return out
 
 
@@ -176,13 +180,13 @@ def build_config(raw: dict) -> RunConfig:
 
 def load_config(path=None, overrides=None) -> RunConfig:
     """Merge defaults <- config file <- CLI overrides, then build."""
-    raw = copy.deepcopy(DEFAULT_CONFIG)
+    loaded = {}
     if path is not None:
         with open(path) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ParameterError("a config file must hold a JSON object")
-        raw = _merge(raw, loaded)
+    raw = _merge(DEFAULT_CONFIG, loaded)
     if overrides:
         raw = _merge(raw, overrides)
     return build_config(raw)

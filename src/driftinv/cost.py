@@ -230,10 +230,14 @@ def long_run_rate(params: ProcessParams, policy: PolicyParams, costs: CostParams
     """Long-run expected cost per unit time, lim total(t)/t.
 
     The renewal-reward rate of the (r, Q) policy: orders arrive at rate
-    (mu + alpha*lam)/Q, and with mu > 0 demand is non-lattice, so the
-    inventory tends to the uniform law on (x0 - a, x0 - a + Q] with mean
-    x0 - a + Q/2 (Hadley & Whitin 1963; Zipkin 2000, ch. 6).  Nothing
-    is ever short, so the rate is
+    (mu + alpha*lam)/Q, and the inventory's time average is x0 - a + Q/2,
+    the mean of the uniform law on (x0 - a, x0 - a + Q] (Hadley & Whitin
+    1963; Zipkin 2000, ch. 6).  Its law at a fixed t tends to that uniform
+    law only when alpha/Q is irrational: when alpha/Q is rational, D_t
+    mod Q takes values g apart (g = gcd(alpha, Q) for integers), and
+    E[X_t] keeps a sawtooth of period g/mu and height g around the mean
+    (80.0, 77.5, 75.0 and 72.5 at t = 300, 300.5, 301 and 301.5 at the
+    defaults).  Nothing is ever short, so the rate is
     c_o(Q)*(mu + alpha*lam)/Q + c_h*(x0 - a + Q/2)."""
     return costs.order_cost(policy.Q) * params.demand_rate / policy.Q + costs.c_h * (
         policy.x0 - policy.a + policy.Q / 2

@@ -107,28 +107,54 @@ def sample_path(params: ProcessParams, horizon: float, seed: int) -> SamplePath:
     return SamplePath(params=params, jump_times=flat, horizon=horizon, seed=seed)
 
 
-def _chunk_jump_times(lam, horizon, key, chunk, n):
+def _chunk_jump_times(params, horizon, key, chunk, n, level):
     """Jump times before ``horizon`` of the first n paths of one chunk,
-    packed flat, and the count of each path."""
+    packed flat, and the count of each path.
+
+    With a ``level``, a path keeps its jumps only through the first one,
+    tau_j, at which demand reaches the level: max(tau_j, (level - s_j)/mu)
+    == tau_j, with s_j the demand of j jumps summed as ``path_segments``
+    sums it.  Every later segment starts after tau_j, so first passages
+    to the level or below are those of the whole path, and no round is
+    drawn once every path of the chunk has such a jump."""
     rounds = []
+    # with a level, the last column each path keeps: its first jump at the
+    # level, or ``uncut`` until it has one
+    uncut = np.iinfo(np.int64).max
+    last_kept = np.full(n, uncut)
     last = np.zeros(n)
-    while np.any(last < horizon):
+    while np.any((last < horizon) & (last_kept == uncut)):
         seq = np.random.SeedSequence(key, spawn_key=(chunk, len(rounds)))
-        times = np.random.default_rng(seq).exponential(1.0 / lam, size=(n, ROUND_GAPS))
+        times = np.random.default_rng(seq).exponential(1.0 / params.lam, size=(n, ROUND_GAPS))
         times[:, 0] += last
         np.cumsum(times, axis=1, out=times)
         last = times[:, -1]
+        if level is not None:
+            s = np.cumsum(np.full(ROUND_GAPS * (len(rounds) + 1), params.alpha))[-ROUND_GAPS:]
+            # demand after each jump rises along a path, so the jumps that
+            # fall short of the level, max(tau_j, (level - s_j)/mu) > tau_j,
+            # come first, and the first that does not is at the level
+            short = times < (level - s) / params.mu
+            first = ROUND_GAPS * len(rounds) + short.argmin(axis=1)
+            np.minimum(last_kept, np.where(short[:, -1], uncut, first), out=last_kept)
         rounds.append(times)
     times = np.concatenate(rounds, axis=1)
     keep = times < horizon
+    if level is not None:
+        keep &= np.arange(times.shape[1]) <= last_kept[:, None]
     return times[keep], np.count_nonzero(keep, axis=1)
 
 
-def batch_jump_times(params: ProcessParams, horizon: float, base_seed: int, n_paths: int):
+def batch_jump_times(
+    params: ProcessParams, horizon: float, base_seed: int, n_paths: int, level=None
+):
     """Jump times of paths 0 .. n_paths - 1 of the batch keyed ``base_seed``
     (see the seeding contract in the module docstring), packed flat.
 
     Returns (flat, offsets) with path i occupying flat[offsets[i]:offsets[i+1]].
+    With a ``level``, each path stops at its first jump at which demand
+    reaches it (see ``_chunk_jump_times``): a prefix of the path that
+    gives the same first passages to every level up to ``level``.
     """
     if not horizon > 0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
@@ -139,7 +165,7 @@ def batch_jump_times(params: ProcessParams, horizon: float, base_seed: int, n_pa
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
     for chunk, p0 in enumerate(range(0, n_paths, CHUNK_PATHS)):
         p1 = min(p0 + CHUNK_PATHS, n_paths)
-        times, counts = _chunk_jump_times(params.lam, horizon, base_seed, chunk, p1 - p0)
+        times, counts = _chunk_jump_times(params, horizon, base_seed, chunk, p1 - p0, level)
         pieces.append(times)
         offsets[p0 + 1 : p1 + 1] = counts
     np.cumsum(offsets, out=offsets)

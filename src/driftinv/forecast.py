@@ -281,6 +281,41 @@ def forecast_window(w):
     return min(max(yhat, 0.0), w.max())
 
 
+def _group(keys):
+    """Number the distinct ``keys`` in order of first appearance: the
+    keys, in that order, and the number of each."""
+    index = {}
+    return index, [index.setdefault(key, len(index)) for key in keys]
+
+
+def _index(of_row, n_groups):
+    """``of_row`` as an index array, or None where it is the identity:
+    where there are as many groups as entries."""
+    return None if n_groups == len(of_row) else np.array(of_row)
+
+
+def _gather(x, rows):
+    return x if rows is None else x[rows]
+
+
+def _cost_pairs(state_of_row, coef, n_states):
+    """The distinct (state, coefficient) pairs of the rows: their
+    coefficients as a column, the state each pair's inventory is gathered
+    from (None where the pairs are the states) and each row's pair."""
+    pairs, pair_of_row = _group(zip(state_of_row, coef.tolist()))
+    column = np.array([c for _, c in pairs]).reshape(-1, 1)
+    return column, _index([state for state, _ in pairs], n_states), _index(pair_of_row, len(pairs))
+
+
+def _ordering_cost(charge, orders, n_periods):
+    """Each row's charge added once per order, in sequence from +0.0: the
+    charge's running sums, read at the (rows, series) order counts."""
+    sums = np.zeros((charge.size, n_periods + 1))
+    sums[:, 1:] = charge.reshape(-1, 1)
+    np.cumsum(sums, axis=1, out=sums)
+    return sums[np.arange(charge.size)[:, None], orders]
+
+
 def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, period_cost=None):
     """Replay the reorder-point policy for every (grid row, series) pair.
 
@@ -292,13 +327,16 @@ def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, period_c
     arrives immediately) when the inventory, less the period's forecast
     if there is one, is at or below R, subtract the demand, then accrue
     holding on positive and shortage on negative end-of-period
-    inventory; backorders go negative.  The loop runs over the P periods
-    on (G, S) state, and every pair gets the bits of a per-pair scalar
-    loop that takes the same steps in the same order.  Where that loop
-    adds nothing (no order, or a cost whose sign test fails) this one
-    adds a zero: Q or a charge times False, or a cost clipped at 0.0 by
-    ``np.maximum``.  A sum plus a zero is the sum, because every sum
-    starts at +0.0 and so is never -0.0.
+    inventory; backorders go negative.
+
+    Orders and inventory depend on (R, Q) alone, so the loop steps each
+    distinct (R, Q) once and accrues holding once per distinct
+    (R, Q, c_h) and shortage once per distinct (R, Q, c_so); a row's
+    ordering cost, its charge added once per order, is read from the
+    charge's running sums at its order count.  Every pair gets the bits
+    of a per-pair scalar loop: where that loop adds nothing this one adds
+    a zero (Q times False, a cost clipped at 0.0), and every sum starts
+    at +0.0, so adding a zero leaves it as it is.
 
     Returns (G, S) arrays: ordering, holding and shortage cost, order
     count and whether the inventory ever went negative.  A (G, P)
@@ -308,39 +346,60 @@ def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, period_c
     act = np.ascontiguousarray(np.asarray(actuals, dtype=np.float64).T)
     if forecasts is not None:
         fc = np.ascontiguousarray(np.asarray(forecasts, dtype=np.float64).T)
-    shape = (np.size(R), act.shape[1])
-    R, Q, c_h, neg_c_so, charge = (
-        np.asarray(v, dtype=np.float64).reshape(-1, 1)
-        for v in (R, Q, c_h, -np.asarray(c_so, dtype=np.float64), order_charge)
+    n_periods, n_series = act.shape
+    R, Q, c_h, c_so, charge = (
+        np.asarray(v, dtype=np.float64).reshape(-1) for v in (R, Q, c_h, c_so, order_charge)
     )
+    states, state_of_row = _group(zip(R.tolist(), Q.tolist()))
+    c_h, hold_state, hold_of_row = _cost_pairs(state_of_row, c_h, len(states))
+    neg_c_so, short_state, short_of_row = _cost_pairs(state_of_row, -c_so, len(states))
+    state_of_row = _index(state_of_row, len(states))
+    R, Q = np.array(list(states)).T.reshape(2, -1, 1)
+    shape = (len(states), n_series)
     inv = np.full(shape, float(x0))
     lowest = inv.copy()
-    ordering = np.zeros(shape)
-    holding = np.zeros(shape)
-    shortage = np.zeros(shape)
-    orders = np.zeros(shape, dtype=np.int64)
-    order = np.empty(shape, dtype=bool)
-    added, h, s, cost = (np.empty(shape) for _ in range(4))
-    for k in range(act.shape[0]):
+    ordered = np.empty((n_periods,) + shape, dtype=bool)  # counted at the end
+    added = np.empty(shape)
+    holding, h = np.zeros((2, c_h.size, n_series))
+    shortage, s = np.zeros((2, neg_c_so.size, n_series))
+    held = inv if hold_state is None else np.empty(h.shape)
+    short = inv if short_state is None else np.empty(s.shape)
+    if period_cost is not None:
+        ordered_cost = 0.0 + charge.reshape(-1, 1)
+        # each period's (row, series) costs, summed over the series at the end
+        costs = np.zeros((n_periods, charge.size, n_series))
+    for k in range(n_periods):
+        order = ordered[k]
         if forecasts is None:
             np.less_equal(inv, R, out=order)
         else:
             np.subtract(inv, fc[k], out=added)
             np.less_equal(added, R, out=order)
-        orders += order
         inv += np.multiply(Q, order, out=added)
-        ordering += np.multiply(charge, order, out=added)
         inv -= act[k]
         np.minimum(lowest, inv, out=lowest)
-        holding += np.maximum(np.multiply(c_h, inv, out=h), 0.0, out=h)
-        shortage += np.maximum(np.multiply(neg_c_so, inv, out=s), 0.0, out=s)
+        if hold_state is not None:
+            np.take(inv, hold_state, axis=0, out=held)
+        holding += np.maximum(np.multiply(c_h, held, out=h), 0.0, out=h)
+        if short_state is not None:
+            np.take(inv, short_state, axis=0, out=short)
+        shortage += np.maximum(np.multiply(neg_c_so, short, out=s), 0.0, out=s)
         if period_cost is not None:
-            cost.fill(0.0)
-            cost += added
-            cost += h
-            cost += s
-            period_cost[:, k] = np.cumsum(cost, axis=1, out=cost)[:, -1]
-    return ordering, holding, shortage, orders, lowest < 0.0
+            # the scalar loop's 0.0, plus the charge where it orders
+            cost = costs[k]
+            np.copyto(cost, ordered_cost, where=_gather(order, state_of_row))
+            cost += _gather(h, hold_of_row)
+            cost += _gather(s, short_of_row)
+    if period_cost is not None:
+        period_cost[...] = np.add.accumulate(costs, axis=2, out=costs)[:, :, -1].T
+    orders = _gather(np.count_nonzero(ordered, axis=0), state_of_row)
+    return (
+        _ordering_cost(charge, orders, n_periods),
+        _gather(holding, hold_of_row),
+        _gather(shortage, short_of_row),
+        orders,
+        _gather(lowest < 0.0, state_of_row),
+    )
 
 
 def rolling_forecast(series, cfg: ExperimentConfig) -> np.ndarray:

@@ -313,7 +313,9 @@ def fpt_empirical_cdf(
     to the horizon of the highest threshold, then serves them all, and
     the result has one row per index.  A path's first passage to a lower
     threshold falls before that threshold's own horizon, so it does not
-    depend on the longer horizon.
+    depend on the longer horizon.  Each path is sampled only through its
+    first jump at which demand reaches the highest threshold
+    (``batch_jump_times``' ``level``): no later jump can move a passage.
     """
     ns = np.atleast_1d(n)
     if ns.size == 0 or np.any(ns < 1):
@@ -331,7 +333,7 @@ def fpt_empirical_cdf(
     levels = [policy.threshold(int(k)) for k in ns]
     # horizon long enough that censoring only affects times beyond the grid
     horizon = max(float(grid.max()), max(levels) / params.mu) + 1.0
-    flat, offsets = batch_jump_times(params, horizon, seed, n_paths)
+    flat, offsets = batch_jump_times(params, horizon, seed, n_paths, level=max(levels))
     fpt = np.sort(first_passage_times(flat, offsets, params.mu, params.alpha, levels), axis=1)
     cdf = np.stack([np.searchsorted(row, grid, side="right") for row in fpt]) / float(n_paths)
     return cdf if np.ndim(n) else cdf[0]

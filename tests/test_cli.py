@@ -392,6 +392,47 @@ def test_merge_stores_each_value_in_its_defaults_type(tmp_path):
     assert raw["policy"]["Q"] == 40.0 and raw["validate"]["times"] == [1.0, 2.5]
 
 
+def _dicts_and_lists(value):
+    if isinstance(value, dict):
+        yield value
+        for v in value.values():
+            yield from _dicts_and_lists(v)
+    elif isinstance(value, list):
+        yield value
+
+
+@pytest.mark.parametrize(
+    "config, overrides",
+    [
+        (None, None),
+        ({"process": {"mu": 4.0}, "validate": {"times": [3.0]}}, None),
+        ({"sweep": {"Q_list": [40.0]}}, {"policy": {"a": 45.0}, "mc": {"base_seed": 3}}),
+    ],
+)
+def test_loaded_config_shares_nothing_with_the_defaults(tmp_path, config, overrides):
+    # the merge builds every dict and list anew: a loaded config's raw
+    # dicts and lists, merged or not, are its own, and mutating them
+    # leaves DEFAULT_CONFIG and the next load as they were
+    before = copy.deepcopy(DEFAULT_CONFIG)
+    cfgfile = None
+    if config is not None:
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(config))
+    raw = load_config(cfgfile, overrides).raw
+    defaults = [id(v) for v in _dicts_and_lists(DEFAULT_CONFIG)]
+    assert not {id(v) for v in _dicts_and_lists(raw)} & set(defaults)
+    for v in _dicts_and_lists(raw):
+        if isinstance(v, dict):
+            for key in list(v):
+                if not isinstance(v[key], dict):
+                    v[key] = "mutated"
+        else:
+            v.append(-1.0)
+    raw["extra"] = {}
+    assert DEFAULT_CONFIG == before
+    assert load_config().raw == before
+
+
 def test_record_defaults_equal_the_config_defaults():
     # both records carry their own defaults: they must be the shipped ones
     for record, section in ((ExperimentConfig, "experiment"), (RenewalSeriesConfig, "series")):

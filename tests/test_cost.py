@@ -819,6 +819,18 @@ def test_exact_cost_rate_tends_to_long_run_rate(ref_process, ref_policy, ref_cos
     assert ratios[-1] < 0.01
 
 
+def test_exact_inventory_keeps_a_sawtooth_at_the_defaults(
+    ref_process, ref_policy, ref_costs, series_cfg
+):
+    # alpha/Q = 10/50 is rational: at a fixed t, D_t mod Q takes values
+    # g = gcd(10, 50) = 10 apart, so E[X_t] does not settle at the mean
+    # x0 - a + Q/2 = 75 of the uniform law on (50, 100].  It keeps a
+    # sawtooth of period g/mu = 2 and height g; only its time average is 75
+    t = np.array([300.0, 300.5, 301.0, 301.5])
+    inventory = exact_moments(ref_process, ref_policy, ref_costs, t, series_cfg).inventory
+    assert inventory.tolist() == pytest.approx([80.0, 77.5, 75.0, 72.5], abs=1e-8)
+
+
 def test_exact_series_cap(ref_process, ref_policy, ref_costs):
     cfg = RenewalSeriesConfig(n_max=2)
     with pytest.raises(SeriesNotConvergedError) as info:

@@ -500,6 +500,48 @@ def test_batched_replay_matches_scalar_loop(
     )
 
 
+def _grouped_grids():
+    """Grids whose rows share (R, Q) in different ways: TABLE1_GRID in a
+    shuffled order (12 states, rows of one state apart); every (R, Q)
+    distinct; and rows of one (R, Q) that differ only in c_h, or only
+    in c_so, next to rows of their own state."""
+    shuffled = [TABLE1_GRID[i] for i in np.random.default_rng(26).permutation(len(TABLE1_GRID))]
+    # Q = 12 orders less than the mean demand per period, so backorders build
+    distinct = [(R, Q, 1.0, 5.0, 10.0) for R in (10.0, 47.5, 60.0) for Q in (12.0, 61.3)]
+    shared = [
+        (45.0, 55.0, 1.0, 5.0, 10.0),
+        (45.0, 55.0, 2.5, 5.0, 10.0),
+        (45.0, 55.0, 0.0, 5.0, 10.0),
+        (45.0, 55.0, 2.5, 5.0, 10.0),
+        (10.0, 12.0, 1.0, 5.0, 10.0),
+        (10.0, 12.0, 1.0, 5.0, 12.5),
+        (10.0, 12.0, 1.0, 5.0, 0.0),
+        (60.0, 70.0, 1.0, 7.0, 10.0),
+        (45.0, 55.0, 1.0, 9.0, 12.5),
+    ]
+    return {"table1_shuffled": shuffled, "distinct": distinct, "shared": shared}
+
+
+@pytest.mark.parametrize("name", list(_grouped_grids()))
+@pytest.mark.parametrize("on_hand", [True, False])
+@pytest.mark.parametrize("per_unit", [True, False])
+def test_grouped_replay_matches_scalar_loop(name, on_hand, per_unit):
+    # the replay steps each distinct (R, Q) once and accrues each cost once
+    # per distinct (state, coefficient); every row still gets the bits of
+    # its own scalar loop, period costs included.  Demand is off the
+    # integer lattice, and every grid has rows that order, hold and
+    # backorder
+    cfg = make_cfg(
+        n_series=9, forecaster="croston", process=ProcessParams(mu=5.3, alpha=9.7, lam=1.1)
+    )
+    series_mat = generate_demand_series(cfg)
+    actuals = series_mat[:, cfg.sim_start - 1 : cfg.sim_end]
+    forecasts = None if on_hand else experiment_forecasts(series_mat, cfg)
+    R, Q, c_h, c_o, c_so = (np.array(col) for col in zip(*_grouped_grids()[name]))
+    charge = c_o * Q if per_unit else c_o
+    assert_batch_matches_scalar(actuals, forecasts, cfg.policy.x0, R, Q, c_h, c_so, charge)
+
+
 def scalar_experiment(cfg, grid):
     """Table rows and cost profile of the experiment, one scalar replay
     per (grid row, series) pair."""

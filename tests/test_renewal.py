@@ -21,7 +21,7 @@ from driftinv import (
 )
 import driftinv.renewal
 from driftinv import renewal
-from driftinv.demand import batch_jump_times, first_true
+from driftinv.demand import CHUNK_PATHS, batch_jump_times, first_true
 from driftinv.gammainc import reg_lower_gamma
 from driftinv.renewal import expected_renewal_sums, first_passage_times, renewal_series
 
@@ -394,6 +394,76 @@ def test_first_passage_times_ties_on_a_lattice():
         assert np.array_equal(row, scalar_first_passage_times(flat, offsets, 2.0, 3.0, level))
     assert got[1].tolist() == [1.0, 1.0, 2.5, 1.0]
     assert np.all(np.isfinite(got))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    lattice=st.booleans(),
+    n_values=st.integers(1, 5),
+    n_paths=st.sampled_from([1, 7, 60, CHUNK_PATHS + 5]),
+    seed=st.integers(0, 2**31),
+)
+def test_batch_stopped_at_the_level_gives_the_full_batch_passages(
+    data, lattice, n_values, n_paths, seed
+):
+    # fpt_empirical_cdf samples each path only through its first jump at
+    # which demand reaches the highest threshold: a prefix of the path
+    # sampled to the full horizon, with the same passage times to every
+    # threshold and so the same CDFs, bit for bit.  On the integer lattice
+    # drift, jumps and thresholds are whole numbers
+    bounds = ((1, 20), (1, 30), (1, 100), (1, 100))
+    if lattice:
+        mu, alpha, a, Q = (float(data.draw(st.integers(lo, hi))) for lo, hi in bounds)
+    else:
+        mu, alpha, a, Q = (data.draw(st.floats(lo / 20, float(hi))) for lo, hi in bounds)
+    lam = data.draw(st.sampled_from([0.5, 4.0]) | st.floats(0.05, 6.0))
+    t_end = data.draw(st.floats(0.1, 30.0))
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    policy = PolicyParams(x0=a + Q, a=a, Q=Q)
+    ns = np.arange(1, n_values + 1)
+    levels = [policy.threshold(int(n)) for n in ns]
+    grid = np.linspace(0.0, t_end, 31)
+    horizon = max(t_end, max(levels) / mu) + 1.0
+    full = batch_jump_times(process, horizon, seed, n_paths)
+    stopped = batch_jump_times(process, horizon, seed, n_paths, level=max(levels))
+    for i in range(n_paths):
+        path = stopped[0][stopped[1][i] : stopped[1][i + 1]]
+        assert path.tobytes() == full[0][full[1][i] : full[1][i] + path.size].tobytes()
+    fpt = first_passage_times(*full, mu, alpha, levels)
+    assert first_passage_times(*stopped, mu, alpha, levels).tobytes() == fpt.tobytes()
+    fpt.sort(axis=1)
+    want = np.stack([np.searchsorted(row, grid, side="right") for row in fpt]) / float(n_paths)
+    got = fpt_empirical_cdf(process, policy, ns, grid, n_paths, seed)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mu, alpha, lam, level, horizon",
+    [
+        # the high-intensity process of the benchmark's mc workload at its
+        # third threshold: about 124 jumps a path to horizon 31, passages
+        # near t = 10, all within the first round of gaps
+        (5.0, 2.5, 4.0, 150.0, 31.0),
+        # about 1,600 jumps a path; the level is reached near jump 240, so
+        # every path draws several rounds that all fall short of it first
+        (1.0, 1.0, 4.0, 300.0, 400.0),
+    ],
+)
+def test_batch_stopped_at_the_level_draws_fewer_jumps(mu, alpha, lam, level, horizon):
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    full = batch_jump_times(process, horizon, 3, 300)
+    stopped = batch_jump_times(process, horizon, 3, 300, level=level)
+    counts = np.diff(stopped[1])
+    assert stopped[0].size < full[0].size / 2
+    # every path ends at the first jump at which demand is at the level:
+    # just after it, demand is there, and just after the jump before, not
+    assert counts.min() >= 2
+    last, before = (stopped[0][stopped[1][1:] - k] for k in (1, 2))
+    assert np.all(mu * last + alpha * counts >= level)
+    assert np.all(mu * before + alpha * (counts - 1) < level)
+    fpt = first_passage_times(*stopped, mu, alpha, [level / 2, level])
+    assert fpt.tobytes() == first_passage_times(*full, mu, alpha, [level / 2, level]).tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
