@@ -3,9 +3,13 @@
 Commands: expected-cost, sweep, simulate, validate, fpt-diag,
 table1, compare.  Each is deterministic given its config (seeds live in
 the config), writes CSV as the canonical output and SVG as convenience.
+Every file a command writes is written here: the CSV files through
+``write_csv``, the one owner of their text format, and summary.json.
 """
 
 import argparse
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -13,6 +17,8 @@ import numpy as np
 
 from .config import load_config
 from .cost import (
+    CostBreakdown,
+    CostCurve,
     argmax_time,
     cost_curve,
     exact_moments,
@@ -20,24 +26,11 @@ from .cost import (
     expected_total_cost,  # noqa: F401 -- likewise
     negative_inventory_times,
     sweep,
-    write_curve_csv,
-    write_sweep_csv,
 )
 from .errors import ParameterError, SeriesNotConvergedError
-from .forecast import (
-    cumulative_cost_profile,
-    run_table_experiment,
-    write_table_csv,
-)
-from .mc import (
-    mc_summary,
-    path_costs,
-    path_stats,
-    save_summary_json,
-    save_trajectory_csv,
-    simulate,
-)
-from .params import CostParams, OrderingMode
+from .forecast import TableRow, cumulative_cost_profile, run_table_experiment
+from .mc import SimSummary, Trajectory, mc_summary, path_costs, path_stats, simulate
+from .params import CostParams, OrderingMode, PolicyParams
 from .renewal import (  # the two gamma-series names: see expected_inventory above
     _BLOCK_ELEMENTS,
     expected_integrated_renewals,  # noqa: F401
@@ -48,6 +41,72 @@ from .renewal import (  # the two gamma-series names: see expected_inventory abo
     literal_integrand_cdf,
 )
 from .svg import line_chart
+
+
+def _text(column) -> np.ndarray:
+    """``str`` of each Python value of ``column``, as an object array of its shape."""
+    values = np.asarray(column)
+    return np.array(list(map(str, values.ravel().tolist())), dtype=object).reshape(values.shape)
+
+
+def write_csv(file, header, blocks) -> None:
+    """Write ``header``, then the rows of each block in turn, to ``file``.
+
+    A block is a list of columns, one per field: arrays, lists or scalars
+    whose shapes broadcast together, its rows being the elements of the
+    broadcast shape in C order.  A field is ``str`` of the column's Python
+    value; for a float that is the shortest repr, which reads back to the
+    same bits.  Each column is formatted once at its own shape, and a
+    column that is the very object of one of the previous block keeps
+    its text; only text is broadcast.  ``blocks`` may be a generator, so
+    a file written a block at a time holds one block's text at a time.
+    """
+    with open(file, "w") as fh:
+        fh.write(header + "\n")
+        previous = {}
+        for columns in blocks:
+            # holding the previous block's columns keeps their ids unique
+            texts = {id(c): previous.get(id(c)) or (c, _text(c)) for c in columns}
+            fields = [texts[id(c)][1] for c in columns]
+            # one row of fields per element of the broadcast shape
+            table = np.empty(np.broadcast(*fields).shape + (len(fields),), dtype=object)
+            for i, field in enumerate(fields):
+                table[..., i] = field
+            rows = table.reshape(-1, len(fields)).tolist()
+            if rows:
+                fh.write("\n".join(map(",".join, rows)) + "\n")
+            previous = texts
+
+
+def write_sweep_csv(cost: CostBreakdown, costs_list, a_list, Q_list, grid, file) -> None:
+    """``sweep``'s breakdown, one row per (a, Q, costs, t) in that order;
+    the shortage column is 0.0."""
+    shape = (len(a_list), len(Q_list), len(costs_list), -1)
+    o, h, tot = (np.reshape(x, shape) for x in (cost.ordering, cost.holding, cost.total))
+    keys = [(c.c_h, c.c_o, c.c_so, c.ordering_mode.value) for c in costs_list]
+    a, Q = np.reshape(a_list, (-1, 1, 1, 1)), np.reshape(Q_list, (-1, 1, 1))
+    columns = [a, Q, *(np.reshape(k, (-1, 1)) for k in zip(*keys)), grid, o, h, 0.0, tot]
+    write_csv(file, "a,Q,c_h,c_o,c_so,mode,t,ordering,holding,shortage,total", [columns])
+
+
+def write_curve_csv(curve: CostCurve, policy: PolicyParams, costs: CostParams, file) -> None:
+    write_sweep_csv(curve.cost, [costs], [policy.a], [policy.Q], curve.grid, file)
+
+
+def write_table_csv(rows, file) -> None:
+    columns = [[getattr(r, f.name) for r in rows] for f in dataclasses.fields(TableRow)]
+    write_csv(file, "R,Q,C_h,C_o,C_so,mean_total,stderr_total,mean_orders,stockout_rate", [columns])
+
+
+def save_trajectory_csv(traj: Trajectory, file) -> None:
+    kinds = np.array(["jump", "order"])[traj.kinds]  # mc.KIND_JUMP, mc.KIND_ORDER
+    write_csv(file, "t,kind,inventory", [[traj.times, kinds, traj.inventory_after]])
+
+
+def save_summary_json(summary: SimSummary, file) -> None:
+    with open(file, "w") as fh:
+        json.dump(summary.__dict__, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_expected_cost(cfg, out_dir):
@@ -211,14 +270,9 @@ def cmd_validate(cfg, out_dir):
     csv_file = out_dir / "validation.csv"
     # slack is 0.0: nothing is ever short, so the total gets no shortage
     # allowance; the column stays for the file format
-    with open(csv_file, "w") as fh:
-        fh.write("quantity,t,analytical,mc_mean,mc_stderr,slack,abs_diff,limit,status\n")
-        for r in rows:
-            fh.write(
-                f"{r['quantity']},{r['t']!r},{r['analytical']!r},{r['mc_mean']!r},"
-                f"{r['mc_stderr']!r},0.0,{r['abs_diff']!r},{r['limit']!r},"
-                f"{r['status']}\n"
-            )
+    header = "quantity,t,analytical,mc_mean,mc_stderr,slack,abs_diff,limit,status"
+    columns = [0.0 if name == "slack" else [r[name] for r in rows] for name in header.split(",")]
+    write_csv(csv_file, header, [columns])
     n_fail = 0
     for r in rows:
         print(
@@ -247,46 +301,41 @@ def cmd_fpt_diag(cfg, out_dir):
     emp_b_all = fpt_empirical_cdf(
         cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed + cfg.n_paths
     )
-    # thresholds per incomplete-gamma call: one grid, or as many as fill a
-    # renewal-series block, which bounds the working set
+    # thresholds per incomplete-gamma call and per block of fpt_diag.csv:
+    # one grid, or as many as fill a renewal-series block, which bounds
+    # the working set
     per_call = max(1, _BLOCK_ELEMENTS // grid.size)
-    chart_series = []
-    with open(diag_file, "w") as fh, open(ks_file, "w") as kh:
-        fh.write("n,shape,rate,t,gamma_cdf,literal_integrand,empirical\n")
-        kh.write("n,ks_gamma_vs_empirical,ks_batch_self\n")
+    ks, chart_series = [], []
+
+    def blocks():
         for lo in range(0, ns.size, per_call):
             block = slice(lo, lo + per_call)
             spec = fpt_gamma_spec(cfg.process, cfg.policy, ns[block, None])
-            gcdf_rows = gamma_cdf(spec, grid)
-            lit_rows = literal_integrand_cdf(spec, grid)
-            for n, shape, gcdf, lit, emp_a, emp_b in zip(
-                ns[block].tolist(), spec.shape[:, 0].tolist(), gcdf_rows, lit_rows,
-                emp_a_all[block], emp_b_all[block],
-            ):
-                ks = float(np.max(np.abs(gcdf - emp_a)))
-                ks_self = float(np.max(np.abs(emp_a - emp_b)))
-                kh.write(f"{n},{ks!r},{ks_self!r}\n")
-                print(
-                    f"n={n}: KS(gamma approx, empirical) = {ks:.4f}; "
-                    f"KS between independent batches = {ks_self:.4f}"
-                )
-                for t, g, l, e in zip(grid.tolist(), gcdf.tolist(), lit.tolist(), emp_a.tolist()):
-                    fh.write(f"{n},{shape!r},{spec.rate!r},{t!r},{g!r},{l!r},{e!r}\n")
-                if n == 1:
-                    chart_series = [
-                        ("gamma approx", gcdf),
-                        ("literal integrand", lit),
-                        ("empirical", emp_a),
-                    ]
-    if chart_series:
-        line_chart(
-            out_dir / "fpt_diag.svg",
-            grid,
-            chart_series,
-            title="First-passage CDF, first threshold",
-            xlabel="t",
-            ylabel="P(T < t)",
+            gcdf = gamma_cdf(spec, grid)
+            lit = literal_integrand_cdf(spec, grid)
+            emp = emp_a_all[block]
+            ks.extend(np.max(np.abs(gcdf - emp), axis=1).tolist())
+            if lo == 0:  # the chart shows the first threshold
+                names = ("gamma approx", "literal integrand", "empirical")
+                chart_series.extend(zip(names, (gcdf[0], lit[0], emp[0])))
+            yield [ns[block, None], spec.shape, spec.rate, grid, gcdf, lit, emp]
+
+    write_csv(diag_file, "n,shape,rate,t,gamma_cdf,literal_integrand,empirical", blocks())
+    ks_self = np.max(np.abs(emp_a_all - emp_b_all), axis=1).tolist()
+    write_csv(ks_file, "n,ks_gamma_vs_empirical,ks_batch_self", [[ns, ks, ks_self]])
+    for n, d, d_self in zip(ns.tolist(), ks, ks_self):
+        print(
+            f"n={n}: KS(gamma approx, empirical) = {d:.4f}; "
+            f"KS between independent batches = {d_self:.4f}"
         )
+    line_chart(
+        out_dir / "fpt_diag.svg",
+        grid,
+        chart_series,
+        title="First-passage CDF, first threshold",
+        xlabel="t",
+        ylabel="P(T < t)",
+    )
     print(f"wrote {diag_file} and {ks_file}")
     return 0
 
@@ -305,10 +354,8 @@ def cmd_compare(cfg, out_dir):
     times = exp.period_length * np.arange(1, exp.n_sim_periods + 1)
     ana = cost_curve(cfg.process, exp.policy, exp.costs, times, cfg.series).cost.total
     csv_file = out_dir / "compare.csv"
-    with open(csv_file, "w") as fh:
-        fh.write("period,t,analytical_total,forecast_sim_cum_cost\n")
-        for p, t, a, c in zip(periods, times, ana.tolist(), cum.tolist()):
-            fh.write(f"{int(p)},{float(t)!r},{a!r},{c!r}\n")
+    header = "period,t,analytical_total,forecast_sim_cum_cost"
+    write_csv(csv_file, header, [[periods, times, ana, cum]])
     line_chart(
         out_dir / "compare.svg",
         times,
@@ -384,6 +431,9 @@ def main(argv=None) -> int:
             f"after n={err.n_terms} terms (partial sum {err.partial_sum:.6g})",
             file=sys.stderr,
         )
+        return 2
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
         return 2
 
 

@@ -45,9 +45,6 @@ from .renewal import (  # expected_integrated_renewals: a name perfbench/layers.
     policy_renewal_sums,
 )
 
-CSV_HEADER = "a,Q,c_h,c_o,c_so,mode,t,ordering,holding,shortage,total"
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     """Expected ordering, holding and total cost: floats at a scalar time,
@@ -325,26 +322,3 @@ def sweep(
     charges = np.array([[[c.order_cost(p.Q)] for c in costs_list] for p in policies])
     c_h = np.array([[c.c_h] for c in costs_list])
     return _breakdown(params, x0, Q, charges, c_h, grid, er[:, None], ei[:, None])
-
-
-def write_sweep_csv(cost: CostBreakdown, costs_list, a_list, Q_list, grid, file) -> None:
-    """``sweep``'s breakdown, one row per (a, Q, costs, t) in that order;
-    the shortage column is 0.0."""
-    heads = [
-        f"{a!r},{Q!r},{c.c_h!r},{c.c_o!r},{c.c_so!r},{c.ordering_mode.value}"
-        for a in a_list
-        for Q in Q_list
-        for c in costs_list
-    ]
-    times = np.asarray(grid).tolist()
-    shape = (len(heads), len(times))
-    columns = [np.reshape(x, shape).tolist() for x in (cost.ordering, cost.holding, cost.total)]
-    with open(file, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for head, ordering, holding, total in zip(heads, *columns):
-            for t, o, h, tot in zip(times, ordering, holding, total):
-                fh.write(f"{head},{t!r},{o!r},{h!r},0.0,{tot!r}\n")
-
-
-def write_curve_csv(curve: CostCurve, policy: PolicyParams, costs: CostParams, file) -> None:
-    write_sweep_csv(curve.cost, [costs], [policy.a], [policy.Q], curve.grid, file)

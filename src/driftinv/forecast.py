@@ -37,7 +37,6 @@ TRIGGERS = ("on_hand", "forecast_projected")
 # (p, q) orders the ARIMA fit tries, p, q <= 2, in tie-break order:
 # smaller p + q first, then smaller p
 CANDIDATES = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1), (2, 2))
-TABLE_CSV_HEADER = "R,Q,C_h,C_o,C_so,mean_total,stderr_total,mean_orders,stockout_rate"
 
 # (R, Q, C_h, C_o, C_so) rows of the 48-point experiment grid.
 TABLE1_GRID = [
@@ -566,13 +565,3 @@ def cumulative_cost_profile(cfg: ExperimentConfig):
     acc = acc[0] / n_series
     periods = np.arange(cfg.sim_start, cfg.sim_end + 1)
     return periods, np.cumsum(acc)
-
-
-def write_table_csv(rows, file) -> None:
-    with open(file, "w") as fh:
-        fh.write(TABLE_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.R!r},{r.Q!r},{r.c_h!r},{r.c_o!r},{r.c_so!r},"
-                f"{r.mean_total!r},{r.stderr_total!r},{r.mean_orders!r},{r.stockout_rate!r}\n"
-            )

@@ -17,7 +17,6 @@ of max(-X, 0) is identically zero and no function computes it.  Only
 the minimum inventory, which gives ``shortage_fraction``, is observed.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .params import CostParams, PolicyParams, ProcessParams
 
 KIND_JUMP = 0
 KIND_ORDER = 1
-KIND_LABELS = ("jump", "order")
 
 
 def simulate_events(jumps, mu, alpha, x0, a, Q, horizon):
@@ -139,13 +137,6 @@ class Trajectory:
     times: np.ndarray
     kinds: np.ndarray
     inventory_after: np.ndarray
-
-    @property
-    def events(self):
-        return [
-            (float(t), KIND_LABELS[int(k)], float(v))
-            for t, k, v in zip(self.times, self.kinds, self.inventory_after)
-        ]
 
     @property
     def n_orders(self) -> int:
@@ -266,16 +257,3 @@ def mc_summary(
         mean_orders=float(np.mean(stats["orders"])),
         shortage_fraction=float(np.mean(stats["min_inv"] < 0)),
     )
-
-
-def save_trajectory_csv(traj: Trajectory, file) -> None:
-    with open(file, "w") as fh:
-        fh.write("t,kind,inventory\n")
-        for t, kind, v in traj.events:
-            fh.write(f"{t!r},{kind},{v!r}\n")
-
-
-def save_summary_json(summary: SimSummary, file) -> None:
-    with open(file, "w") as fh:
-        json.dump(summary.__dict__, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,9 +17,17 @@ import pytest
 import driftinv.cli
 from driftinv.cli import main, run_validation
 from driftinv.config import DEFAULT_CONFIG, MAX_STEPS, load_config
-from driftinv.cost import exact_moments
-from driftinv.forecast import ExperimentConfig, run_table_experiment
-from driftinv.renewal import RenewalSeriesConfig, fpt_gamma_spec, gamma_cdf, literal_integrand_cdf
+from driftinv.cost import cost_curve, exact_moments, sweep
+from driftinv.forecast import ExperimentConfig, cumulative_cost_profile, run_table_experiment
+from driftinv.mc import KIND_ORDER, simulate
+from driftinv.params import CostParams
+from driftinv.renewal import (
+    RenewalSeriesConfig,
+    fpt_empirical_cdf,
+    fpt_gamma_spec,
+    gamma_cdf,
+    literal_integrand_cdf,
+)
 
 from conftest import exact_expected_orders
 
@@ -288,6 +296,143 @@ def test_fpt_diag_blocks_write_what_the_per_threshold_loop_writes(tmp_path, caps
             assert r[4:6] == [repr(g), repr(lit)]
 
 
+def _cost_lines(cost, costs_list, a_list, q_list, grid):
+    heads = [
+        f"{a!r},{Q!r},{c.c_h!r},{c.c_o!r},{c.c_so!r},{c.ordering_mode.value}"
+        for a in a_list
+        for Q in q_list
+        for c in costs_list
+    ]
+    times = np.asarray(grid).tolist()
+    shape = (len(heads), len(times))
+    columns = [np.reshape(x, shape).tolist() for x in (cost.ordering, cost.holding, cost.total)]
+    lines = ["a,Q,c_h,c_o,c_so,mode,t,ordering,holding,shortage,total"]
+    for head, ordering, holding, total in zip(heads, *columns):
+        for t, o, h, tot in zip(times, ordering, holding, total):
+            lines.append(f"{head},{t!r},{o!r},{h!r},0.0,{tot!r}")
+    return lines
+
+
+def oracle_csv_files(cfg):
+    """Oracle: every CSV file of the seven commands, formatted row by row
+    with one f-string of reprs per line, the way each command wrote it
+    before one writer owned the format."""
+    files = {}
+    curve = cost_curve(cfg.process, cfg.policy, cfg.costs, cfg.grid, cfg.series)
+    files["expected_cost.csv"] = _cost_lines(
+        curve.cost, [cfg.costs], [cfg.policy.a], [cfg.policy.Q], curve.grid
+    )
+
+    raw, c = cfg.raw["sweep"], cfg.costs
+    costs_list = [CostParams(c_o, c.c_h, c.c_so, c.ordering_mode) for c_o in raw["c_o_list"]]
+    cost = sweep(
+        cfg.process, costs_list, raw["a_list"], raw["Q_list"], cfg.grid, cfg.series,
+        x0=cfg.policy.x0,
+    )
+    files["sweep.csv"] = _cost_lines(cost, costs_list, raw["a_list"], raw["Q_list"], cfg.grid)
+
+    traj = simulate(cfg.process, cfg.policy, float(cfg.grid[-1]), cfg.base_seed)
+    files["trajectory.csv"] = ["t,kind,inventory"] + [
+        f"{t!r},{'order' if k == KIND_ORDER else 'jump'},{v!r}"
+        for t, k, v in zip(traj.times.tolist(), traj.kinds.tolist(), traj.inventory_after.tolist())
+    ]
+
+    validation = files["validation.csv"] = [
+        "quantity,t,analytical,mc_mean,mc_stderr,slack,abs_diff,limit,status"
+    ]
+    for r in run_validation(cfg):
+        validation.append(
+            f"{r['quantity']},{r['t']!r},{r['analytical']!r},{r['mc_mean']!r},"
+            f"{r['mc_stderr']!r},0.0,{r['abs_diff']!r},{r['limit']!r},{r['status']}"
+        )
+
+    fpt = cfg.raw["fpt"]
+    grid = np.linspace(0.0, fpt["t_end"], fpt["steps"])
+    ns = np.arange(1, fpt["n_values"] + 1)
+    emp_a = fpt_empirical_cdf(cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed)
+    emp_b = fpt_empirical_cdf(
+        cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed + cfg.n_paths
+    )
+    diag = files["fpt_diag.csv"] = ["n,shape,rate,t,gamma_cdf,literal_integrand,empirical"]
+    ks_lines = files["fpt_ks.csv"] = ["n,ks_gamma_vs_empirical,ks_batch_self"]
+    for n, ea, eb in zip(ns.tolist(), emp_a, emp_b):
+        spec = fpt_gamma_spec(cfg.process, cfg.policy, n)
+        gcdf, lit = gamma_cdf(spec, grid), literal_integrand_cdf(spec, grid)
+        ks, ks_self = float(np.max(np.abs(gcdf - ea))), float(np.max(np.abs(ea - eb)))
+        ks_lines.append(f"{n},{ks!r},{ks_self!r}")
+        for t, g, l, e in zip(grid.tolist(), gcdf.tolist(), lit.tolist(), ea.tolist()):
+            diag.append(f"{n},{spec.shape!r},{spec.rate!r},{t!r},{g!r},{l!r},{e!r}")
+
+    table = files["table1.csv"] = [
+        "R,Q,C_h,C_o,C_so,mean_total,stderr_total,mean_orders,stockout_rate"
+    ]
+    for r in run_table_experiment(cfg.experiment):
+        table.append(
+            f"{r.R!r},{r.Q!r},{r.c_h!r},{r.c_o!r},{r.c_so!r},"
+            f"{r.mean_total!r},{r.stderr_total!r},{r.mean_orders!r},{r.stockout_rate!r}"
+        )
+
+    periods, cum = cumulative_cost_profile(cfg.experiment)
+    exp = cfg.experiment
+    times = exp.period_length * np.arange(1, exp.n_sim_periods + 1)
+    ana = cost_curve(cfg.process, exp.policy, exp.costs, times, cfg.series).cost.total
+    files["compare.csv"] = ["period,t,analytical_total,forecast_sim_cum_cost"] + [
+        f"{int(p)},{float(t)!r},{a!r},{c!r}"
+        for p, t, a, c in zip(periods, times, ana.tolist(), cum.tolist())
+    ]
+    return {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
+
+
+ORACLE_CONFIGS = {
+    # repeated sweep entries, per-order charges
+    "repeated_sweep_per_order": {
+        **SMALL_CONFIG,
+        "costs": {"ordering_mode": "per_order"},
+        "mc": {"n_paths": 300, "base_seed": 99},
+        "validate": {"times": [1.5, 3.0, 1.5]},
+        "sweep": {
+            "a_list": [55.5, 40.0, 55.5], "Q_list": [45.0, 60.0, 45.0], "c_o_list": [7.0, 2.5, 7.0],
+        },
+    },
+    # four times the jumps at the reference's mean demand rate
+    "high_intensity": {
+        **SMALL_CONFIG,
+        "process": {"mu": 5.0, "alpha": 2.5, "lam": 4.0},
+        "mc": {"n_paths": 300, "base_seed": 7},
+        "fpt": {"n_values": 5, "t_end": 6.0, "steps": 9},
+    },
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_every_csv_equals_its_row_by_row_oracle(tmp_path, capsys, monkeypatch, name):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(ORACLE_CONFIGS[name]))
+    want = oracle_csv_files(load_config(cfgfile))
+    written = {}
+    for command in driftinv.cli.COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) in (0, 1)
+        written.update((f.name, f.read_text()) for f in out.glob("*.csv"))
+    assert written == want
+    # fpt_diag.csv a block of one, of two and of all thresholds at a time
+    steps = ORACLE_CONFIGS[name]["fpt"]["steps"]
+    for block_elements in (steps, 2 * steps, driftinv.cli._BLOCK_ELEMENTS):
+        monkeypatch.setattr(driftinv.cli, "_BLOCK_ELEMENTS", block_elements)
+        out = tmp_path / f"fpt-{block_elements}"
+        assert main(["fpt-diag", "--config", str(cfgfile), "--out", str(out)]) == 0
+        for f in ("fpt_diag.csv", "fpt_ks.csv"):
+            assert (out / f).read_text() == want[f]
+    capsys.readouterr()
+    # a number reads back to the same bits; integers (n, period) are
+    # integer literals and labels are words
+    for text in written.values():
+        for line in text.splitlines()[1:]:
+            for field in line.split(","):
+                if not field.isdigit() and field[-1].isdigit():
+                    assert repr(float(field)) == field
+
+
 def test_table1_outputs(tmp_path, small_config):
     out = tmp_path / "out"
     assert main(["table1", "--config", str(small_config), "--out", str(out)]) == 0
@@ -540,6 +685,16 @@ def test_out_names_a_file_exit_code(tmp_path, capsys):
     assert "--out" in err and str(outfile) in err
     assert "Traceback" not in err
     assert outfile.read_text() == "not a directory\n"
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "expected_cost.csv").mkdir(parents=True)
+    assert main(["expected-cost", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ")
+    assert str(out / "expected_cost.csv") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -30,15 +30,9 @@ from driftinv import (
 )
 import driftinv.cost
 import driftinv.renewal
-from driftinv.cli import cmd_expected_cost
+from driftinv.cli import cmd_expected_cost, write_curve_csv, write_sweep_csv
 from driftinv.config import load_config
-from driftinv.cost import (
-    CostBreakdown,
-    CostCurve,
-    negative_inventory_times,
-    write_curve_csv,
-    write_sweep_csv,
-)
+from driftinv.cost import CostBreakdown, CostCurve, negative_inventory_times
 
 from conftest import exact_expected_orders
 from test_gamma import scalar_poisson_pmf, scalar_reg_lower_gamma

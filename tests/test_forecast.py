@@ -18,6 +18,7 @@ from driftinv import (
     rolling_forecast,
     run_table_experiment,
 )
+from driftinv.cli import write_table_csv
 from driftinv.forecast import (
     CANDIDATES,
     TABLE1_GRID,
@@ -34,7 +35,6 @@ from driftinv.forecast import (
     ols,
     pick_d,
     sample_var,
-    write_table_csv,
 )
 
 

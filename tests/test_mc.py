@@ -19,13 +19,12 @@ from driftinv import (
     mc_summary,
     simulate,
 )
+from driftinv.cli import save_summary_json, save_trajectory_csv
 from driftinv.demand import SamplePath, batch_jump_times
 from driftinv.mc import (
     KIND_ORDER,
     batch_stats,
     path_stats,
-    save_summary_json,
-    save_trajectory_csv,
     simulate_events,
     trajectory_from_path,
 )
@@ -68,8 +67,8 @@ def test_pathwise_identity(ref_process, ref_policy):
             seed=seed,
         )
         orders = 0
-        for t, kind, inv in traj.events:
-            if kind == "order":
+        for t, kind, inv in zip(traj.times.tolist(), traj.kinds.tolist(), traj.inventory_after.tolist()):
+            if kind == KIND_ORDER:
                 orders += 1
             want = ref_policy.x0 - demand_at(path, t) + ref_policy.Q * orders
             assert inv == pytest.approx(want, abs=1e-9)
