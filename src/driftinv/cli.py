@@ -32,7 +32,7 @@ from .forecast import TableRow, cumulative_cost_profile, run_table_experiment
 from .mc import SimSummary, Trajectory, mc_summary, path_costs, path_stats, simulate
 from .params import CostParams, OrderingMode, PolicyParams
 from .renewal import (  # the two gamma-series names: see expected_inventory above
-    _BLOCK_ELEMENTS,
+    _CHUNK_VALUES,
     expected_integrated_renewals,  # noqa: F401
     expected_renewals,  # noqa: F401
     fpt_empirical_cdf,
@@ -302,9 +302,9 @@ def cmd_fpt_diag(cfg, out_dir):
         cfg.process, cfg.policy, ns, grid, cfg.n_paths, cfg.base_seed + cfg.n_paths
     )
     # thresholds per incomplete-gamma call and per block of fpt_diag.csv:
-    # one grid, or as many as fill a renewal-series block, which bounds
+    # one grid, or as many as fill a renewal-series chunk, which bounds
     # the working set
-    per_call = max(1, _BLOCK_ELEMENTS // grid.size)
+    per_call = max(1, _CHUNK_VALUES // grid.size)
     ks, chart_series = [], []
 
     def blocks():

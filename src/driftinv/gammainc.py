@@ -18,25 +18,29 @@ series and fraction alone, from the rounding of a*ln(x) - lgamma(a) in
 their prefactor at large a), and the absolute error against scipy is
 below 1e-12 on a grid from a = 0.01 to 1000.
 
-Both functions take arrays: the arguments broadcast together, and
-each element gets the arithmetic of the one-element algorithm in its
-order, so a value does not depend on what it is evaluated with.  The
-iterations step all elements not yet converged at once, a block of
-steps at a time (``_STEPS`` steps of the series, each a few in-place
-ufuncs; for the continued fraction, ``_BLOCK`` values), and each
-element takes the value of the step its own stopping test first
-passes.  Temme's region runs only in a call that has a value in it.
-Scalar arguments give a float.  The elements are taken ``_SLICE`` at a
-time, which bounds the working arrays of one call whatever its size.
+The kernel, ``_pair``, returns P(a, x) and P(a+1, x) over a table of
+distinct shapes (``_shape_table``): math.lgamma, Temme's coefficients
+g_n(a) = sum_k d[k][n] a^-k of eta^n (a Horner scheme in 1/a down the
+zero-padded columns of _TEMME) and the Stirling factor e^-theta(a) are
+taken once per shape, so that a value takes only eta, a Horner scheme
+in eta and Temme's erfc and exponential.  P(a+1, x) is P(a, x) less the
+pmf x^a e^-x / Gamma(a+1) (DLMF 8.8.5), from the kernel's own prefactor
+(pref / a, or e^(-a eta^2/2) e^-theta(a) / sqrt(2 pi a) in Temme's
+region), except in the power series' region, where x may be far below
+a and that difference cancels: there it is pref times the series' own
+sum of its terms past the first.
 
-log Gamma(a) is math.lgamma, the one log-gamma in the package, taken
-once per distinct value of a; the logs and exponentials of the
-prefactor, and Temme's erfc and exponential, are also the math
-module's, taken per element, because numpy's round differently in the
-last bit.
-``poisson_pmf`` is the one x^k e^-x / Gamma(k+1), the step of the
-recurrence P(k+1, x) = P(k, x) - x^k e^-x / Gamma(k+1) (DLMF 8.8.5;
-Abramowitz & Stegun 6.5.21).
+Elements get the arithmetic of the one-element algorithm in its order,
+so a value does not depend on what it is evaluated with.  The
+iterations step all elements not yet converged at once, a block of
+steps at a time (``_STEPS`` steps of the series; for the continued
+fraction, ``_BLOCK`` values), and each element takes the value of the
+step its own stopping test first passes.  The elements are taken
+``_SLICE`` at a time, which bounds the working arrays of one call.
+``reg_lower_gamma`` broadcasts its arguments and tables their distinct
+shapes.  The logs, exponentials, lgamma and erfc are the math module's,
+because numpy's round differently in the last bit.  ``poisson_pmf`` is
+x^k e^-x / Gamma(k+1) for the exact form's integer k, 0 included.
 """
 
 import math
@@ -148,12 +152,11 @@ _TEMME = (
         -0.004072512119514016, 0.00640336283380807,
     ),
 )
-# the terms of each step of the Horner scheme over n in _temme: column n
-# of the rows long enough to have one, as a column vector (no row is
-# longer than the one before it, so these are the first rows)
-_TEMME_COLUMNS = [
-    np.array([row[n] for row in _TEMME if len(row) > n])[:, None] for n in range(len(_TEMME[0]))
-]
+# _TEMME with its rows padded with zeros: column n holds the d[k][n] of eta^n
+_TEMME_MATRIX = np.array([row + (0.0,) * (len(_TEMME[0]) - len(row)) for row in _TEMME])
+# theta(a) = ln Gamma(a+1) - (a ln a - a + ln(2 pi a) / 2) = sum_m B_2m / (2m (2m-1) a^(2m-1))
+# (DLMF 5.11.1); past a = _TEMME_A the terms left out are below 1e-19
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 # 1/3, 1/5, 1/7, ...: lambda - 1 - ln(lambda) = u (mu - 2 u^2 sum_j u^(2j) / (2j + 3))
 # with mu = lambda - 1 and u = mu / (2 + mu); |u| <= 1/3 in the region, so
 # the terms left out are below 1e-18 of the sum
@@ -167,17 +170,10 @@ def _math_map(fn, v):
     return np.fromiter(map(fn, v.ravel().tolist()), np.float64, v.size).reshape(v.shape)
 
 
-def _lgamma(a):
-    """math.lgamma of every element of the array a, taken once per
-    distinct value."""
-    distinct, inverse = np.unique(a, return_inverse=True)
-    return _math_map(math.lgamma, distinct)[inverse].reshape(a.shape)
-
-
-def _log_prefactor(power, x, lgamma):
-    """power * log(x) - x - lgamma, broadcast, with math.log taken once per
-    element of x where x > 0 (the value where x <= 0 is never read)."""
-    return power * _math_map(math.log, np.where(x <= 0.0, 1.0, x)) - x - lgamma
+def _logs(x):
+    """math.log of every element of the array x where x > 0 (1.0 is put
+    in place of x <= 0, where the log is never read)."""
+    return _math_map(math.log, np.where(x <= 0.0, 1.0, x))
 
 
 def _value(out):
@@ -186,12 +182,12 @@ def _value(out):
 
 
 def poisson_pmf(k, x):
-    """x^k e^-x / Gamma(k+1): P(N = k) for N ~ Poisson(x), and for real
-    k the step P(k, x) - P(k+1, x).  In log space so large k cannot
-    overflow."""
+    """x^k e^-x / Gamma(k+1): P(N = k) for N ~ Poisson(x).  In log space
+    so large k cannot overflow."""
     k = np.asarray(k, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    lg = _log_prefactor(k, x, _lgamma(k + 1.0))
+    distinct, inverse = np.unique(k + 1.0, return_inverse=True)
+    lg = k * _logs(x) - x - _math_map(math.lgamma, distinct)[inverse].reshape(k.shape)
     out = np.zeros(lg.shape)
     out[np.broadcast_to(k == 0.0, lg.shape)] = 1.0
     live = np.broadcast_to(~(x <= 0.0), lg.shape)
@@ -202,32 +198,68 @@ def poisson_pmf(k, x):
 def reg_lower_gamma(a, x):
     """P(a, x) for a > 0, elementwise over a and x broadcast together.
 
-    math.lgamma is taken once per distinct value of a and math.log once
-    per element of x, before they are broadcast, so a row of n shapes
-    against a column of m points takes n log-gammas and m logs, and so
-    does an (m, n) block of shapes whose rows repeat the same n."""
+    The shape table is taken once per distinct value of a and math.log
+    once per element of x, before they are broadcast, so a row of n
+    shapes against a column of m points takes n log-gammas and m logs,
+    and so does an (m, n) block of shapes whose rows repeat the same n."""
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
+    shape = np.broadcast_shapes(a.shape, x.shape)
+    distinct, inverse = np.unique(a, return_inverse=True)
+    si, x, logx = (
+        np.broadcast_to(v, shape).ravel() for v in (inverse.reshape(a.shape), x, _logs(x))
+    )
+    return _value(_pair(_shape_table(distinct), si, x, logx)[0].reshape(shape))
+
+
+def _shape_table(a):
+    """The kernel's table of the shapes of the 1-D array a: a, lgamma(a)
+    and for Temme's expansion the g_n(a) (a (terms, shapes) array),
+    sqrt(a/2), 1/sqrt(2 pi a) and e^-theta(a)/sqrt(2 pi a), the last four
+    taken at max(a, _TEMME_A), as they are read only above it."""
+    big = np.maximum(a, _TEMME_A)
+    inv = 1.0 / big
+    coeffs = np.repeat(_TEMME_MATRIX[-1][:, None], a.size, axis=1)
+    for row in _TEMME_MATRIX[-2::-1]:
+        coeffs *= inv
+        coeffs += row[:, None]
+    norm = 1.0 / np.sqrt(2.0 * math.pi * big)
+    stirling = _math_map(math.exp, -(inv * _horner(_STIRLING, inv * inv))) * norm
+    return a, _math_map(math.lgamma, a), coeffs, np.sqrt(0.5 * big), norm, stirling
+
+
+def _pair(shapes, si, x, logx):
+    """(P(a, x), P(a+1, x)) for a = shapes[0][si], elementwise over the
+    1-D arrays si (indices into the table ``shapes`` of _shape_table), x
+    and logx, the math.log of x (any value where x <= 0)."""
+    a = shapes[0][si]
     # log prefactor x^a e^-x / Gamma(a); P = 0 where x <= 0
-    lg = _log_prefactor(a, x, _lgamma(a))
-    a, x = np.broadcast_to(a, lg.shape), np.broadcast_to(x, lg.shape)
-    out = np.zeros(lg.shape)
+    lg = a * logx - x - shapes[1][si]
+    p = np.zeros(a.size)
     live = ~(x <= 0.0)
     # e^lg underflows; the function value is 0 or 1 depending on side.
     under = live & (lg < -745.0)
-    out[under & ~(x < a)] = 1.0
+    p[under & ~(x < a)] = 1.0
+    p1 = p.copy()
     live &= ~under
     temme = live & (a > _TEMME_A) & (np.abs(x - a) < _TEMME_MU * a)
     if temme.any():
-        out[temme] = _clip(_in_slices(_temme, a[temme], x[temme]))
+        q, pmf = _in_slices(lambda s, v: _temme(shapes, s, v), si[temme], x[temme])
+        p[temme] = q = _clip(q)
+        p1[temme] = _clip(q - pmf)
         live &= ~temme
-    below = x < a + 1.0
-    series = live & below
+    live = np.flatnonzero(live)
+    a, x, lg = a[live], x[live], lg[live]
+    pref = _math_map(math.exp, lg)
+    q, q1 = np.empty(live.size), np.empty(live.size)
+    series = x < a + 1.0
     if series.any():
-        # series: P(a,x) = pref * sum_k x^k / (a (a+1) ... (a+k))
-        p = _math_map(math.exp, lg[series]) * _in_slices(_series, a[series], x[series])
-        out[series] = np.where(p > 1.0, 1.0, p)
-    fraction = live & ~below
+        # P(a,x) = pref * sum_k x^k / (a (a+1) ... (a+k)), and P(a+1,x) the
+        # same sum from k = 1
+        total, rest = _in_slices(_series, a[series], x[series])
+        q[series] = np.minimum(pref[series] * total, 1.0)
+        q1[series] = np.minimum(pref[series] * rest, 1.0)
+    fraction = ~series
     # Q = pref * h with h = int_0^inf (1 + s)^(a-1) e^(-x s) ds, which is
     # below 1/(x - a + 1) for a >= 1 and at most 1/x < 2/(x - a + 1) for
     # a < 1.  So where lg - ln(x - a + 1) < _P_IS_ONE, Q < 2^-55 and
@@ -235,13 +267,14 @@ def reg_lower_gamma(a, x):
     # skipped there, with a factor 2 to spare for the roundings of pref
     # and h
     one = fraction & (lg - np.log(np.where(fraction, x - a + 1.0, 1.0)) < _P_IS_ONE)
-    out[one] = 1.0
-    fraction &= ~one
-    if fraction.any():
+    q[one] = 1.0
+    h = fraction & ~one
+    if h.any():
         # continued fraction for Q(a,x)
-        h = _in_slices(_fraction, a[fraction], x[fraction])
-        out[fraction] = _clip(1.0 - _math_map(math.exp, lg[fraction]) * h)
-    return _value(out)
+        q[h] = _clip(1.0 - pref[h] * _in_slices(_fraction, a[h], x[h])[0])
+    q1[fraction] = _clip(q[fraction] - pref[fraction] / a[fraction])
+    p[live], p1[live] = q, q1
+    return p, p1
 
 
 def _clip(p):
@@ -249,9 +282,10 @@ def _clip(p):
     return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
 
 
-def _in_slices(fn, a, x):
-    """fn(a, x) on _SLICE elements at a time."""
-    return np.concatenate([fn(a[i : i + _SLICE], x[i : i + _SLICE]) for i in range(0, a.size, _SLICE)])
+def _in_slices(fn, *args):
+    """The arrays fn returns for the arrays args, _SLICE elements at a time."""
+    parts = [fn(*(v[i : i + _SLICE] for v in args)) for i in range(0, args[0].size, _SLICE)]
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 def _horner(coeffs, v):
@@ -263,60 +297,53 @@ def _horner(coeffs, v):
     return out
 
 
-def _temme(a, x):
-    """P(a, x) from Temme's uniform expansion (Temme 1979; DLMF 8.12.3,
-    8.12.4): with lambda = x / a and (1/2) eta^2 = lambda - 1 - ln(lambda),
-    eta of the sign of lambda - 1,
+def _temme(shapes, si, x):
+    """P(a, x) and the pmf x^a e^-x / Gamma(a+1), a = shapes[0][si], from
+    Temme's expansion (DLMF 8.12.3, 8.12.4): with lambda = x / a and
+    (1/2) eta^2 = lambda - 1 - ln(lambda), eta of the sign of lambda - 1,
 
         P = erfc(-eta sqrt(a/2)) / 2 - R,
-        R = e^(-a eta^2 / 2) / sqrt(2 pi a) * sum_k c_k(eta) / a^k,
+        R = e^(-a eta^2 / 2) / sqrt(2 pi a) * sum_n g_n(a) eta^n,
 
-    with each c_k(eta) the polynomial of row k of _TEMME.  The polynomials
-    take one Horner scheme over n for all rows at once, each row joining
-    it at its own last term (as 0 * eta + d, which is d), and the sum over
-    k is a Horner scheme in 1/a: each element gets the arithmetic of the
-    rows evaluated one by one."""
+    and the pmf e^(-a eta^2 / 2) / sqrt(2 pi a) * e^-theta(a)."""
+    a = shapes[0][si]
     mu = (x - a) / a
     u = mu / (2.0 + mu)
     w = u * u
     # lambda - 1 - ln(lambda), with no difference of nearly equal terms
     f = u * (mu - 2.0 * w * _horner(_LOG_SERIES, w))
     eta = np.copysign(np.sqrt(f + f), mu)
-    c = np.zeros((len(_TEMME), a.size))
-    for column in _TEMME_COLUMNS[::-1]:
-        rows = c[: column.shape[0]]
-        rows *= eta
-        rows += column
-    inv_a = 1.0 / a
-    total = c[-1]
-    for row in c[-2::-1]:
-        total *= inv_a
+    coeffs = np.take(shapes[2], si, axis=1)
+    total = coeffs[-1]
+    for row in coeffs[-2::-1]:
+        total *= eta
         total += row
-    r = _math_map(math.exp, -a * f) / np.sqrt(2.0 * math.pi * a) * total
-    return 0.5 * _math_map(math.erfc, -(eta * np.sqrt(0.5 * a))) - r
+    e = _math_map(math.exp, -a * f)
+    p = 0.5 * _math_map(math.erfc, -(eta * shapes[3][si])) - e * shapes[4][si] * total
+    return p, e * shapes[5][si]
 
 
 def _series(a, x):
-    """sum_k x^k / (a (a+1) ... (a+k)), each element stopped at its first
-    term below _EPS of its sum (every term is positive, so this is the
-    test |term| < |total| * _EPS).
+    """sum_k x^k / (a (a+1) ... (a+k)) and the same sum from k = 1, each
+    element stopped at its first term below _EPS of the first sum (every
+    term is positive, so this is the test |term| < |total| * _EPS).
 
-    The steps ap += 1, term *= x / ap, total += term are taken _STEPS at
-    a time over every element still pending, each as an in-place ufunc
-    that writes one row of a block: the block's ap and then x / ap, one
-    call for all rows, then its terms and sums.  The stopping test is
-    taken once per block; each element takes the sum of its first
-    passing step, and the elements that passed drop out."""
-    out = np.empty(a.size)
+    The steps ap += 1, term *= x / ap, total += term, rest += term are
+    taken _STEPS at a time over every element still pending, each as an
+    in-place ufunc that writes one row of a block: the block's ap and
+    then x / ap, one call for all rows, then its terms and sums.  The
+    stopping test is taken once per block; each element takes the sums
+    of its first passing step, and the elements that passed drop out."""
+    out = np.empty((2, a.size))
     idx = np.arange(a.size)
     ap = a
     term = total = 1.0 / a
-    terms = np.empty((_STEPS, a.size))
-    totals = np.empty((_STEPS, a.size))
+    rest = np.zeros(a.size)
+    terms, totals, rests = np.empty((3, _STEPS, a.size))
     steps = 0
     while idx.size and steps < _MAX_ITER:
         width = min(_STEPS, _MAX_ITER - steps)
-        ts, us = terms[:width, : idx.size], totals[:width, : idx.size]
+        ts, us, rs = (v[:width, : idx.size] for v in (terms, totals, rests))
         # the rows of terms hold the block's ap, then x / ap, then its
         # terms: term (a row of the last block) is copied out first, and
         # the block's last ap before the division
@@ -325,10 +352,11 @@ def _series(a, x):
             ap = np.add(ap, 1.0, out=t_row)
         ap = ap.copy()
         np.divide(x, ts, out=ts)
-        for t_row, u_row in zip(ts, us):
+        for t_row, u_row, r_row in zip(ts, us, rs):
             np.multiply(term, t_row, out=t_row)
             np.add(total, t_row, out=u_row)
-            term, total = t_row, u_row
+            np.add(rest, t_row, out=r_row)
+            term, total, rest = t_row, u_row, r_row
         steps += width
         # x / ap < 1, so no term is larger than the one before it and no
         # sum smaller: an element that passed the test at a step of the
@@ -337,10 +365,11 @@ def _series(a, x):
         if hit.any():
             cols = np.flatnonzero(hit)
             first = (ts[:, cols] < us[:, cols] * _EPS).argmax(axis=0)
-            out[idx[cols]] = us[first, cols]
+            out[:, idx[cols]] = us[first, cols], rs[first, cols]
             keep = ~hit
-            idx, x, ap, term, total = idx[keep], x[keep], ap[keep], term[keep], total[keep]
-    out[idx] = total
+            idx, x, ap = idx[keep], x[keep], ap[keep]
+            term, total, rest = term[keep], total[keep], rest[keep]
+    out[:, idx] = total, rest
     return out
 
 
@@ -388,7 +417,7 @@ def _fraction(a, x):
         b, c, d, h = bs[-1, keep], cs[-1, keep], raw_ds[-1, keep], hs[-1, keep]
         i += width
     out[idx] = h
-    return out
+    return (out,)
 
 
 def _lentz_steps(ans, bs, c, d, clamp):

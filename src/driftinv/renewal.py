@@ -5,9 +5,8 @@ distribution with shape (a + (n-1)Q)/mu and rate alpha*lam.  The
 expected order count and its time integral are series of regularized
 incomplete gamma values, truncated once a term falls below a tolerance.
 Since later thresholds are crossed later, terms decrease strictly in n
-and truncation is safe.  Each term evaluates P(k, rt) once; the
-integrated term's P(k+1, rt) follows from the recurrence
-P(k+1, x) = P(k, x) - x^k e^-x / Gamma(k+1) (DLMF 8.8.5).
+and truncation is safe.  Each term evaluates P(k, rt) and P(k+1, rt)
+in one kernel call, from one prefactor.
 
 ``literal_integrand_cdf`` evaluates a variant integrand (an extra factor s
 and no factor alpha*lam) kept solely for side-by-side diagnostics
@@ -21,7 +20,7 @@ import numpy as np
 from . import demand
 from .demand import JUMP_BUDGET, batch_jump_times, path_segments
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
-from .gammainc import poisson_pmf, reg_lower_gamma
+from .gammainc import _logs, _pair, _shape_table, reg_lower_gamma
 from .params import PolicyParams, ProcessParams
 from .quadrature import adaptive_simpson  # noqa: F401 -- a name perfbench/layers.py traces
 
@@ -97,9 +96,9 @@ def truncated_mean(spec: GammaSpec, t):
     return spec.mean * reg_lower_gamma(spec.shape + 1.0, spec.rate * as_times(t))
 
 
-# incomplete-gamma values per call of the renewal series, which bounds
-# its working set whatever the grid and the number of terms
-_BLOCK_ELEMENTS = 2048
+# incomplete-gamma values per kernel call of the renewal series, which
+# bounds its working set whatever the grid and the number of terms
+_CHUNK_VALUES = 8192
 
 
 def _stop_bound(shape0, dshape, x, tail_tol):
@@ -136,75 +135,83 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
     all elements, and the rest are arrays of the broadcast shape.  An
     element that did not converge summed n_max terms.
 
-    Term n of an element has the shape k = shape0 + dshape*(n-1), so the
-    terms are evaluated in blocks of consecutive n.  An element's first
-    block is as wide as ``_stop_bound``, so that it holds the stopping
-    term; an element that has not stopped at the end of a block takes a
-    block twice as wide next.  The elements of one round are sorted by
-    width and cut into runs, each as many elements as fit in one
-    (elements x terms) block of _BLOCK_ELEMENTS values at the width of
-    its widest, and each block is one call of ``reg_lower_gamma`` (so
-    that math.log is taken once per time).  An element stops at its
-    first term below tail_tol, and its sums add its terms in order of n
-    (a sequential cumsum), so each gets the bits a loop over n at that
-    time and shape alone gives.  Past that term, at most the rest of its
-    block is evaluated.
-
-    The integrated term of shape k is t*P(k, x) - (k/rate)*P(k+1, x),
-    x = rate*t, with P(k+1, x) taken from P(k, x) by the recurrence, so
-    each term costs one incomplete-gamma evaluation.  Where x is far
-    below k the subtraction keeps the term accurate to the scale
-    (k/rate)*P(k, x), not to its own much smaller size."""
+    Term n of an element has the shape k = shape0 + dshape*(n-1) and the
+    integrated term t*P(k, x) - (k/rate)*P(k+1, x), x = rate*t, both
+    P from one kernel evaluation.  The terms are evaluated in rounds of
+    consecutive n: an element's first is as wide as ``_stop_bound``, so
+    that it holds the stopping term, and an element that has not stopped
+    takes one twice as wide next.  A round's terms are laid out ragged,
+    each element exactly its width, and go to the kernel ``_pair`` in
+    chunks of whole elements, at most _CHUNK_VALUES values each; a
+    chunk's elements of one series with as many terms done share a table
+    of their shapes, and math.log is taken once per time.  An element
+    stops at its first term below tail_tol, past which at most the rest
+    of its round is evaluated, and its sums add its terms in order of n,
+    so each gets the bits a loop over n at that time alone gives."""
     shape0, dshape, t = np.broadcast_arrays(
         np.asarray(shape0, dtype=np.float64), np.asarray(dshape, dtype=np.float64),
         np.asarray(t, dtype=np.float64),
     )
     shape0, dshape, times = shape0.ravel(), dshape.ravel(), t.ravel()
-    sum_cdf = np.zeros(times.size)
-    sum_int = np.zeros(times.size)
+    x = rate * times
+    logx = _logs(x)
+    sums = np.zeros((times.size, 2))  # of the CDF terms and of the integrated terms
     last = np.zeros(times.size)
     n_terms = 0
     done = np.zeros(times.size, dtype=np.int64)  # terms evaluated at each time
-    width = np.fmin(_stop_bound(shape0, dshape, rate * times, tail_tol), n_max)
-    width = width.astype(np.int64)
+    width = np.fmin(_stop_bound(shape0, dshape, x, tail_tol), n_max).astype(np.int64)
     active = np.arange(times.size)
     while active.size:
-        width[active] = np.minimum(width[active], np.minimum(n_max - done[active], _BLOCK_ELEMENTS))
-        active = active[np.argsort(width[active], kind="stable")]
+        width[active] = np.minimum(width[active], np.minimum(n_max - done[active], _CHUNK_VALUES))
+        # elements of one series with as many terms done are adjacent, widest first
+        active = active[np.lexsort((-width[active], done[active], dshape[active], shape0[active]))]
+        ends = np.cumsum(width[active])
         going = []
         lo = 0
         while lo < active.size:
-            # the elements from lo on, as many as fit at the widest's width
-            # (no more than _BLOCK_ELEMENTS // width of the first)
-            ahead = width[active[lo : lo + _BLOCK_ELEMENTS // width[active[lo]]]]
-            fits = np.arange(1, ahead.size + 1) * ahead <= _BLOCK_ELEMENTS
-            rows = active[lo : lo + int(fits.sum())]
-            lo += rows.size
-            # no element is evaluated past its n_max-th term
-            w = int(min(width[rows[-1]], np.min(n_max - done[rows])))
-            n = done[rows][:, None]
-            k = shape0[rows][:, None] + dshape[rows][:, None] * (n + np.arange(w))
-            ta = times[rows][:, None]
-            x = rate * ta
-            cdf = reg_lower_gamma(k, x)
-            term_int = ta * cdf - (k / rate) * (cdf - poisson_pmf(k, x))
-            term_int = np.where(term_int < 0.0, 0.0, term_int)
+            hi = np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _CHUNK_VALUES, side="right")
+            rows, lo = active[lo:hi], hi
+            w = width[rows]
+            # a table entry per term of each group's first (widest) element
+            keys = np.stack((shape0[rows], dshape[rows], done[rows]))
+            head = np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)]
+            heads, head_w = rows[head], w[head]
+            first = np.cumsum(head_w) - head_w
+            n = np.arange(first[-1] + head_w[-1]) - np.repeat(first - done[heads], head_w)
+            k = np.repeat(shape0[heads], head_w) + np.repeat(dshape[heads], head_w) * n
+            shapes = _shape_table(k)
+            # the values column by column (term j of every element that has
+            # one), the elements widest first, so that each column is a prefix
+            by_width = np.argsort(-w, kind="stable")
+            rows, w, base = rows[by_width], w[by_width], first[np.cumsum(head) - 1][by_width]
+            counts = np.searchsorted(-w, -np.arange(w[0]))  # elements wider than j
+            offsets = np.cumsum(counts) - counts
+            col = np.repeat(np.arange(w[0]), counts)
+            pos = np.arange(col.size) - np.repeat(offsets, counts)
+            at = rows[pos]
+            si = base[pos] + col
+            cdf, cdf_next = _pair(shapes, si, x[at], logx[at])
+            terms = np.stack((cdf, times[at] * cdf - (shapes[0][si] / rate) * cdf_next), axis=1)
+            terms[terms[:, 1] < 0.0, 1] = 0.0
             below = cdf < tail_tol
-            stopped = below.any(axis=1)
-            summed = np.where(stopped, below.argmax(axis=1), w)
-            at = np.arange(rows.size)
-            for total, terms in ((sum_cdf, cdf), (sum_int, term_int)):
-                running = np.cumsum(np.hstack((total[rows][:, None], terms)), axis=1)
-                total[rows] = running[at, summed]
-            last[rows] = cdf[at, np.minimum(summed, w - 1)]
+            summed = w.copy()
+            np.minimum.at(summed, pos[below], col[below])
+            terms[col >= summed[pos]] = 0.0
+            # each element's sums in order of n; adding 0.0 past its stop
+            # leaves them as they are
+            totals = sums[rows]
+            for offset, count in zip(offsets[: summed.max()].tolist(), counts.tolist()):
+                totals[:count] += terms[offset : offset + count]
+            sums[rows] = totals
+            last[rows] = cdf[offsets[np.minimum(summed, w - 1)] + np.arange(rows.size)]
             n_terms += int(summed.sum())
             done[rows] += w
             width[rows] = 2 * w
-            going.append(rows[~stopped])
+            going.append(rows[summed == w])
         active = np.concatenate(going)
         active = active[done[active] < n_max]
     last = last.reshape(t.shape)
-    return sum_cdf.reshape(t.shape), sum_int.reshape(t.shape), n_terms, last, last < tail_tol
+    return sums[:, 0].reshape(t.shape), sums[:, 1].reshape(t.shape), n_terms, last, last < tail_tol
 
 
 def check_converged(series: str, cfg: RenewalSeriesConfig, times, partial, last) -> None:

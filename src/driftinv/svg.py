@@ -6,6 +6,8 @@ rendering of the same numbers.
 
 import math
 
+import numpy as np
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -107,9 +109,12 @@ def line_chart(file, x, series, title="", xlabel="", ylabel="", width=720, heigh
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">{ylabel}</text>'
     )
+    # the pixel coordinates of the polylines: px and py over arrays
+    x_px = px(np.array(xs)).tolist()
     for idx, (label, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{px(xv):.2f},{py(float(yv)):.2f}" for xv, yv in zip(xs, ys))
+        y_px = py(np.asarray(ys, dtype=np.float64)).tolist()
+        pts = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(x_px, y_px))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -273,9 +273,9 @@ def test_fpt_diag_blocks_write_what_the_per_threshold_loop_writes(tmp_path, caps
     fpt = {"n_values": 5, "t_end": 4.0, "steps": 9}
     cfgfile.write_text(json.dumps({**SMALL_CONFIG, "fpt": fpt}))
     runs = []
-    for block_elements in (driftinv.cli._BLOCK_ELEMENTS, 2 * 9, 1):
-        monkeypatch.setattr(driftinv.cli, "_BLOCK_ELEMENTS", block_elements)
-        out = tmp_path / str(block_elements)
+    for chunk_values in (driftinv.cli._CHUNK_VALUES, 2 * 9, 1):
+        monkeypatch.setattr(driftinv.cli, "_CHUNK_VALUES", chunk_values)
+        out = tmp_path / str(chunk_values)
         args = ["fpt-diag", "--config", str(cfgfile), "--paths", "300", "--out", str(out)]
         assert main(args) == 0
         files = {f.name: f.read_bytes() for f in out.iterdir()}
@@ -417,9 +417,9 @@ def test_every_csv_equals_its_row_by_row_oracle(tmp_path, capsys, monkeypatch, n
     assert written == want
     # fpt_diag.csv a block of one, of two and of all thresholds at a time
     steps = ORACLE_CONFIGS[name]["fpt"]["steps"]
-    for block_elements in (steps, 2 * steps, driftinv.cli._BLOCK_ELEMENTS):
-        monkeypatch.setattr(driftinv.cli, "_BLOCK_ELEMENTS", block_elements)
-        out = tmp_path / f"fpt-{block_elements}"
+    for chunk_values in (steps, 2 * steps, driftinv.cli._CHUNK_VALUES):
+        monkeypatch.setattr(driftinv.cli, "_CHUNK_VALUES", chunk_values)
+        out = tmp_path / f"fpt-{chunk_values}"
         assert main(["fpt-diag", "--config", str(cfgfile), "--out", str(out)]) == 0
         for f in ("fpt_diag.csv", "fpt_ks.csv"):
             assert (out / f).read_text() == want[f]

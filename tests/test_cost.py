@@ -576,7 +576,7 @@ def test_batched_sweep_matches_one_series_per_curve(
 ):
     # one series over every (a, Q) and an unsorted grid with t = 0 and a
     # repeated time gives each curve the bits of a series of its own, also
-    # cut into at least 3 blocks of _BLOCK_ELEMENTS, and the cap error of
+    # cut into at least 3 chunks of _CHUNK_VALUES, and the cap error of
     # the first curve and time a loop of one series per curve stops at
     process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
     costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0)
@@ -586,7 +586,7 @@ def test_batched_sweep_matches_one_series_per_curve(
     policies = [PolicyParams(x0=100.0, a=a, Q=Q) for a in a_list for Q in q_list]
     cost = sweep(process, [costs], a_list, q_list, grid, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(driftinv.renewal, "_BLOCK_ELEMENTS", len(policies) * len(grid) // 3)
+        mp.setattr(driftinv.renewal, "_CHUNK_VALUES", len(policies) * len(grid) // 3)
         er, ei = driftinv.renewal.policy_renewal_sums(process, policies, grid, cfg)
         capped = RenewalSeriesConfig(n_max=n_max)
         want_error = first_per_curve_error(process, policies, grid, capped)

@@ -19,7 +19,10 @@ from driftinv import (
     truncated_mean,
 )
 import driftinv.gammainc
-from driftinv.gammainc import _LOG_SERIES, _TEMME, _TEMME_A, _TEMME_MU, poisson_pmf, reg_lower_gamma
+from driftinv.gammainc import (
+    _LOG_SERIES, _STIRLING, _TEMME, _TEMME_A, _TEMME_MU, _logs, _pair, _shape_table, poisson_pmf,
+    reg_lower_gamma,
+)
 
 import temme_coefficients
 
@@ -33,8 +36,10 @@ def in_temme_region(a, x):
 
 
 def scalar_temme(a, x):
-    """Oracle: P(a, x) from Temme's uniform expansion for one float pair,
-    each polynomial of the table by its own Horner scheme."""
+    """Oracle: P(a, x) and the pmf x^a e^-x / Gamma(a+1) from Temme's
+    uniform expansion for one float pair: each g_n(a) by its own Horner
+    scheme in 1/a down column n of the zero-padded table, the sum over n
+    by one in eta, and the pmf from Stirling's series."""
     mu = (x - a) / a
     u = mu / (2.0 + mu)
     w = u * u
@@ -45,44 +50,57 @@ def scalar_temme(a, x):
     eta = math.copysign(math.sqrt(f + f), mu)
     inv_a = 1.0 / a
     total = None
-    for row in _TEMME[::-1]:
-        c_k = row[-1]
-        for d in row[-2::-1]:
-            c_k = c_k * eta + d
-        total = c_k if total is None else total * inv_a + c_k
-    r = math.exp(-a * f) / math.sqrt(2.0 * math.pi * a) * total
-    return 0.5 * math.erfc(-(eta * math.sqrt(0.5 * a))) - r
+    for n in range(len(_TEMME[0]) - 1, -1, -1):
+        column = [row[n] if n < len(row) else 0.0 for row in _TEMME]
+        g = column[-1]
+        for d in column[-2::-1]:
+            g = g * inv_a + d
+        total = g if total is None else total * eta + g
+    s = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        s = s * (inv_a * inv_a) + c
+    norm = 1.0 / math.sqrt(2.0 * math.pi * a)
+    e = math.exp(-a * f)
+    p = 0.5 * math.erfc(-(eta * math.sqrt(0.5 * a))) - e * norm * total
+    return p, e * (math.exp(-(inv_a * s)) * norm)
 
 
-def scalar_reg_lower_gamma(a, x, tiny=TINY):
-    """Oracle: P(a, x) for one float pair: Temme's expansion for a >
-    _TEMME_A with x near a, otherwise the power series and the
+def clip(p):
+    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+
+
+def scalar_gamma_pair(a, x, tiny=TINY):
+    """Oracle: (P(a, x), P(a+1, x)) for one float pair: Temme's expansion
+    for a > _TEMME_A with x near a, otherwise the power series and the
     modified-Lentz continued fraction of Press et al., Numerical Recipes
-    section 6.2, with ``tiny`` the floor of the Lentz denominators."""
+    section 6.2, with ``tiny`` the floor of the Lentz denominators.
+    P(a+1, x) is the series' sum from its second term, and elsewhere
+    P(a, x) less the pmf (DLMF 8.8.5)."""
     if x <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     # log prefactor x^a e^-x / Gamma(a); underflows cleanly to 0.
     lg = a * math.log(x) - x - math.lgamma(a)
     if lg < -745.0:
         # e^lg underflows; the function value is 0 or 1 depending on side.
-        return 0.0 if x < a else 1.0
+        return (0.0, 0.0) if x < a else (1.0, 1.0)
     if in_temme_region(a, x):
-        p = scalar_temme(a, x)
-        return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+        p, pmf = scalar_temme(a, x)
+        return clip(p), clip(clip(p) - pmf)
     pref = math.exp(lg)
     if x < a + 1.0:
         # series: P(a,x) = pref * sum_k x^k / (a (a+1) ... (a+k))
         ap = a
         term = 1.0 / a
         total = term
+        rest = 0.0
         for _ in range(MAX_ITER):
             ap += 1.0
             term *= x / ap
             total += term
+            rest += term
             if abs(term) < abs(total) * EPS:
                 break
-        p = pref * total
-        return 1.0 if p > 1.0 else p
+        return min(pref * total, 1.0), min(pref * rest, 1.0)
     # continued fraction for Q(a,x), modified Lentz
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -102,11 +120,13 @@ def scalar_reg_lower_gamma(a, x, tiny=TINY):
         h *= delta
         if abs(delta - 1.0) < EPS:
             break
-    q = pref * h
-    p = 1.0 - q
-    if p < 0.0:
-        return 0.0
-    return 1.0 if p > 1.0 else p
+    p = clip(1.0 - pref * h)
+    return p, clip(p - pref / a)
+
+
+def scalar_reg_lower_gamma(a, x, tiny=TINY):
+    """Oracle: P(a, x) for one float pair."""
+    return scalar_gamma_pair(a, x, tiny)[0]
 
 
 def scalar_poisson_pmf(k, x):
@@ -132,10 +152,18 @@ def mixed_pairs(n, seed):
     return a, x
 
 
+def kernel_pair(a, x):
+    """The kernel's (P(a, x), P(a+1, x)) on the 1-D arrays a and x."""
+    distinct, si = np.unique(a, return_inverse=True)
+    return _pair(_shape_table(distinct), si, x, _logs(x))
+
+
 def test_kernel_matches_scalar_oracle_bit_for_bit():
     a, x = mixed_pairs(40_000, seed=17)
-    want = np.array([scalar_reg_lower_gamma(u, v) for u, v in zip(a.tolist(), x.tolist())])
+    want, want_next = np.array([scalar_gamma_pair(u, v) for u, v in zip(a.tolist(), x.tolist())]).T
     assert np.array_equal(reg_lower_gamma(a, x), want)
+    p, p_next = kernel_pair(a, x)
+    assert np.array_equal(p, want) and np.array_equal(p_next, want_next)
     # every branch is taken: x <= 0, the underflow, Temme's expansion, the
     # series, the fraction and the fraction's values set to 1.0 directly
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -239,6 +267,21 @@ def workload_grid_relative_error():
 def test_kernel_matches_mpmath_on_the_workload_grid():
     rel, a, x = workload_grid_relative_error()
     assert rel <= WORKLOAD_GRID_REL_ERROR, (a, x)
+
+
+def test_kernel_next_shape_matches_mpmath_on_the_workload_grid():
+    # P(a+1, x) of the kernel's pair: the power series' own sum past its
+    # first term, or P(a, x) less the pmf of the shared prefactor
+    shapes, ratios = WORKLOAD_GRID
+    a = np.repeat(shapes, ratios.size)
+    x = a * np.tile(ratios, shapes.size)
+    with mpmath.workdps(40):
+        want = np.array(
+            [float(mpmath.gammainc(u + 1, 0, v, regularized=True)) for u, v in zip(a.tolist(), x.tolist())]
+        )
+    rel = np.abs(kernel_pair(a, x)[1] - want) / want
+    i = int(np.argmax(rel))
+    assert rel[i] <= WORKLOAD_GRID_REL_ERROR, (a[i], x[i])
 
 
 def test_repeated_shapes_take_one_lgamma_each(monkeypatch):

@@ -1,5 +1,6 @@
 """Renewal-series expectations and the empirical first-passage oracle."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -25,7 +26,7 @@ from driftinv.demand import CHUNK_PATHS, batch_jump_times, first_true
 from driftinv.gammainc import reg_lower_gamma
 from driftinv.renewal import expected_renewal_sums, first_passage_times, renewal_series
 
-from test_gamma import scalar_poisson_pmf, scalar_reg_lower_gamma
+from test_gamma import scalar_gamma_pair
 
 
 def test_fpt_spec_reference_values(ref_process, ref_policy):
@@ -177,20 +178,50 @@ def test_series_matches_two_evaluation_form(shape0, dshape, rate, t):
     assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12 * scale)
 
 
+def mpmath_series(shape0, dshape, rate, t, tail_tol):
+    """Reference: the two sums of the renewal series at one time, each
+    term's shape k and x = rate*t as the series rounds them, and the rest
+    in mpmath at 40 digits."""
+    x = rate * t
+    total_cdf = total_int = mpmath.mpf(0)
+    with mpmath.workdps(40):
+        for n in range(1, 10_001):
+            k = shape0 + dshape * (n - 1)
+            cdf = mpmath.gammainc(k, 0, x, regularized=True)
+            if cdf < tail_tol:
+                return total_cdf, total_int
+            total_cdf += cdf
+            k = mpmath.mpf(k)
+            total_int += t * cdf - k / rate * mpmath.gammainc(k + 1, 0, x, regularized=True)
+    raise AssertionError("no term below tail_tol")
+
+
+def test_integrated_sum_far_below_the_first_shape_matches_mpmath():
+    # rate*t = 2.2e-5 against k = 2.33: P(k+1, x) is the power series' own
+    # sum past its first term, not P(k, x) less the pmf, which cancels
+    # (that form was 8.5e-10 relative off here)
+    case = (2.3303160947361405, 0.27477596022313727, 0.19893719999025405, 1.114082302476863e-4)
+    got = renewal_series(*case, 1e-12, 10_000)
+    want = mpmath_series(*case, 1e-12)
+    assert abs(got[0] - want[0]) <= 1e-13 * want[0]
+    assert abs(got[1] - want[1]) <= 1e-13 * want[1]
+
+
 def scalar_renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
-    """Oracle: the renewal series at one time, one scalar incomplete gamma
-    per term, as (sum_cdf, sum_integrated, n_terms, last_term, converged)."""
+    """Oracle: the renewal series at one time, one scalar (P(k, x),
+    P(k+1, x)) pair per term, as (sum_cdf, sum_integrated, n_terms,
+    last_term, converged)."""
     x = rate * t
     total_cdf = 0.0
     total_int = 0.0
     last = 0.0
     for n in range(1, n_max + 1):
         k = shape0 + dshape * (n - 1)
-        cdf = scalar_reg_lower_gamma(k, x)
+        cdf, cdf_next = scalar_gamma_pair(k, x)
         last = cdf
         if cdf < tail_tol:
             return total_cdf, total_int, n - 1, last, True
-        term_int = t * cdf - (k / rate) * (cdf - scalar_poisson_pmf(k, x))
+        term_int = t * cdf - (k / rate) * cdf_next
         if term_int < 0.0:
             term_int = 0.0
         total_cdf += cdf
@@ -235,6 +266,52 @@ def test_grid_series_matches_scalar_series_on_the_sweep_blocks():
                 assert_matches_scalar_series(a / 5.0, q / 5.0, 10.0, grid, 1e-12, 10_000)
 
 
+def test_series_terms_are_the_public_kernels_on_the_sweep_blocks(monkeypatch):
+    # every P(k_n, x) the series evaluates over the shipped sweep's curves
+    # (one call for all six) is the bits reg_lower_gamma gives alone
+    calls = []
+    pair = driftinv.renewal._pair
+
+    def recording(shapes, si, x, logx):
+        out = pair(shapes, si, x, logx)
+        calls.append((shapes[0][si], x, out[0]))
+        return out
+
+    monkeypatch.setattr(driftinv.renewal, "_pair", recording)
+    shape0 = np.repeat([40.0, 50.0, 60.0], 2)[:, None] / 5.0
+    dshape = np.tile([45.0, 55.0], 3)[:, None] / 5.0
+    for t_end in (12.0, 60.0):
+        renewal_series(shape0, dshape, 10.0, np.linspace(0.0, t_end, 61), 1e-12, 10_000)
+    assert len(calls) >= 2
+    for a, x, cdf in calls:
+        assert cdf.tobytes() == reg_lower_gamma(a, x).tobytes()
+
+
+def test_chunks_bound_every_kernel_call_on_a_large_grid(monkeypatch):
+    # 20,000 times to t = 60: about 80 terms at the last time, so the
+    # round's values fill several chunks, none past _CHUNK_VALUES, and
+    # each time still gets the bits of a series over a grid of its own
+    sizes = []
+    pair = driftinv.renewal._pair
+
+    def counting(shapes, si, x, logx):
+        sizes.append(si.size)
+        return pair(shapes, si, x, logx)
+
+    grid = np.linspace(0.0, 60.0, 20_000)
+    with monkeypatch.context() as mp:
+        mp.setattr(driftinv.renewal, "_pair", counting)
+        got = renewal_series(10.0, 10.0, 10.0, grid, 1e-12, 10_000)
+    assert len(sizes) > 10
+    assert max(sizes) <= renewal._CHUNK_VALUES
+    # whole times per chunk: all but the last are nearly full
+    assert min(sizes[:-1]) > renewal._CHUNK_VALUES - 100
+    for piece in np.split(np.arange(grid.size), 40):
+        alone = renewal_series(10.0, 10.0, 10.0, grid[piece], 1e-12, 10_000)
+        for g, w in zip(got[:2], alone[:2]):
+            assert g[piece].tobytes() == w.tobytes()
+
+
 def test_grid_hitting_n_max_names_its_first_time(ref_process, ref_policy):
     cfg = RenewalSeriesConfig(tail_tol=1e-12, n_max=3)
     # 0.05 converges after one term, 10.0 and then 2.0 reach the cap
@@ -255,12 +332,13 @@ def test_series_evaluates_each_term_once_and_at_most_a_block_past_its_stop(
     monkeypatch, ref_process, ref_policy, series_cfg
 ):
     calls = []
+    pair = driftinv.renewal._pair
 
-    def counting(a, x):
-        calls.append((np.asarray(a), np.asarray(x)))
-        return reg_lower_gamma(a, x)
+    def counting(shapes, si, x, logx):
+        calls.append((shapes[0][si], x))
+        return pair(shapes, si, x, logx)
 
-    monkeypatch.setattr(driftinv.renewal, "reg_lower_gamma", counting)
+    monkeypatch.setattr(driftinv.renewal, "_pair", counting)
     cases = [
         (10.0, 10.0, 10.0, [12.0], 10_000),
         (9.86, 10.34, 10.0, [60.0], 10_000),
@@ -277,20 +355,18 @@ def test_series_evaluates_each_term_once_and_at_most_a_block_past_its_stop(
         for t in grid:
             want = scalar_renewal_series(shape0, dshape, rate, t, 1e-12, n_max)
             needed = min(want[2] + 1, n_max)
-            # the shapes of each call that evaluated this time: its row of
-            # the call's (times x terms) block of shapes
-            rows = [(a, np.flatnonzero(x[:, 0] == rate * t)) for a, x in calls]
-            assert all(r.size <= 1 for _, r in rows)
-            blocks = [a[r[0]].tolist() for a, r in rows if r.size]
-            evaluated = [k for b in blocks for k in b]
+            # the shapes each call evaluated at this time, in its order
+            rounds = [a[x == rate * t].tolist() for a, x in calls]
+            rounds = [r for r in rounds if r]
+            evaluated = [k for r in rounds for k in r]
             # k_1, k_2, ... once each, in order, never past k_{n_max}
             assert evaluated == shapes[: len(evaluated)]
             assert needed <= len(evaluated) <= n_max
-            # past the term that stopped it, at most the rest of its last block
-            assert len(evaluated) - needed < len(blocks[-1])
-            # and a block as wide as the stopping bound holds the stop
-            assert len(blocks) == 1
-        assert all(np.broadcast(a, x).size <= renewal._BLOCK_ELEMENTS for a, x in calls)
+            # past the term that stopped it, at most the rest of its last round
+            assert len(evaluated) - needed < len(rounds[-1])
+            # and a round as wide as the stopping bound holds the stop
+            assert len(rounds) == 1
+        assert all(a.size <= renewal._CHUNK_VALUES for a, x in calls)
     # the path every cost curve takes, at the reference shapes 10, 20, ... and rate 10
     calls.clear()
     expected_renewal_sums(ref_process, ref_policy, np.linspace(0.0, 12.0, 49), series_cfg)
