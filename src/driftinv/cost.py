@@ -34,7 +34,7 @@ import numpy as np
 from .demand import first_true
 from .errors import ParameterError
 from .gammainc import poisson_pmf, reg_lower_gamma
-from .params import CostParams, PolicyParams, ProcessParams
+from .params import CostParams, PolicyParams, ProcessParams, _require_no_overflow
 from .renewal import (  # expected_integrated_renewals: a name perfbench/layers.py traces here
     RenewalSeriesConfig,
     as_times,
@@ -90,9 +90,11 @@ def _breakdown(params: ProcessParams, x0, Q, charge, c_h, t, orders, integrated)
     """Cost components from E[R_t] and E[int_0^t R], elementwise and
     broadcast, with ``charge`` the price of one order of size Q; holding is
     c_h E[int_0^t X] = c_h (x0 t - (mu + alpha*lam) t^2 / 2 + Q E[int_0^t R])."""
-    ordering = charge * orders
-    holding = c_h * (x0 * t - 0.5 * t * t * params.demand_rate + Q * integrated)
-    return CostBreakdown(ordering=ordering, holding=holding, total=ordering + holding)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        ordering = charge * orders
+        holding = c_h * (x0 * t - 0.5 * t * t * params.demand_rate + Q * integrated)
+        total = ordering + holding
+    return CostBreakdown(*_require_no_overflow(ordering, holding, total))
 
 
 def _curve(params: ProcessParams, policy: PolicyParams, costs: CostParams, t, sums) -> CostCurve:

@@ -558,10 +558,12 @@ def cumulative_cost_profile(cfg: ExperimentConfig):
     actuals_mat, forecasts_mat = _experiment_arrays(cfg)
     n_series, n_periods = actuals_mat.shape
     acc = np.empty((1, n_periods))
-    discrete_sim(
-        actuals_mat, forecasts_mat, cfg.policy.x0, cfg.policy.reorder_point, cfg.policy.Q,
-        cfg.costs.c_h, cfg.costs.c_so, cfg.costs.order_cost(cfg.policy.Q), acc,
-    )
-    acc = acc[0] / n_series
-    periods = np.arange(cfg.sim_start, cfg.sim_end + 1)
-    return periods, np.cumsum(acc)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        discrete_sim(
+            actuals_mat, forecasts_mat, cfg.policy.x0, cfg.policy.reorder_point, cfg.policy.Q,
+            cfg.costs.c_h, cfg.costs.c_so, cfg.costs.order_cost(cfg.policy.Q), acc,
+        )
+        cum = np.cumsum(acc[0] / n_series)
+    if not np.all(np.isfinite(cum)):
+        raise ParameterError("the simulated cost overflows a float; use smaller c_o, c_h or c_so")
+    return np.arange(cfg.sim_start, cfg.sim_end + 1), cum

@@ -32,11 +32,11 @@ sum of its terms past the first.
 
 Elements get the arithmetic of the one-element algorithm in its order,
 so a value does not depend on what it is evaluated with.  The
-iterations step all elements not yet converged at once, a block of
-steps at a time (``_STEPS`` steps of the series; for the continued
-fraction, ``_BLOCK`` values), and each element takes the value of the
-step its own stopping test first passes.  The elements are taken
-``_SLICE`` at a time, which bounds the working arrays of one call.
+iterations step all elements not yet converged at once, and each
+element takes the value of the step its own stopping test first
+passes: the continued fraction takes its stopping test at every step,
+the power series once per block of ``_STEPS`` steps.  The elements are
+taken ``_SLICE`` at a time, which bounds the working arrays of one call.
 ``reg_lower_gamma`` broadcasts its arguments and tables their distinct
 shapes.  The logs, exponentials, lgamma and erfc are the math module's,
 because numpy's round differently in the last bit.  ``poisson_pmf`` is
@@ -50,13 +50,11 @@ import numpy as np
 _MAX_ITER = 20000
 _EPS = 1e-16
 _TINY = 1e-300
-# elements per pass of the iterations, steps of the power series per
-# block between two stopping tests, and values per block of the
-# continued fraction's steps: together they bound the working arrays of
-# any one call
+# elements per pass of the iterations, which bounds the working arrays
+# of any one call, and steps of the power series per block between two
+# stopping tests
 _SLICE = 2048
 _STEPS = 8
-_BLOCK = 8192
 # Temme's region: shapes above _TEMME_A, with x within _TEMME_MU * a of a
 _TEMME_A = 20.0
 _TEMME_MU = 0.5
@@ -233,15 +231,12 @@ def _pair(shapes, si, x, logx):
     1-D arrays si (indices into the table ``shapes`` of _shape_table), x
     and logx, the math.log of x (any value where x <= 0)."""
     a = shapes[0][si]
-    # log prefactor x^a e^-x / Gamma(a); P = 0 where x <= 0
+    # log prefactor x^a e^-x / Gamma(a); P = 0 where x <= 0.  Where e^lg
+    # underflows to 0.0, the series gives 0.0, the fraction's P rounds to
+    # 1.0 and Temme's expansion clips to 0.0 or 1.0
     lg = a * logx - x - shapes[1][si]
-    p = np.zeros(a.size)
+    p, p1 = np.zeros((2, a.size))
     live = ~(x <= 0.0)
-    # e^lg underflows; the function value is 0 or 1 depending on side.
-    under = live & (lg < -745.0)
-    p[under & ~(x < a)] = 1.0
-    p1 = p.copy()
-    live &= ~under
     temme = live & (a > _TEMME_A) & (np.abs(x - a) < _TEMME_MU * a)
     if temme.any():
         q, pmf = _in_slices(lambda s, v: _temme(shapes, s, v), si[temme], x[temme])
@@ -374,67 +369,33 @@ def _series(a, x):
 
 
 def _fraction(a, x):
-    """The modified-Lentz continued fraction h with Q(a, x) = pref * h,
-    each element stopped at its first factor within _EPS of 1.
-
-    The recurrences for d and c are stepped one at a time for all
-    elements at once; the factors delta = d*c, their running product h
-    and the stopping test are then taken for a block of steps at once.
-    An element takes the h of its first passing step, and the elements
-    that passed drop out."""
+    """The modified-Lentz continued fraction h with Q(a, x) = pref * h, one
+    step at a time over the elements still pending: an = -i (i - a), b += 2,
+    d = an d + b and c = b + an / c (each set to _TINY where it is below it
+    in magnitude), d = 1 / d, delta = d c and h *= delta.  An element keeps
+    the h of its first step with |delta - 1| < _EPS and drops out."""
     out = np.empty(a.size)
     idx = np.arange(a.size)
     b = x + 1.0 - a
     c = np.full(a.size, 1.0 / _TINY)
     d = 1.0 / b
     h = d
-    i = 1
-    while idx.size and i < _MAX_ITER:
-        width = min(max(_BLOCK // idx.size, 8), 16, _MAX_ITER - i)
-        steps = np.arange(i, i + width)[:, None]
-        ans = -steps * (steps - a)
-        bs = np.full((width + 1, idx.size), 2.0)
-        bs[0] = b
-        bs = np.add.accumulate(bs, axis=0)[1:]
-        # a denominator below _TINY is rare: the block is stepped as if
-        # none were, and stepped again with them kept off zero if one was
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            raw_ds, cs = _lentz_steps(ans, bs, c, d, clamp=False)
-            low = min(np.abs(raw_ds).min(), np.abs(cs).min())
-        if low < _TINY:
-            raw_ds, cs = _lentz_steps(ans, bs, c, d, clamp=True)
-        # row 0 is h, then the factors d*c and, accumulated, h after each step
-        hs = np.empty((width + 1, idx.size))
-        hs[0] = h
-        np.multiply(np.divide(1.0, raw_ds, out=raw_ds), cs, out=hs[1:])
-        done = np.abs(hs[1:] - 1.0) < _EPS
-        hs = np.multiply.accumulate(hs, axis=0)[1:]
-        hit = done.any(axis=0)
-        cols = np.flatnonzero(hit)
-        out[idx[cols]] = hs[done[:, cols].argmax(axis=0), cols]
-        keep = ~hit
-        idx, a = idx[keep], a[keep]
-        b, c, d, h = bs[-1, keep], cs[-1, keep], raw_ds[-1, keep], hs[-1, keep]
-        i += width
+    for i in range(1, _MAX_ITER):
+        if not idx.size:
+            break
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < _TINY] = _TINY
+        c = b + an / c
+        c[np.abs(c) < _TINY] = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        hit = np.abs(delta - 1.0) < _EPS
+        if hit.any():
+            out[idx[hit]] = h[hit]
+            keep = ~hit
+            idx, a, b, c, d, h = (v[keep] for v in (idx, a, b, c, d, h))
     out[idx] = h
     return (out,)
-
-
-def _lentz_steps(ans, bs, c, d, clamp):
-    """an * d + b, before it is inverted into the next d, and the next
-    c = b + an / c, at each step over the rows of ans and bs.  With
-    clamp, a value below _TINY in magnitude is set to _TINY before it
-    is used, as the modified Lentz method has it."""
-    raw_ds = np.empty(ans.shape)
-    cs = np.empty(ans.shape)
-    for an, b, d_raw, c_next in zip(ans, bs, raw_ds, cs):
-        np.multiply(an, d, out=d_raw)
-        d_raw += b
-        np.divide(an, c, out=c_next)
-        c_next += b
-        if clamp:
-            d_raw[np.abs(d_raw) < _TINY] = _TINY
-            c_next[np.abs(c_next) < _TINY] = _TINY
-        d = 1.0 / d_raw
-        c = c_next
-    return raw_ds, cs

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import (
-    SamplePath, batch_jump_times, first_true, path_segments, sample_path, truncate_batch
+    JUMP_BUDGET, SamplePath, batch_jump_times, first_true, path_segments, sample_path,
+    truncate_batch,
 )
 from .errors import ParameterError
-from .params import CostParams, PolicyParams, ProcessParams
+from .params import CostParams, PolicyParams, ProcessParams, _require_no_overflow
 
 KIND_JUMP = 0
 KIND_ORDER = 1
@@ -143,9 +144,20 @@ class Trajectory:
         return int(np.sum(self.kinds == KIND_ORDER))
 
 
+def _check_order_budget(params: ProcessParams, policy: PolicyParams, horizon: float) -> None:
+    """ParameterError when a path to ``horizon`` places more than JUMP_BUDGET orders."""
+    expected = params.demand_rate * horizon / policy.Q
+    if not expected <= JUMP_BUDGET:
+        raise ParameterError(
+            f"a path to horizon {horizon:g} at order quantity Q={policy.Q:g} places about "
+            f"{expected:.3g} orders, more than the budget of {JUMP_BUDGET}; use a larger Q"
+        )
+
+
 def simulate(params: ProcessParams, policy: PolicyParams, horizon: float, seed: int) -> Trajectory:
     """Simulate one path exactly and return its event log; the path is
     path 0 of the batch keyed ``seed``, the one ``path_stats`` sees first."""
+    _check_order_budget(params, policy, horizon)
     path = sample_path(params, horizon, seed)
     return trajectory_from_path(path, policy)
 
@@ -187,6 +199,7 @@ def path_stats(
     if horizons.size == 0 or not np.all(horizons > 0):
         raise ParameterError(f"horizons must be positive, got {horizon}")
     longest = float(horizons.max())
+    _check_order_budget(params, policy, longest)
     flat, offsets = batch_jump_times(params, longest, base_seed, n_paths)
     out = np.empty((horizons.size, n_paths, 5))
     for row, h in zip(out, horizons.tolist()):
@@ -210,9 +223,11 @@ def path_costs(costs: CostParams, Q: float, stats: dict):
     c_o(Q)*orders and c_h*int X, elementwise, so each horizon row costs
     what its own batch would.  Nothing is ever short, so there is no
     shortage cost."""
-    ordering = costs.order_cost(Q) * stats["orders"]
-    holding = costs.c_h * stats["pos_integral"]
-    return ordering, holding, ordering + holding
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        ordering = costs.order_cost(Q) * stats["orders"]
+        holding = costs.c_h * stats["pos_integral"]
+        total = ordering + holding
+    return _require_no_overflow(ordering, holding, total)
 
 
 @dataclass(frozen=True)
@@ -245,12 +260,17 @@ def mc_summary(
         raise ParameterError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     stats = path_stats(params, policy, horizon, n_paths, base_seed)
     ordering, holding, total = path_costs(costs, policy.Q, stats)
-    mean_holding = float(np.mean(holding))
+    # a mean's sum or the standard error's squares can overflow where no path's cost does
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_ordering, mean_holding, (mean_total, stderr_total) = _require_no_overflow(
+            float(np.mean(ordering)), float(np.mean(holding)),
+            (float(np.mean(total)), float(np.std(total, ddof=1) / np.sqrt(n_paths))),
+        )
     return SimSummary(
         n_paths=n_paths,
-        mean_total=float(np.mean(total)),
-        stderr_total=float(np.std(total, ddof=1) / np.sqrt(n_paths)),
-        mean_ordering=float(np.mean(ordering)),
+        mean_total=mean_total,
+        stderr_total=stderr_total,
+        mean_ordering=mean_ordering,
         mean_holding=mean_holding,
         mean_shortage=0.0,
         mean_holding_signed=mean_holding,

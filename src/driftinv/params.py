@@ -5,6 +5,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ParameterError
 
 
@@ -13,6 +15,17 @@ def _require_finite(record, *fields) -> None:
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _require_no_overflow(ordering, holding, total):
+    """(ordering, holding, total), or a ParameterError naming the first that
+    is not finite: c_o and c_h are, but their products need not be."""
+    for name, keys, values in zip(
+        ("ordering", "holding", "total"), ("c_o", "c_h", "c_o and c_h"), (ordering, holding, total)
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ParameterError(f"the {name} cost overflows a float; use a smaller {keys}")
+    return ordering, holding, total
 
 
 @dataclass(frozen=True)

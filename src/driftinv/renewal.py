@@ -191,7 +191,7 @@ def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):
             at = rows[pos]
             si = base[pos] + col
             cdf, cdf_next = _pair(shapes, si, x[at], logx[at])
-            terms = np.stack((cdf, times[at] * cdf - (shapes[0][si] / rate) * cdf_next), axis=1)
+            terms = np.stack((cdf, times[at] * cdf - (k[si] / rate) * cdf_next), axis=1)
             terms[terms[:, 1] < 0.0, 1] = 0.0
             below = cdf < tail_tol
             summed = w.copy()

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT = 720, 480
 
 
 def _nice_step(span, target=5):
@@ -37,14 +38,14 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def line_chart(file, x, series, title="", xlabel="", ylabel="", width=720, height=480):
+def line_chart(file, x, series, title="", xlabel="", ylabel=""):
     """Write a line chart to ``file``.
 
     ``series`` is a list of (label, y-values) drawn in order with a
     fixed palette, so output bytes depend only on the data."""
     margin_l, margin_r, margin_t, margin_b = 64, 16, 36, 48
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
     xs = [float(v) for v in x]
     all_y = [float(v) for _, ys in series for v in ys]
     x_lo, x_hi = min(xs), max(xs)
@@ -65,12 +66,12 @@ def line_chart(file, x, series, title="", xlabel="", ylabel="", width=720, heigh
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>'
     )
     # axes
@@ -101,7 +102,7 @@ def line_chart(file, x, series, title="", xlabel="", ylabel="", width=720, heigh
             f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
         )
     out.append(
-        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{margin_l + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{xlabel}</text>'
     )
     out.append(

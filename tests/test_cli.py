@@ -884,6 +884,67 @@ def test_jump_budget_exit_code(tmp_path, capsys, monkeypatch, command, config, h
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("Q", [1e-300, 1e-7])
+def test_order_budget_exit_code(tmp_path, capsys, monkeypatch, command, Q):
+    # about (mu + alpha*lam) * horizon / Q orders on one path, past the
+    # budget: refused before a single path is drawn (1e-300 overflowed the
+    # batch kernel's int64 guess and hung it; 1e-7 hung the event walk)
+    def no_sampling(*args):
+        raise AssertionError("jump times were sampled")
+
+    monkeypatch.setattr("driftinv.demand._chunk_jump_times", no_sampling)
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"policy": {"Q": Q}}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    horizon = 12 if command == "simulate" else 10  # grid.t_end, the latest validate time
+    orders = 15.0 * horizon / Q
+    assert f"parameter error: a path to horizon {horizon} at order quantity Q={Q:g} " in err
+    assert f"places about {orders:.3g} orders, more than the budget of 33554432" in err
+    assert list(out.iterdir()) == []
+
+
+ORDERING_OVERFLOWS = "the ordering cost overflows a float; use a smaller c_o"
+HOLDING_OVERFLOWS = "the holding cost overflows a float; use a smaller c_h"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("expected-cost", {"costs": {"c_o": 1e308, "c_so": 1e308}}, ORDERING_OVERFLOWS),
+        ("expected-cost", {"costs": {"c_h": 1e308}}, HOLDING_OVERFLOWS),
+        ("sweep", {"sweep": {"c_o_list": [5.0, 1e308]}}, ORDERING_OVERFLOWS),
+        ("simulate", {"costs": {"c_o": 1e308, "c_so": 1e308}}, ORDERING_OVERFLOWS),
+        ("simulate", {"costs": {"c_h": 1e308}}, HOLDING_OVERFLOWS),
+        # every path's ordering cost is finite (at most 6 orders of 5e305),
+        # but not the sum of 2000 of them in their mean
+        ("simulate", {"costs": {"c_o": 1e304, "c_so": 1e304}}, ORDERING_OVERFLOWS),
+        # the expected cost is finite, but not that of a path with 4 orders of 5e307
+        ("validate", {"costs": {"c_o": 1e306, "c_so": 1e306}}, ORDERING_OVERFLOWS),
+        (
+            "compare",
+            {"costs": {"c_o": 1e308}, "experiment": {"ordering_mode": "per_unit_times_Q"}},
+            "the simulated cost overflows a float; use smaller c_o, c_h or c_so",
+        ),
+    ],
+)
+def test_cost_overflow_exit_code(tmp_path, capsys, command, config, message):
+    # each cost is finite, so the config check passes, but a product of
+    # costs overflows: nan and inf rows reached the CSV files and
+    # summary.json, and the charts crashed on them
+    cfgfile = tmp_path / "c.json"
+    experiment = {"n_series": 3, **config.get("experiment", {})}
+    cfgfile.write_text(json.dumps({**config, "mc": {"n_paths": 2000}, "experiment": experiment}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the cost ordering's warning
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"parameter error: {message}\n" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "config, flags, sizes",
     [

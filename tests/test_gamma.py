@@ -307,9 +307,35 @@ def test_repeated_shapes_take_one_lgamma_each(monkeypatch):
     assert sorted(lgammas) == sorted(set((shapes + 1.0).tolist()))
 
 
+def test_underflowing_prefactor_matches_oracle_on_every_side():
+    # e^lg underflows (lg < -745), which mixed_pairs draws only for x far
+    # below a: here also on the continued fraction's side, and in Temme's
+    # band, which reaches it once a passes about 4,000.  The kernel has
+    # no branch of its own there; the oracle has
+    assert scalar_gamma_pair(5.0, 1000.0) == (1.0, 1.0)
+    assert scalar_gamma_pair(1e4, 5100.0) == (0.0, 0.0)
+    rng = np.random.default_rng(24)
+    a_frac = np.exp(rng.uniform(math.log(0.01), math.log(50.0), 2000))
+    a_temme = rng.uniform(4000.0, 20000.0, 2000)
+    a = np.r_[5.0, 1e4, a_frac, a_temme]
+    x = np.r_[
+        1000.0, 5100.0, rng.uniform(800.0, 5000.0, 2000),
+        a_temme * (1.0 + rng.choice([-1.0, 1.0], 2000) * rng.uniform(0.3, 0.5, 2000)),
+    ]
+    lg = a * np.log(x) - x - np.array([math.lgamma(u) for u in a.tolist()])
+    temme = np.array([in_temme_region(u, v) for u, v in zip(a.tolist(), x.tolist())])
+    a, x, temme = a[lg < -746.0], x[lg < -746.0], temme[lg < -746.0]
+    assert np.sum(~temme & (x >= a + 1.0)) > 1000
+    assert np.sum(temme & (x < a)) > 200 and np.sum(temme & (x > a)) > 200
+    want, want_next = np.array([scalar_gamma_pair(u, v) for u, v in zip(a.tolist(), x.tolist())]).T
+    p, p_next = kernel_pair(a, x)
+    assert np.array_equal(p, want) and np.array_equal(p_next, want_next)
+    assert np.array_equal(reg_lower_gamma(a, x), want)
+
+
 def test_kernel_lentz_floor_matches_oracle(monkeypatch):
     # with the floor raised, the Lentz denominators fall below it often,
-    # so the continued fraction takes its stepped-again path
+    # so the continued fraction's clamp is taken
     monkeypatch.setattr(driftinv.gammainc, "_TINY", 0.3)
     a, x = mixed_pairs(2_000, seed=19)
     fraction = (x >= a + 1.0) & (x > 0.0)
