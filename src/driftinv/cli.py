@@ -29,7 +29,10 @@ from .cost import (
 )
 from .errors import ParameterError, SeriesNotConvergedError
 from .forecast import TableRow, cumulative_cost_profile, run_table_experiment
-from .mc import SimSummary, Trajectory, mc_summary, path_costs, path_stats, simulate
+from .mc import (
+    SimSummary, Trajectory, cost_summary, mc_summary, path_costs, path_stats, sample_summary,
+    simulate,
+)
 from .params import CostParams, OrderingMode, PolicyParams
 from .renewal import (  # the two gamma-series names: see expected_inventory above
     _CHUNK_VALUES,
@@ -225,19 +228,20 @@ def run_validation(cfg):
     rows = []
     # one batch to the latest time; each time keeps the jumps before it
     stats = path_stats(cfg.process, cfg.policy, cfg.validate_times, cfg.n_paths, cfg.base_seed)
-    _, _, total = path_costs(cfg.costs, cfg.policy.Q, stats)
+    costs = path_costs(cfg.costs, cfg.policy.Q, stats)
     exact = exact_moments(cfg.process, cfg.policy, cfg.costs, cfg.validate_times, cfg.series)
     quantities = {
         "expected_orders": (exact.orders, stats["orders"]),
         "expected_inventory": (exact.inventory, stats["inv_end"]),
         "integrated_orders": (exact.integrated_orders, stats["int_renewals"]),
-        "total_cost": (exact.cost.total, total),
     }
     for k, t in enumerate(cfg.validate_times):
-        for name, (ana, mc) in quantities.items():
-            sample, analytical = mc[k], float(ana[k])
-            mc_mean = float(np.mean(sample))
-            stderr = float(np.std(sample, ddof=1) / np.sqrt(sample.size))
+        summaries = {name: (ana, sample_summary(mc[k])) for name, (ana, mc) in quantities.items()}
+        # the sums of the costs are checked for overflow, as mc_summary checks them
+        _, _, total = cost_summary(*(cost[k] for cost in costs))
+        summaries["total_cost"] = (exact.cost.total, total)
+        for name, (ana, (mc_mean, stderr)) in summaries.items():
+            analytical = float(ana[k])
             limit = 3.0 * stderr
             diff = abs(analytical - mc_mean)
             rows.append(

@@ -16,7 +16,7 @@ running sum of its gaps over the rounds, so path i depends only on
   path i of every larger batch with the same key;
 - in time, a shorter horizon keeps exactly the jumps of a longer one
   that fall before it, so one batch sampled to the longest horizon
-  serves every shorter one (``truncate_batch``);
+  serves every shorter one (``mc.batch_stats`` walks it once for all);
 - ``sample_path(params, h, s)`` is path 0 of the batch keyed s.
 
 The two sizes are part of the contract: changing either changes every
@@ -50,10 +50,30 @@ CHUNK_PATHS = 128
 ROUND_GAPS = 64
 
 
+# Half-width of the band around each integer, as a share of
+# max(max x, 0) + 2a/Q + 1, in which ``first_true_near_ties`` runs the
+# exact predicates (its docstring derives it).
+TIE_BAND = 2.0**-46
+
+
+def _largest_guess(x):
+    """max(x), or a ParameterError when a guess is past the count budget
+    (or nan), before an int64 cast would wrap it."""
+    top = float(np.max(x, initial=-np.inf))
+    if not top <= JUMP_BUDGET:
+        raise ParameterError(
+            f"a count of about {top:.3g} jumps or orders is more than the budget of "
+            f"{JUMP_BUDGET}; use a larger jump size alpha or order quantity Q"
+        )
+    return top
+
+
 def first_true(pred, x):
     """Smallest k >= 0 with pred(k), elementwise, for pred monotone in k:
     start at floor(x) + 1, which only a rounding can put off, and step to
-    it.  Counts of thresholds or jumps that demand reaches."""
+    it.  Counts of thresholds or jumps that demand reaches; a guess past
+    ``JUMP_BUDGET`` is a ParameterError."""
+    _largest_guess(x)
     k = np.maximum(np.floor(x) + 1.0, 0.0).astype(np.int64)
     while True:
         up = ~pred(k)
@@ -65,6 +85,35 @@ def first_true(pred, x):
         if not down.any():
             break
         k -= down
+    return k
+
+
+def first_true_near_ties(pred, x, a_over_q):
+    """``first_true`` for counts of the thresholds a + Q*k that a level
+    v >= 0 exceeds, which runs the predicates only near a tie: pred(k, i)
+    is the predicate on the elements i.
+
+    Here x = (v - a)/Q and pred(k) compares a + Q*k (less a float s >= 0,
+    over mu > 0) with v (as t = v/mu), each side in at most four roundings
+    of unit u = 2**-53.  With y the exact (v - a)/Q, x is off by under
+    9u(|y| + a/Q), and pred(k) is the exact k > y unless |k - y| is under
+    8u(|k| + |y| + a/Q).  At k = floor(x) and floor(x) + 1 the two sum to
+    under 25u(|x| + a/Q + 1).  Since v >= 0, x >= -a/Q (to a rounding),
+    so the band TIE_BAND*(max(max x, 0) + 2a/Q + 1) is at least
+    128u(max|x| + a/Q + 1), five times that sum.  So where x lies outside
+    the band around every integer, pred is false at floor(x) and true at
+    floor(x) + 1, which (at least 0) is the count.  The fraction x -
+    floor(x) that the test reads is exact for x >= 0.  Only the elements
+    inside the band, which lattice configs fill with exact ties, take
+    ``first_true``'s exact search.
+    """
+    top = _largest_guess(x)
+    below = np.floor(x)
+    k = np.maximum(below + 1.0, 0.0).astype(np.int64)
+    band = TIE_BAND * (max(top, 0.0) + 2.0 * a_over_q + 1.0)
+    near = np.flatnonzero(np.abs(x - below - 0.5) >= 0.5 - band)
+    if near.size:
+        k[near] = first_true(lambda kn: pred(kn, near), x[near])
     return k
 
 
@@ -172,17 +221,6 @@ def batch_jump_times(
     return np.concatenate(pieces), offsets
 
 
-def truncate_batch(flat, offsets, horizon: float):
-    """The packed batch cut to the jumps before ``horizon``; by prefix
-    consistency, the batch ``batch_jump_times`` samples to that horizon."""
-    keep = flat < horizon
-    nonempty = np.flatnonzero(np.diff(offsets))
-    kept = np.zeros_like(offsets)
-    if nonempty.size:
-        kept[nonempty + 1] = np.add.reduceat(keep, offsets[nonempty], dtype=np.int64)
-    return flat[keep], np.cumsum(kept, out=kept)
-
-
 @dataclass(frozen=True)
 class Segments:
     """Paths ``first``, ``first + 1``, ... of a packed batch, cut at their jumps.
@@ -201,7 +239,6 @@ class Segments:
     path: np.ndarray
     start: np.ndarray
     last: np.ndarray
-    is_jump: np.ndarray
     t_start: np.ndarray
     t_end: np.ndarray
     s_before: np.ndarray
@@ -231,7 +268,7 @@ def path_segments(flat, offsets, alpha: float, horizon: float):
         t_end[last] = horizon
         t_start = np.concatenate(([0.0], t_end[:-1]))
         t_start[start] = 0.0
-        yield Segments(p0, path, start, last, is_jump, t_start, t_end, sums[local])
+        yield Segments(p0, path, start, last, t_start, t_end, sums[local])
         p0 = p1
 
 

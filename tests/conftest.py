@@ -56,3 +56,15 @@ def pack(paths):
     """A packed batch (flat, offsets) of hand-built jump-time lists."""
     offsets = np.concatenate(([0], np.cumsum([len(p) for p in paths]))).astype(np.int64)
     return np.array([t for p in paths for t in p], dtype=np.float64), offsets
+
+
+def truncate_batch(flat, offsets, horizon):
+    """The packed batch cut to the jumps before ``horizon``; by prefix
+    consistency, the batch ``batch_jump_times`` samples to that horizon.
+    The oracle for one walk serving several horizons."""
+    keep = flat < horizon
+    nonempty = np.flatnonzero(np.diff(offsets))
+    kept = np.zeros_like(offsets)
+    if nonempty.size:
+        kept[nonempty + 1] = np.add.reduceat(keep, offsets[nonempty], dtype=np.int64)
+    return flat[keep], np.cumsum(kept, out=kept)

@@ -928,6 +928,14 @@ HOLDING_OVERFLOWS = "the holding cost overflows a float; use a smaller c_h"
             {"costs": {"c_o": 1e308}, "experiment": {"ordering_mode": "per_unit_times_Q"}},
             "the simulated cost overflows a float; use smaller c_o, c_h or c_so",
         ),
+        # every path's cost and the expected cost are finite, but not the
+        # squares of validate's standard error at t = 4; validate wrote
+        # inf rows and marked them pass
+        (
+            "validate",
+            {"costs": {"c_o": 1e303, "c_so": 1e303}},
+            "the total cost overflows a float; use a smaller c_o and c_h",
+        ),
     ],
 )
 def test_cost_overflow_exit_code(tmp_path, capsys, command, config, message):
@@ -943,6 +951,32 @@ def test_cost_overflow_exit_code(tmp_path, capsys, command, config, message):
         assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
     assert f"parameter error: {message}\n" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_tiny_jump_size_exit_code(tmp_path):
+    # the exact form's fewest jumps to a threshold, (L - mu*t)/alpha, went
+    # past 2**63, whose int64 cast wrapped, and its search then stepped by
+    # one forever; a subprocess with a timeout turns a hang into a failure
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"process": {"alpha": 1e-300}}))
+    package = pathlib.Path(driftinv.cli.__file__).parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "driftinv.cli", "validate", "--config", str(cfgfile),
+         "--paths", "200", "--out", "out"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 2, run.stderr
+    assert (
+        "parameter error: a count of about 4e+301 jumps or orders is more than the budget "
+        "of 33554432; use a larger jump size alpha or order quantity Q"
+    ) in run.stderr
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize(

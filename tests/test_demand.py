@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftinv import (
     DomainError,
@@ -14,16 +16,18 @@ from driftinv import (
 import driftinv.demand
 from driftinv.demand import (
     CHUNK_PATHS,
+    JUMP_BUDGET,
     ROUND_GAPS,
     batch_jump_times,
+    first_true,
+    first_true_near_ties,
     path_segments,
     period_increments,
-    truncate_batch,
 )
 from driftinv.mc import batch_stats
 from driftinv.renewal import first_passage_times
 
-from conftest import demand_at, pack
+from conftest import demand_at, pack, truncate_batch
 
 # Four jumps per unit time to horizon 60: about 240 jumps per path, so
 # every chunk draws at least three rounds of ROUND_GAPS gaps.
@@ -292,3 +296,62 @@ def test_segment_chunks_leave_the_kernels_bit_equal(monkeypatch, chunk):
     assert max(seg.start.size for seg in chunks) == {1: 1, 2: 2, 5: 3}[chunk]
     for got, ref in zip(kernels(), want):
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def ulps_away(values, ulps):
+    """Each value moved by its count of ulps, up or down."""
+    values = np.array(values, dtype=np.float64)
+    for step in range(int(np.abs(ulps).max(initial=0))):
+        move = np.abs(ulps) > step
+        values[move] = np.nextafter(values[move], np.where(ulps[move] > 0, np.inf, -np.inf))
+    return values
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    a=st.floats(0.01, 200.0),
+    Q=st.floats(0.01, 60.0),
+    mu=st.floats(0.05, 20.0),
+    alpha=st.floats(0.05, 30.0),
+    levels=st.lists(
+        st.tuples(
+            st.integers(0, 5000),
+            st.integers(0, 300),
+            st.integers(-4, 4),
+            st.sampled_from([0.0, 0.0, 0.5, 1e-9, 0.999]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_near_tie_search_matches_first_true(a, Q, mu, alpha, levels):
+    # a level v put on a threshold a + Q*k as each predicate rounds it, or
+    # a few ulps off it, so that x = (v - a)/Q lies on or within a few ulps
+    # of an integer; a fraction of Q moves some levels off the ties
+    k = np.array([level[0] + level[3] for level in levels])
+    s = alpha * np.array([float(level[1]) for level in levels])
+    ulps = np.array([level[2] for level in levels])
+    # the drift count: t on the crossing (a + Q*k - s)/mu of the mc kernel
+    t = ulps_away(np.maximum((a + Q * k - s) / mu, 0.0), ulps)
+    x = (mu * t + s - a) / Q
+    want = first_true(lambda j: (a + Q * j - s) / mu > t, x)
+    got = first_true_near_ties(lambda j, i: (a + Q * j - s[i]) / mu > t[i], x, a / Q)
+    assert np.array_equal(got, want)
+    # the jump count: demand on the threshold a + Q*k
+    demand = ulps_away(a + Q * k, ulps)
+    x = (demand - a) / Q
+    want = first_true(lambda j: a + Q * j > demand, x)
+    got = first_true_near_ties(lambda j, i: a + Q * j > demand[i], x, a / Q)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("guess", [1e302, np.inf, np.nan, JUMP_BUDGET + 1.0])
+def test_count_search_past_the_budget_raises(guess):
+    # an int64 cast of a guess past 2**63 wrapped, and the search then
+    # stepped by one forever
+    x = np.array([3.5, guess])
+    with pytest.raises(ParameterError, match="more than the budget of 33554432"):
+        first_true(lambda k: k > x, x)
+    with pytest.raises(ParameterError, match="more than the budget of 33554432"):
+        first_true_near_ties(lambda k, i: k > x[i], x, 1.0)
+    assert first_true(lambda k: k > x[:1], x[:1]).tolist() == [4]

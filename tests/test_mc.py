@@ -29,7 +29,7 @@ from driftinv.mc import (
     trajectory_from_path,
 )
 
-from conftest import demand_at, exact_expected_orders, pack
+from conftest import demand_at, exact_expected_orders, pack, truncate_batch
 
 
 def exact_expected_inventory(process, policy, t):
@@ -590,3 +590,167 @@ def test_stats_from_longest_horizon_equal_fresh_batches(ref_process, ref_policy)
         fresh = path_stats(ref_process, ref_policy, t, 3000, base_seed=61)
         for key, values in fresh.items():
             assert np.array_equal(shared[key][k], values), (key, t)
+
+
+def cut_batch_stats(flat, offsets, mu, alpha, x0, a, Q, horizons):
+    """Oracle for the one walk: each horizon's own single-horizon call, on
+    the whole batch at the longest horizon and on the batch cut by
+    ``truncate_batch`` at each shorter one."""
+    longest = max(horizons)
+    return [
+        batch_stats(
+            *((flat, offsets) if h == longest else truncate_batch(flat, offsets, h)),
+            mu, alpha, x0, a, Q, h,
+        )
+        for h in horizons
+    ]
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    mu=st.sampled_from([1, 2, 4, 3, 5]),
+    alpha=st.integers(1, 25),
+    x0=st.integers(2, 120),
+    a_share=st.floats(0.0, 1.0),
+    Q=st.integers(1, 40),
+    horizons4=st.lists(st.integers(1, 80), min_size=1, max_size=5),
+    steps=st.lists(st.lists(st.integers(0, 80), unique=True, max_size=12), min_size=1, max_size=5),
+)
+def test_one_walk_gives_each_horizon_the_bits_of_its_cut_batch_on_lattice(
+    mu, alpha, x0, a_share, Q, horizons4, steps
+):
+    # quarter-unit lattice with integer a, Q and alpha, and mu in 1, 2, 4
+    # for most examples: demand is exact and drift crossings fall on the
+    # lattice, so jumps land exactly on shorter horizons, on crossings and
+    # at the batch's own (longest) horizon, where every packed jump counts;
+    # the horizons come unsorted and repeated
+    horizons = [k / 4.0 for k in horizons4]
+    longest = max(horizons4)
+    a = float(min(max(round(a_share * x0), 1), x0 - 1))
+    flat, offsets = pack([sorted(k / 4.0 for k in ks if k <= longest) for ks in steps])
+    args = (float(mu), float(alpha), float(x0), a, float(Q))
+    got = batch_stats(flat, offsets, *args, horizons)
+    for row, want in zip(got, cut_batch_stats(flat, offsets, *args, horizons)):
+        assert_bits_equal(row, want)
+    assert_bits_equal(batch_stats(flat, offsets, *args, longest / 4.0), got[horizons4.index(longest)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.05, 20.0),
+    alpha=st.floats(0.05, 30.0),
+    lam=st.floats(0.01, 5.0),
+    x0=st.floats(1.0, 200.0),
+    a_share=st.floats(0.01, 0.99),
+    Q=st.one_of(st.floats(0.1, 100.0), st.floats(0.01, 0.5)),
+    horizons=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4),
+    on_jumps=st.lists(st.integers(0, 2**31), max_size=2),
+    seed=st.integers(0, 2**31),
+)
+def test_one_walk_equals_fresh_batches(
+    mu, alpha, lam, x0, a_share, Q, horizons, on_jumps, seed
+):
+    # sampled paths, with shorter horizons also placed exactly on jumps of
+    # the batch: each row has the bits of a batch sampled to its horizon
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    flat, offsets = batch_jump_times(process, max(horizons), seed, 24)
+    horizons = horizons + [float(flat[i % flat.size]) for i in on_jumps if flat.size]
+    args = (mu, alpha, x0, a_share * x0, Q)
+    got = batch_stats(flat, offsets, *args, horizons)
+    cut = cut_batch_stats(flat, offsets, *args, horizons)
+    for row, h, want in zip(got, horizons, cut):
+        assert_bits_equal(row, want)
+        assert_bits_equal(row, batch_stats(*batch_jump_times(process, h, seed, 24), *args, h))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.05, 20.0),
+    alpha=st.floats(0.05, 30.0),
+    x0=st.floats(1.0, 200.0),
+    a_share=st.floats(0.01, 0.99),
+    Q=st.floats(0.01, 50.0),
+    picks=st.lists(st.tuples(st.sampled_from([0, 1, 2]), st.floats(0.01, 1.0)), max_size=15),
+    cuts=st.lists(st.tuples(st.sampled_from([0, 1, 2, 3]), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+)
+def test_one_walk_at_float_ties_equals_cut_batches(mu, alpha, x0, a_share, Q, picks, cuts):
+    # jumps on drift crossings as the kernel rounds them (tie 1) or where
+    # the jump lifts demand onto a threshold (tie 2), as in
+    # test_batch_stats_matches_event_kernel_at_float_ties; the shorter
+    # horizons fall on a jump (tie 1), on the next crossing after one
+    # (tie 2), an ulp past one (tie 3: a crossing there rounds onto the
+    # jump, so the inventory just before the jump can be the minimum) or
+    # between jumps (tie 0)
+    a = a_share * x0
+
+    def next_crossing(t, jsum):
+        k = max(math.floor((mu * t + jsum - a) / Q) + 1, 0)
+        return (a + Q * k - jsum) / mu
+
+    times, sums, t, jsum = [], [], 0.0, 0.0
+    for tie, gap in picks:
+        t_next = t + gap
+        if tie:
+            t_tie = next_crossing(t, jsum + alpha * (tie - 1))
+            t_next = t_tie if t_tie > t else t_next
+        if t_next > t:
+            times.append(t_next)
+            t, jsum = t_next, jsum + alpha
+            sums.append(jsum)
+    longest = t + 1.0
+    horizons = [longest]
+    for tie, share in cuts:
+        i = min(int(share * len(times)), len(times) - 1)
+        if tie == 1 and times:
+            horizons.append(times[i])
+        elif tie == 2 and times:
+            h = next_crossing(times[i], sums[i])
+            horizons.append(h if 0.0 < h < longest else times[i])
+        elif tie == 3 and times:
+            horizons.append(float(np.nextafter(times[i], np.inf)))
+        else:
+            horizons.append(max(share * longest, 1e-3))
+    flat = np.array(times)
+    offsets = np.array([0, flat.size])
+    args = (mu, alpha, x0, a, Q)
+    got = batch_stats(flat, offsets, *args, horizons)
+    for row, want in zip(got, cut_batch_stats(flat, offsets, *args, horizons)):
+        assert_bits_equal(row, want)
+
+
+def test_one_walk_takes_a_scalar_or_a_sequence(ref_process, ref_policy):
+    flat, offsets = batch_jump_times(ref_process, 10.0, 7, 50)
+    args = (ref_process.mu, ref_process.alpha, ref_policy.x0, ref_policy.a, ref_policy.Q)
+    one = batch_stats(flat, offsets, *args, 10.0)
+    assert one.shape == (50, 5)
+    rows = batch_stats(flat, offsets, *args, [10.0, 3.0, 10.0, 3.0])
+    assert rows.shape == (4, 50, 5)
+    assert_bits_equal(rows[0], one)
+    assert_bits_equal(rows[2], one)
+    assert_bits_equal(rows[1], rows[3])
+    assert_bits_equal(rows[1], batch_stats(*truncate_batch(flat, offsets, 3.0), *args, 3.0))
+
+
+def test_one_walk_keeps_the_stretch_end_before_a_crossing_rounded_onto_a_jump():
+    # the first jump lifts demand to just below a, and the drift crossing
+    # of a rounds onto it, so the order comes in the next segment and is
+    # held over no time: the minimum is the inventory just before that
+    # jump, x0 - mu*t, which no order-placing segment holds; the horizon
+    # lies an ulp past the second jump
+    mu, alpha, x0, a, Q = (
+        12.333953836705613, 3.7350004439300637, 75.43759382858383,
+        25.8349953739672, 39.015608690864916,
+    )
+    flat = np.array([1.7918013333460003, 2.395020714137256, 4.349424640571755])
+    offsets = np.array([0, flat.size])
+    assert (a - alpha) / mu == flat[0] and mu * flat[0] + alpha < a
+    h = float(np.nextafter(flat[1], np.inf))
+    got = batch_stats(flat, offsets, mu, alpha, x0, a, Q, [5.0, h])
+    assert_bits_equal(got[1], batch_stats(flat[:2], np.array([0, 2]), mu, alpha, x0, a, Q, h))
+    assert got[1, 0, 0] == 1
+    assert got[1, 0, 4] == x0 - mu * flat[0]
