@@ -287,25 +287,6 @@ def _group(keys):
     return index, [index.setdefault(key, len(index)) for key in keys]
 
 
-def _index(of_row, n_groups):
-    """``of_row`` as an index array, or None where it is the identity:
-    where there are as many groups as entries."""
-    return None if n_groups == len(of_row) else np.array(of_row)
-
-
-def _gather(x, rows):
-    return x if rows is None else x[rows]
-
-
-def _cost_pairs(state_of_row, coef, n_states):
-    """The distinct (state, coefficient) pairs of the rows: their
-    coefficients as a column, the state each pair's inventory is gathered
-    from (None where the pairs are the states) and each row's pair."""
-    pairs, pair_of_row = _group(zip(state_of_row, coef.tolist()))
-    column = np.array([c for _, c in pairs]).reshape(-1, 1)
-    return column, _index([state for state, _ in pairs], n_states), _index(pair_of_row, len(pairs))
-
-
 def _ordering_cost(charge, orders, n_periods):
     """Each row's charge added once per order, in sequence from +0.0: the
     charge's running sums, read at the (rows, series) order counts."""
@@ -329,75 +310,73 @@ def discrete_sim(actuals, forecasts, x0, R, Q, c_h, c_so, order_charge, period_c
     inventory; backorders go negative.
 
     Orders and inventory depend on (R, Q) alone, so the loop steps each
-    distinct (R, Q) once and accrues holding once per distinct
-    (R, Q, c_h) and shortage once per distinct (R, Q, c_so); a row's
+    distinct (R, Q) once.  Holding, max(c_h*X, 0), and shortage,
+    max(-c_so*X, 0), are one accrual max(coef*X, 0), taken once per
+    distinct (state, kind, coefficient) entry; the kind is in the key,
+    so a holding +0.0 and a shortage -0.0 never share an entry.  A row's
     ordering cost, its charge added once per order, is read from the
     charge's running sums at its order count.  Every pair gets the bits
-    of a per-pair scalar loop: where that loop adds nothing this one adds
-    a zero (Q times False, a cost clipped at 0.0), and every sum starts
-    at +0.0, so adding a zero leaves it as it is.
+    of a per-pair scalar loop: where that loop adds nothing this one
+    adds a zero (Q times False, a cost clipped at 0.0), and every sum
+    starts at +0.0, so adding a zero leaves it as it is.
 
     Returns (G, S) arrays: ordering, holding and shortage cost, order
     count and whether the inventory ever went negative.  A (G, P)
     ``period_cost`` receives each period's cost summed over the series
-    left to right, as a running sum over them would give it.
+    left to right, as a running sum over them would give it, built
+    after the loop from the order flags and every period's accruals.
     """
     act = np.ascontiguousarray(np.asarray(actuals, dtype=np.float64).T)
     if forecasts is not None:
-        fc = np.ascontiguousarray(np.asarray(forecasts, dtype=np.float64).T)
+        forecasts = np.ascontiguousarray(np.asarray(forecasts, dtype=np.float64).T)
     n_periods, n_series = act.shape
     R, Q, c_h, c_so, charge = (
         np.asarray(v, dtype=np.float64).reshape(-1) for v in (R, Q, c_h, c_so, order_charge)
     )
     states, state_of_row = _group(zip(R.tolist(), Q.tolist()))
-    c_h, hold_state, hold_of_row = _cost_pairs(state_of_row, c_h, len(states))
-    neg_c_so, short_state, short_of_row = _cost_pairs(state_of_row, -c_so, len(states))
-    state_of_row = _index(state_of_row, len(states))
+    # holding entries are kind 0 with coefficient c_h, shortage kind 1 with -c_so
+    entries, entry_of = _group(
+        [(state, 0, c) for state, c in zip(state_of_row, c_h.tolist())]
+        + [(state, 1, -c) for state, c in zip(state_of_row, c_so.tolist())]
+    )
+    entry_state = np.array([state for state, _, _ in entries])
+    coef = np.array([c for _, _, c in entries]).reshape(-1, 1)
+    hold_of_row, short_of_row = np.array(entry_of).reshape(2, -1)
     R, Q = np.array(list(states)).T.reshape(2, -1, 1)
     shape = (len(states), n_series)
     inv = np.full(shape, float(x0))
     lowest = inv.copy()
     ordered = np.empty((n_periods,) + shape, dtype=bool)  # counted at the end
     added = np.empty(shape)
-    holding, h = np.zeros((2, c_h.size, n_series))
-    shortage, s = np.zeros((2, neg_c_so.size, n_series))
-    held = inv if hold_state is None else np.empty(h.shape)
-    short = inv if short_state is None else np.empty(s.shape)
-    if period_cost is not None:
-        ordered_cost = 0.0 + charge.reshape(-1, 1)
-        # each period's (row, series) costs, summed over the series at the end
-        costs = np.zeros((n_periods, charge.size, n_series))
+    accrued = np.zeros((len(entries), n_series))
+    # one period's accruals, or every period's where period_cost reads them
+    kept = np.empty((n_periods if period_cost is not None else 1,) + accrued.shape)
     for k in range(n_periods):
         order = ordered[k]
         if forecasts is None:
             np.less_equal(inv, R, out=order)
         else:
-            np.subtract(inv, fc[k], out=added)
+            np.subtract(inv, forecasts[k], out=added)
             np.less_equal(added, R, out=order)
         inv += np.multiply(Q, order, out=added)
         inv -= act[k]
         np.minimum(lowest, inv, out=lowest)
-        if hold_state is not None:
-            np.take(inv, hold_state, axis=0, out=held)
-        holding += np.maximum(np.multiply(c_h, held, out=h), 0.0, out=h)
-        if short_state is not None:
-            np.take(inv, short_state, axis=0, out=short)
-        shortage += np.maximum(np.multiply(neg_c_so, short, out=s), 0.0, out=s)
-        if period_cost is not None:
-            # the scalar loop's 0.0, plus the charge where it orders
-            cost = costs[k]
-            np.copyto(cost, ordered_cost, where=_gather(order, state_of_row))
-            cost += _gather(h, hold_of_row)
-            cost += _gather(s, short_of_row)
+        row = np.take(inv, entry_state, axis=0, out=kept[k % len(kept)])
+        accrued += np.maximum(np.multiply(coef, row, out=row), 0.0, out=row)
     if period_cost is not None:
+        # the scalar loop's 0.0, plus the charge where it orders, plus its
+        # holding and its shortage, summed over the series at the end
+        costs = np.where(ordered[:, state_of_row], 0.0 + charge.reshape(-1, 1), 0.0)
+        costs += kept[:, hold_of_row]
+        costs += kept[:, short_of_row]
         period_cost[...] = np.add.accumulate(costs, axis=2, out=costs)[:, :, -1].T
-    orders = _gather(np.count_nonzero(ordered, axis=0), state_of_row)
+    orders = np.count_nonzero(ordered, axis=0)[state_of_row]
     return (
         _ordering_cost(charge, orders, n_periods),
-        _gather(holding, hold_of_row),
-        _gather(shortage, short_of_row),
+        accrued[hold_of_row],
+        accrued[short_of_row],
         orders,
-        _gather(lowest < 0.0, state_of_row),
+        (lowest < 0.0)[state_of_row],
     )
 
 
@@ -509,6 +488,18 @@ def _grid_rows(cfg: ExperimentConfig, param_grid):
     return np.array(cols, dtype=np.float64).T
 
 
+def _require_finite_costs(*values):
+    """A ParameterError unless every value is finite: the means and
+    standard errors of a replay's costs, which an overflowing total
+    reaches, overflow from large demand, stock or costs alike, where
+    every input is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ParameterError(
+            "the simulated cost overflows a float; use smaller demand (mu, alpha), "
+            "starting stock x0 or costs"
+        )
+
+
 def run_table_experiment(cfg: ExperimentConfig, param_grid=None):
     """Average total cost per (R, Q, C_h, C_o, C_so) grid row.
 
@@ -520,18 +511,20 @@ def run_table_experiment(cfg: ExperimentConfig, param_grid=None):
     grid_rows = _grid_rows(cfg, param_grid)
     actuals_mat, forecasts_mat = _experiment_arrays(cfg)
     n_series = actuals_mat.shape[0]
-    ordering, holding, shortage, orders, stockout = discrete_sim(
-        actuals_mat, forecasts_mat, cfg.policy.x0, *grid_rows
-    )
-    # every row of these C-ordered (G, S) arrays is one contiguous run,
-    # which a reduction along axis 1 sums in the order a 1-D call on that
-    # row takes (test_row_statistics_equal_per_row_calls pins it)
-    totals = ordering + holding + shortage
-    mean_total = totals.mean(axis=1)
-    if n_series > 1:
-        stderr_total = np.std(totals, axis=1, ddof=1) / np.sqrt(n_series)
-    else:
-        stderr_total = np.zeros(len(param_grid))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        ordering, holding, shortage, orders, stockout = discrete_sim(
+            actuals_mat, forecasts_mat, cfg.policy.x0, *grid_rows
+        )
+        # every row of these C-ordered (G, S) arrays is one contiguous run,
+        # which a reduction along axis 1 sums in the order a 1-D call on that
+        # row takes (test_row_statistics_equal_per_row_calls pins it)
+        totals = ordering + holding + shortage
+        mean_total = totals.mean(axis=1)
+        if n_series > 1:
+            stderr_total = np.std(totals, axis=1, ddof=1) / np.sqrt(n_series)
+        else:
+            stderr_total = np.zeros(len(param_grid))
+    _require_finite_costs(mean_total, stderr_total)
     mean_orders = orders.astype(np.float64).mean(axis=1)
     stockout_rate = stockout.astype(np.float64).mean(axis=1)
     return [
@@ -564,6 +557,5 @@ def cumulative_cost_profile(cfg: ExperimentConfig):
             cfg.costs.c_h, cfg.costs.c_so, cfg.costs.order_cost(cfg.policy.Q), acc,
         )
         cum = np.cumsum(acc[0] / n_series)
-    if not np.all(np.isfinite(cum)):
-        raise ParameterError("the simulated cost overflows a float; use smaller c_o, c_h or c_so")
+    _require_finite_costs(cum)
     return np.arange(cfg.sim_start, cfg.sim_end + 1), cum

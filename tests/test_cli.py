@@ -908,6 +908,10 @@ def test_order_budget_exit_code(tmp_path, capsys, monkeypatch, command, Q):
 
 ORDERING_OVERFLOWS = "the ordering cost overflows a float; use a smaller c_o"
 HOLDING_OVERFLOWS = "the holding cost overflows a float; use a smaller c_h"
+SIMULATED_OVERFLOWS = (
+    "the simulated cost overflows a float; use smaller demand (mu, alpha), starting stock x0 "
+    "or costs"
+)
 
 
 @pytest.mark.parametrize(
@@ -926,7 +930,7 @@ HOLDING_OVERFLOWS = "the holding cost overflows a float; use a smaller c_h"
         (
             "compare",
             {"costs": {"c_o": 1e308}, "experiment": {"ordering_mode": "per_unit_times_Q"}},
-            "the simulated cost overflows a float; use smaller c_o, c_h or c_so",
+            SIMULATED_OVERFLOWS,
         ),
         # every path's cost and the expected cost are finite, but not the
         # squares of validate's standard error at t = 4; validate wrote
@@ -936,12 +940,26 @@ HOLDING_OVERFLOWS = "the holding cost overflows a float; use a smaller c_h"
             {"costs": {"c_o": 1e303, "c_so": 1e303}},
             "the total cost overflows a float; use a smaller c_o and c_h",
         ),
+        # the costs are the defaults and table1's grid: demand or x0
+        # overflows; table1 printed RuntimeWarnings, wrote inf and nan rows
+        # and exited 0.  With x0 every series' cost is finite, but not
+        # their mean over 1000 series
+        *(
+            (command, config, SIMULATED_OVERFLOWS)
+            for command in ("table1", "compare")
+            for config in (
+                {"process": {"alpha": 1e306}},
+                {"process": {"mu": 1e306}},
+                {"policy": {"x0": 1e306, "a": 1e305}, "experiment": {"n_series": 1000}},
+            )
+        ),
     ],
 )
 def test_cost_overflow_exit_code(tmp_path, capsys, command, config, message):
-    # each cost is finite, so the config check passes, but a product of
-    # costs overflows: nan and inf rows reached the CSV files and
-    # summary.json, and the charts crashed on them
+    # each input is finite, so the config check passes, but a product or
+    # a sum of costs overflows: nan and inf rows reached the CSV files and
+    # summary.json, and the charts crashed on them.  A RuntimeWarning is an
+    # error under the suite's filterwarnings
     cfgfile = tmp_path / "c.json"
     experiment = {"n_series": 3, **config.get("experiment", {})}
     cfgfile.write_text(json.dumps({**config, "mc": {"n_paths": 2000}, "experiment": experiment}))
