@@ -12,9 +12,13 @@ check (``renewal.check_converged``), a SeriesNotConvergedError.
   (``renewal.py``), behind ``cost_curve`` and ``expected_total_cost``;
   ``sweep`` sums its many-policy form, ``policy_renewal_sums``, once;
 - ``exact_renewal_sums``: the exact Poisson-law form, behind
-  ``exact_moments``.  With zero lead time D_t = mu*t + alpha*N_t is
-  monotone, so R_t = max(floor((D_t - a)/Q) + 1, 0) and both sums are
-  series over the Poisson law of N_t.
+  ``exact_moments``, and the one-policy case of ``exact_policy_sums``.
+  With zero lead time D_t = mu*t + alpha*N_t is monotone, so
+  R_t = max(floor((D_t - a)/Q) + 1, 0) and both sums are series over
+  the Poisson law of N_t, whose tails come from one table of Poisson
+  pmf values over each time's own window (``_tail_table``), shared by
+  every policy, sized by the window and checked against
+  ``demand.JUMP_BUDGET`` before it is allocated.
 
 ``cost_curve`` and ``exact_moments`` turn their pair into one
 ``CostCurve`` through one builder and differ only in the sums function
@@ -31,12 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import first_true
+from .demand import JUMP_BUDGET, first_true
 from .errors import ParameterError
-from .gammainc import poisson_pmf, reg_lower_gamma
+from .gammainc import _STIRLING, _TEMME_A, _horner
 from .params import CostParams, PolicyParams, ProcessParams, _require_no_overflow
 from .renewal import (  # expected_integrated_renewals: a name perfbench/layers.py traces here
     RenewalSeriesConfig,
+    _chernoff_root,
     as_times,
     check_converged,
     expected_integrated_renewals,  # noqa: F401
@@ -134,21 +139,106 @@ def expected_total_cost(
     return _curve(params, policy, costs, t, expected_renewal_sums(params, policy, t, cfg)).cost
 
 
-def _poisson_tails(tails, x, k):
-    """``tails`` (row i: P(N_t >= k), k = 0, 1, ..., at lam*t = x[i]) widened
-    in one call to k + 1 columns or twice its width, if k is past its end."""
-    width = tails.shape[1]
-    if k < width:
-        return tails
-    new = np.arange(width, max(k + 1, 2 * width))
-    return np.hstack((tails, reg_lower_gamma(new, x[:, None])))
+# theta(i) = ln(i!) - (i ln i - i + ln(2 pi i) / 2), Stirling's remainder,
+# for i = 1, ..., _TEMME_A; past it the series _STIRLING gives it
+_THETA = np.array(
+    [0.0]
+    + [
+        math.lgamma(i + 1.0) - (i * math.log(i) - i + 0.5 * math.log(2.0 * math.pi * i))
+        for i in range(1, int(_TEMME_A) + 1)
+    ]
+)
 
 
-def exact_renewal_sums(
-    params: ProcessParams, policy: PolicyParams, t, cfg: RenewalSeriesConfig
-):
-    """(E[R_t], E[int_0^t R]) under the exact Poisson law, with the
-    contract of ``expected_renewal_sums``.
+def _poisson_pmf(i, y):
+    """P(N = i) for N ~ Poisson(y), elementwise over whole-number floats
+    i >= 0 and y >= 0: e^-y at i = 0, and otherwise
+
+        e^-(D + theta(i)) / sqrt(2 pi i),  D = i ln(i/y) - (i - y)
+
+    (Loader 2000), with D taken as i log1p((i - y)/y) - (i - y), so that
+    no term as large as i ln(y) or ln(i!) rounds away its last digits.
+    The logs and exponentials are numpy's, applied element by element."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.maximum(i, 1.0)
+        gap = k - y
+        deviance = k * np.log1p(gap / y) - gap
+        inv = 1.0 / k
+        theta = np.where(
+            k > _TEMME_A,
+            inv * _horner(_STIRLING, inv * inv),
+            _THETA[np.minimum(k, _TEMME_A).astype(np.int64)],
+        )
+        pmf = np.exp(-(deviance + theta)) / np.sqrt(2.0 * math.pi * k)
+        return np.where(i == 0.0, np.exp(-y), pmf)
+
+
+def _poisson_windows(y, tail_tol):
+    """(lo, hi), whole-number floats of y's shape, so that P(N < lo) and
+    P(N > hi), N ~ Poisson(y), are each at most 2^-53 tail_tol: the roots
+    of the Chernoff exponent g(k) = L = -ln(2^-53 tail_tol), rounded
+    outwards, from starts outside them (y - sqrt(2 L y), as
+    g(k) >= (y - k)^2 / (2y) below y, and ``renewal._stop_bound``'s)."""
+    big = 53.0 * math.log(2.0) - math.log(tail_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(big * (big + 2.0 * y))
+        starts = np.stack((y - np.sqrt(2.0 * big * y), y + big + root))
+        lower, upper = _chernoff_root(y, big, starts)
+        return np.floor(np.maximum(lower, 0.0)), np.where(y > 0.0, np.ceil(upper), 0.0)
+
+
+def _check_budget(values, what: str) -> None:
+    """ParameterError before an array of ``values`` entries is allocated,
+    if that is more than ``demand.JUMP_BUDGET`` (or not a number)."""
+    if not values <= JUMP_BUDGET:
+        raise ParameterError(
+            f"the exact form's {what} would hold {values:.3g} values, more than the budget "
+            f"of {JUMP_BUDGET}; use fewer or shorter times, or a larger order quantity Q"
+        )
+
+
+def _tail_table(y, tail_tol):
+    """(lo, hi, tails, pmf) for the 1-D array of means y: the windows of
+    ``_poisson_windows`` as int64, and two (rows, width) arrays whose row
+    r holds P(N >= k) and P(N = k), N ~ Poisson(y[r]), at k = lo[r] + c,
+    c = 0, ..., hi[r] + 1 - lo[r] (both 0 at hi[r] + 1).
+
+    Each tail is added from its smallest term up: at or below the mode
+    floor(y) it is 1 less the pmf summed from lo up to k - 1, above it
+    the pmf summed from hi down to k, so no tail exceeds 1."""
+    lo, hi = _poisson_windows(y, tail_tol)
+    top = np.max(hi, initial=0.0)
+    if not top <= JUMP_BUDGET:
+        raise ParameterError(
+            f"the exact form's Poisson window at lam*t = {np.max(y):.3g} reaches {top:.3g} jumps, "
+            f"more than the budget of {JUMP_BUDGET}; use shorter times or a smaller lam"
+        )
+    width = np.max(hi - lo, initial=-1.0) + 2.0
+    _check_budget(y.size * width, "Poisson tail table")
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    k = lo[:, None] + np.arange(int(width))
+    inside = k <= hi[:, None]
+    pmf = np.zeros(k.shape)
+    pmf[inside] = _poisson_pmf(k[inside], np.broadcast_to(y[:, None], k.shape)[inside])
+    below = k <= np.floor(y)[:, None]
+    lower = np.zeros(k.shape)
+    np.cumsum(np.where(below, pmf, 0.0)[:, :-1], axis=1, out=lower[:, 1:])
+    upper = np.cumsum(np.where(below, 0.0, pmf)[:, ::-1], axis=1)[:, ::-1]
+    return lo, hi, np.where(below, 1.0 - lower, upper), pmf
+
+
+def _at(table, lo, hi, rows, k):
+    """``table[rows, k - lo[rows]]`` of a ``_tail_table``, k clipped to
+    [lo, hi + 1]: a tail below lo is the tail at lo, and past hi is 0."""
+    first = lo[rows]
+    return table[rows, np.minimum(np.maximum(k, first), hi[rows] + 1) - first]
+
+
+def exact_policy_sums(params: ProcessParams, policies, t, cfg: RenewalSeriesConfig):
+    """(E[R_t], E[int_0^t R]) under the exact Poisson law for every policy
+    of ``policies`` at every time of t, as arrays with one row per policy
+    and t's shape after it.  If the series hits ``cfg.n_max`` anywhere,
+    the error names the first such time of the first such policy.
 
     R_t counts the thresholds L_n = a + (n-1)Q that D_t has reached, so
     E[R_t] = sum_n P(N_t >= j_n), with j_n(t) the fewest jumps that take
@@ -157,63 +247,143 @@ def exact_renewal_sums(
     lower incomplete gamma, where drift carries k jumps' worth of demand
     to L_n at s_k = max((L_n - alpha*k)/mu, 0).  From m_n, the fewest jumps
     with alpha*m_n >= L_n, on s_k = 0 and the terms sum to the Poisson loss
-    (x - m) P(N_t >= m) + x P(N_t = m - 1), x = lam*t.  A time stops at its
-    first P(N_t >= j_n) below ``tail_tol``.
+    (x - m) P(N_t >= m) + x P(N_t = m - 1), x = lam*t.  A series stops at
+    its first P(N_t >= j_n) below ``tail_tol``.
 
-    The loop over n steps all times still summing.  The tails P(N_t >= k)
-    are one (time x k) matrix, widened when a k outruns it, and every
-    P(k+1, lam*s_k) (free of t) and P(N_t = m_n - 1) comes from one call.
-    A time adds its terms in the order of n, and within n the loss, then
-    the k terms in order (a sequential cumsum; k < j_n(t) adds 0.0).
-    """
+    Each P(k+1, y) is the Poisson tail P(N_y >= k+1), 0 past y's window
+    (``_poisson_windows``): a threshold with j_n past the window of
+    lam*t stops its series, and a k term with k + 1 past it adds
+    nothing.  The tails at the times come from one ``_tail_table`` that
+    every policy indexes at its j_n(t), and every P(k+1, lam*s_k), free
+    of t, from one ``_breakpoint_tails`` call.  Each (policy, time) adds
+    its terms in the order of n, and within n the loss, then the k terms
+    in order (a sequential cumsum; k < j_n(t) adds 0.0)."""
     times = as_times(t)
+    mu, alpha, lam, tol = params.mu, params.alpha, params.lam, cfg.tail_tol
+    with np.errstate(over="ignore"):  # an infinite lam*t is refused with its window
+        x = lam * times.ravel()
+        drift = mu * times.ravel()
+    lo, hi, tails, pmfs = _tail_table(x, tol)
+    a = np.array([p.a for p in policies], dtype=np.float64)
+    q = np.array([p.Q for p in policies], dtype=np.float64)
+    # one element per (policy, time), a row of candidate thresholds each:
+    # the first, and every n whose j_n may lie in the window.  The next
+    # threshold's j_n is past it, so a series that runs through its
+    # candidates stops there, on a tail of 0, unless it reached n_max
+    rows = np.tile(np.arange(x.size), a.size)
+    owner = np.repeat(np.arange(a.size), x.size)
+    drift = drift[rows]
+    reach = drift + alpha * (hi[rows] + 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        count = np.clip(np.floor((reach - a[owner]) / q[owner]) + 1.0, 1.0, cfg.n_max)
+    count = count.astype(np.int64)
+    width = int(count.max(initial=1))
+    _check_budget(rows.size * width, "table of thresholds")
+    n = np.arange(1, width + 1)
+    valid = n <= count[:, None]
+    level = a[owner, None] + (n - 1) * q[owner, None]
+    j = np.zeros(level.shape, dtype=np.int64)
+    reached, need = np.broadcast_to(drift[:, None], level.shape)[valid], level[valid]
+    with np.errstate(over="ignore"):  # first_true refuses an infinite count
+        guess = (need - reached) / alpha
+    j[valid] = first_true(lambda k: reached + alpha * k >= need, guess)
+    at = np.broadcast_to(rows[:, None], level.shape)
+    p = np.where(valid, _at(tails, lo, hi, at, j), 0.0)
+    below = valid & (p < tol)
+    summed = valid & ~np.logical_or.accumulate(below, axis=1)
+    e = np.arange(rows.size)
+    ran_out = np.where(count < cfg.n_max, 0.0, p[e, count - 1])
+    last = np.where(below.any(axis=1), p[e, np.argmax(below, axis=1)], ran_out)
+    shape = (a.size,) + times.shape
+    total_r = np.cumsum(np.where(summed, p, 0.0), axis=1)[:, -1]
+    check_converged(
+        "exact", cfg, np.broadcast_to(times, shape), total_r.reshape(shape), last.reshape(shape)
+    )
+    acc = _integral_terms(params, tol, x, lo, hi, tails, pmfs, rows, owner, level, j, summed)
+    total_int = np.zeros(level.shape)
+    total_int[summed] = acc / lam
+    total_int = np.cumsum(total_int, axis=1)[:, -1]
+    return total_r.reshape(shape), total_int.reshape(shape)
+
+
+def _integral_terms(params, tol, x, lo, hi, tails, pmfs, rows, owner, level, j, summed):
+    """For each summed (element, n), in C order: the loss plus the k terms
+    P(k+1, x) - P(k+1, lam*s_k), j_n <= k < min(m_n, hi), added in order."""
     mu, alpha, lam = params.mu, params.alpha, params.lam
-    x = lam * times.ravel()
-    drift = mu * times.ravel()
-    # first k < x + 8 sqrt(x) + 16 at the latest time, where the tail is
-    # far below the usual tail_tol
-    x_max = float(x.max(initial=0.0))
-    tails = _poisson_tails(np.ones((x.size, 1)), x, int(x_max + 8.0 * math.sqrt(x_max)) + 15)
-    total_r, last = np.zeros(x.size), np.zeros(x.size)
-    active = np.arange(x.size)
-    summed = []  # (L_n, the times that sum threshold n, their j_n)
-    for n in range(1, cfg.n_max + 1):
-        if not active.size:
-            break
-        level = policy.threshold(n)
-        d = drift[active]
-        j = first_true(lambda k: d + alpha * k >= level, (level - d) / alpha)
-        tails = _poisson_tails(tails, x, int(j.max()))
-        p = tails[active, j]
-        last[active] = p
-        keep = ~(p < cfg.tail_tol)
-        active, j = active[keep], j[keep]
-        if active.size:
-            total_r[active] += p[keep]
-            summed.append((level, active, j))
-    check_converged("exact", cfg, times, total_r.reshape(times.shape), last.reshape(times.shape))
-    levels = np.array([level for level, _, _ in summed])
-    ms = first_true(lambda k: alpha * k >= levels, levels / alpha)
-    tails = _poisson_tails(tails, x, int(ms.max(initial=0)))
-    # P(k+1, lam*s_k) for every threshold n and k from its least j_n(t) to m_n - 1
-    ranges = [range(int(j.min()), m) for (_, _, j), m in zip(summed, ms.tolist())]
-    ks = np.array([k for r in ranges for k in r], dtype=np.float64)
-    levels_k = np.repeat(levels, [len(r) for r in ranges])
-    at_s = reg_lower_gamma(ks + 1.0, lam * (levels_k - alpha * ks) / mu)
-    pmfs = poisson_pmf(ms - 1, x[:, None])
-    total_int = np.zeros(x.size)
-    for col, ((_, rows, j), m, r) in enumerate(zip(summed, ms.tolist(), ranges)):
-        k = np.arange(r.start, r.stop)
-        s, at_s = at_s[: k.size], at_s[k.size :]
-        xr = x[rows]
-        terms = np.empty((rows.size, k.size + 1))
-        terms[:, 0] = (xr - m) * tails[rows, m] + xr * pmfs[rows, col]
-        terms[:, 1:] = np.where(k >= j[:, None], tails[rows[:, None], k + 1] - s, 0.0)
-        total_int[rows] += np.cumsum(terms, axis=1)[:, -1] / lam
-    er, ei = total_r.reshape(times.shape), total_int.reshape(times.shape)
-    if times.ndim == 0:
-        return float(er), float(ei)
-    return er, ei
+    elem, col = np.nonzero(summed)
+    r, j = rows[elem], j[elem, col]
+    # the distinct (policy, n) and their m_n; past every window's reach m
+    # is taken as the largest hi + 2, which adds nothing either
+    groups, head, member = np.unique(
+        owner[elem] * summed.shape[1] + col, return_index=True, return_inverse=True
+    )
+    levels = level[elem[head], col[head]]
+    top = int(hi.max(initial=0)) + 2
+    with np.errstate(over="ignore"):
+        guess = levels / alpha
+    m = np.full(groups.size, top)
+    near = guess <= top
+    need = levels[near]
+    m[near] = first_true(lambda k: alpha * k >= need, guess[near])
+    stop = np.minimum(m[member], hi[r])  # k terms below it
+    first = np.full(groups.size, top)
+    np.minimum.at(first, member, j)
+    end = np.zeros(groups.size, dtype=np.int64)
+    np.maximum.at(end, member, stop)
+    span = np.maximum(end - first, 0)
+    # P(k+1, lam*s_k) for every (policy, n) and k from its least j_n to its end
+    offsets = np.cumsum(span) - span
+    ks = np.arange(span.sum()) - np.repeat(offsets - first, span)
+    with np.errstate(over="ignore"):  # y = inf has P(N_y >= k) = 1
+        y = lam * (np.repeat(levels, span) - alpha * ks) / mu
+    at_s = _breakpoint_tails(y, ks + 1, tol)
+    width = int(span.max(initial=0))
+    _check_budget(elem.size * (width + 1), "table of integral terms")
+    k = first[member, None] + np.arange(width)
+    mm = m[member]
+    xr = x[r]
+    terms = np.empty((elem.size, width + 1))
+    pmf_m = np.where(mm - 1 < lo[r], 0.0, _at(pmfs, lo, hi, r, mm - 1))
+    terms[:, 0] = (xr - mm) * _at(tails, lo, hi, r, mm) + xr * pmf_m
+    live = (k >= j[:, None]) & (k < stop[:, None])
+    s = at_s[np.where(live, offsets[member, None] + k - first[member, None], 0)]
+    rr = np.broadcast_to(r[:, None], k.shape)
+    terms[:, 1:] = np.where(live, _at(tails, lo, hi, rr, k + 1) - s, 0.0)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _breakpoint_tails(y, k, tol):
+    """P(N_y >= k) for each pair of the 1-D arrays y and k, as
+    ``_tail_table`` sums it but over only the side of y's window that
+    the tail needs: the pmf from hi down to k above the mode, and 1 less
+    the pmf from lo up to k - 1 at or below it.  Each pair is a row of
+    its terms in the order they are added (a sequential cumsum)."""
+    lo, hi = _poisson_windows(y, tol)
+    upper = k > np.floor(y)
+    # no terms where the window lies past k, or (lo a nan) at y = inf
+    count = np.fmax(np.where(upper, hi + 1.0 - k, k - lo), 0.0)
+    width = count.max(initial=0.0)
+    _check_budget(k.size * (width + 1.0), "table of breakpoint tails")
+    steps = np.arange(int(width))
+    live = steps < count[:, None]
+    i = np.where(upper, hi, lo)[:, None] + np.where(upper, -1.0, 1.0)[:, None] * steps
+    terms = np.zeros((k.size, steps.size + 1))  # a leading 0.0 for the rows with no terms
+    terms[:, 1:][live] = _poisson_pmf(i[live], np.broadcast_to(y[:, None], i.shape)[live])
+    sums = np.cumsum(terms, axis=1)[:, -1]
+    return np.where(upper, sums, 1.0 - sums)
+
+
+def exact_renewal_sums(
+    params: ProcessParams, policy: PolicyParams, t, cfg: RenewalSeriesConfig
+):
+    """(E[R_t], E[int_0^t R]) under the exact Poisson law, the one-policy
+    case of ``exact_policy_sums``, with the contract of
+    ``expected_renewal_sums``: floats for a scalar t, arrays of its shape
+    otherwise, and the first time in the order of t named on an error."""
+    er, ei = exact_policy_sums(params, [policy], t, cfg)
+    if er.ndim == 1:
+        return float(er[0]), float(ei[0])
+    return er[0], ei[0]
 
 
 def exact_moments(

@@ -39,8 +39,13 @@ the power series once per block of ``_STEPS`` steps.  The elements are
 taken ``_SLICE`` at a time, which bounds the working arrays of one call.
 ``reg_lower_gamma`` broadcasts its arguments and tables their distinct
 shapes.  The logs, exponentials, lgamma and erfc are the math module's,
-because numpy's round differently in the last bit.  ``poisson_pmf`` is
-x^k e^-x / Gamma(k+1) for the exact form's integer k, 0 included.
+because numpy's round differently in the last bit.
+
+The gamma form and fpt-diag call this kernel; the exact Poisson-law form
+(``cost.py``) does not.  Its shapes are whole numbers, for which P(k, x)
+is the Poisson tail P(N_x >= k), and it sums those tails from a table of
+Poisson pmf values, taking only Stirling's series ``_STIRLING`` (and
+``_horner``) from here.
 """
 
 import math
@@ -177,20 +182,6 @@ def _logs(x):
 def _value(out):
     """A float for a 0-d result, else the array."""
     return out if out.ndim else float(out)
-
-
-def poisson_pmf(k, x):
-    """x^k e^-x / Gamma(k+1): P(N = k) for N ~ Poisson(x).  In log space
-    so large k cannot overflow."""
-    k = np.asarray(k, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    distinct, inverse = np.unique(k + 1.0, return_inverse=True)
-    lg = k * _logs(x) - x - _math_map(math.lgamma, distinct)[inverse].reshape(k.shape)
-    out = np.zeros(lg.shape)
-    out[np.broadcast_to(k == 0.0, lg.shape)] = 1.0
-    live = np.broadcast_to(~(x <= 0.0), lg.shape)
-    out[live] = _math_map(math.exp, lg[live])
-    return _value(out)
 
 
 def reg_lower_gamma(a, x):

@@ -91,6 +91,21 @@ def literal_integrand_cdf(spec: GammaSpec, t):
     return spec.shape / spec.rate**2 * reg_lower_gamma(spec.shape + 1.0, spec.rate * as_times(t))
 
 
+def gamma_and_literal_cdfs(spec: GammaSpec, t):
+    """(``gamma_cdf(spec, t)``, ``literal_integrand_cdf(spec, t)``) from
+    one kernel call over the shapes stacked with the shapes + 1: a
+    value's arithmetic does not depend on what it is evaluated with, so
+    each has the bits of its own call.  Both are arrays of the shape
+    that shape and t broadcast to."""
+    shapes = np.asarray(spec.shape, dtype=np.float64)
+    x = spec.rate * as_times(t)
+    # the two rows of shapes on an axis of their own, ahead of t's
+    stacked = np.stack((shapes, shapes + 1.0))
+    stacked = stacked.reshape((2,) + (1,) * max(x.ndim - shapes.ndim, 0) + shapes.shape)
+    p = reg_lower_gamma(stacked, x)
+    return p[0], spec.shape / spec.rate**2 * p[1]
+
+
 def truncated_mean(spec: GammaSpec, t):
     """E[T 1{T < t}] for T ~ Gamma(shape, rate), at each time of t."""
     return spec.mean * reg_lower_gamma(spec.shape + 1.0, spec.rate * as_times(t))
@@ -115,14 +130,26 @@ def _stop_bound(shape0, dshape, x, tail_tol):
     a step is not taken where x/k underflows.  At x = 0 the first term,
     P = 0, is below tail_tol."""
     big = -np.log(tail_tol)
-    k = x + big + np.sqrt(big * (big + 2.0 * x))
+    k = _chernoff_root(x, big, x + big + np.sqrt(big * (big + 2.0 * x)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.ceil((k - shape0) / dshape) + 1.0
+    return np.where(x > 0.0, np.maximum(n, 1.0), 1.0)
+
+
+def _chernoff_root(x, big, k):
+    """Three Newton steps from k towards the root of g(k) = big on k's
+    side of x, elementwise, where g(k) = k h(x/k) = x - k + k ln(k/x),
+    h(l) = l - 1 - ln(l), is the exponent of the Chernoff bounds
+    P(k, x) <= exp(-g(k)) for k >= x and 1 - P(k+1, x) <= exp(-g(k))
+    for k <= x.  g is convex with its minimum 0 at k = x, so steps taken
+    from outside the root stay outside it.  A step is not taken where
+    x/k underflows or is not positive."""
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
             log_ratio = np.log(x / k)
             newton = k - (big - x + k + k * log_ratio) / log_ratio
             k = np.where(np.isfinite(newton), newton, k)
-        n = np.ceil((k - shape0) / dshape) + 1.0
-    return np.where(x > 0.0, np.maximum(n, 1.0), 1.0)
+    return k
 
 
 def renewal_series(shape0, dshape, rate, t, tail_tol, n_max):

@@ -1,6 +1,7 @@
 """CLI wiring: schemas, determinism, exit codes."""
 
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -971,16 +972,15 @@ def test_cost_overflow_exit_code(tmp_path, capsys, command, config, message):
     assert list(out.iterdir()) == []
 
 
-def test_tiny_jump_size_exit_code(tmp_path):
-    # the exact form's fewest jumps to a threshold, (L - mu*t)/alpha, went
-    # past 2**63, whose int64 cast wrapped, and its search then stepped by
-    # one forever; a subprocess with a timeout turns a hang into a failure
+def _validate_in_subprocess(tmp_path, config):
+    """``driftinv validate`` at 200 paths on ``config`` in a subprocess
+    with a timeout of 60 s, which turns a hang into a failure."""
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"process": {"alpha": 1e-300}}))
+    cfgfile.write_text(json.dumps(config))
     package = pathlib.Path(driftinv.cli.__file__).parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "driftinv.cli", "validate", "--config", str(cfgfile),
          "--paths", "200", "--out", "out"],
         cwd=tmp_path,
@@ -989,12 +989,37 @@ def test_tiny_jump_size_exit_code(tmp_path):
         text=True,
         timeout=60,
     )
+
+
+def test_tiny_jump_size_exit_code(tmp_path):
+    # the exact form's fewest jumps to a threshold, (L - mu*t)/alpha, went
+    # past 2**63, whose int64 cast wrapped, and its search then stepped by
+    # one forever
+    run = _validate_in_subprocess(tmp_path, {"process": {"alpha": 1e-300}})
     assert run.returncode == 2, run.stderr
     assert (
         "parameter error: a count of about 4e+301 jumps or orders is more than the budget "
         "of 33554432; use a larger jump size alpha or order quantity Q"
     ) in run.stderr
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_small_jump_size_validates_within_a_minute(tmp_path):
+    # thresholds about 2e7 jumps away: the exact form sized its tail
+    # matrix by the largest count, asked for 3.69 GiB and died with a
+    # traceback.  Sized from each time's Poisson window, every such
+    # threshold lies past it, and validate ends with finite rows
+    run = _validate_in_subprocess(
+        tmp_path, {"process": {"alpha": 2e-6}, "validate": {"times": [1.0, 2.0]}}
+    )
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    with open(tmp_path / "out" / "validation.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 8
+    for r in rows:
+        for name in ("analytical", "mc_mean", "mc_stderr", "abs_diff", "limit"):
+            assert math.isfinite(float(r[name])), r
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Closed-form cost engine: breakdowns, curves, sweeps."""
 
 import dataclasses
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -29,13 +31,16 @@ from driftinv import (
     sweep,
 )
 import driftinv.cost
+import driftinv.gammainc
 import driftinv.renewal
 from driftinv.cli import cmd_expected_cost, write_curve_csv, write_sweep_csv
 from driftinv.config import load_config
-from driftinv.cost import CostBreakdown, CostCurve, negative_inventory_times
+from driftinv.cost import (
+    CostBreakdown, CostCurve, _poisson_pmf, _poisson_windows, exact_policy_sums,
+    exact_renewal_sums, negative_inventory_times,
+)
 
 from conftest import exact_expected_orders
-from test_gamma import scalar_poisson_pmf, scalar_reg_lower_gamma
 
 # (process, policy) pairs: the reference, a high-intensity process with
 # the same mean rate and thresholds off the jump lattice, and a
@@ -628,6 +633,22 @@ def scalar_min_jumps(level, drift, alpha):
     return k
 
 
+@functools.cache  # a breakpoint's tail recurs at every time of a grid
+def scalar_poisson_tail(k, y, tail_tol):
+    """Oracle: P(N >= k), N ~ Poisson(y), as the exact form's table sums
+    it, one pmf value at a time over the window [lo, hi] of y
+    (``cost._poisson_windows``): 1 less the pmf added from lo up to
+    k - 1 where k is at most the mode floor(y), and the pmf added from
+    hi down to k above it, so 1 below the window and 0 past it."""
+    lo, hi = (int(v[0]) for v in _poisson_windows(np.array([y]), tail_tol))
+    below = k <= math.floor(y)
+    order = np.arange(lo, k) if below else np.arange(hi, k - 1, -1)
+    acc = 0.0
+    for term in _poisson_pmf(order.astype(np.float64), y).tolist():
+        acc += term
+    return 1.0 - acc if below else acc
+
+
 def scalar_exact_terms(process, policy, t, cfg):
     """Oracle: the terms P(D_t >= L_n) = P(N_t >= j_n) of E[R_t], threshold
     by threshold up to the first below ``cfg.tail_tol`` (which is not
@@ -636,7 +657,7 @@ def scalar_exact_terms(process, policy, t, cfg):
     for n in range(1, cfg.n_max + 1):
         level = policy.threshold(n)
         j = scalar_min_jumps(level, process.mu * t, process.alpha)
-        p = 1.0 if j == 0 else scalar_reg_lower_gamma(float(j), process.lam * t)
+        p = scalar_poisson_tail(j, process.lam * t, cfg.tail_tol)
         terms.append((p, level, j))
         if p < cfg.tail_tol:
             break
@@ -645,15 +666,14 @@ def scalar_exact_terms(process, policy, t, cfg):
 
 def scalar_exact_series(process, policy, t, cfg):
     """Oracle: (E[R_t], E[int_0^t R]) threshold by threshold, one scalar
-    incomplete gamma per value."""
+    tail per value; a k term with k + 1 past the window of lam*t adds
+    nothing, as there the tail is 0."""
     mu, alpha, lam = process.mu, process.alpha, process.lam
     x = lam * t
-    upper = {}
+    lo, hi = (int(v[0]) for v in _poisson_windows(np.array([x]), cfg.tail_tol))
 
     def tail(k):
-        if k not in upper:
-            upper[k] = 1.0 if k == 0 else scalar_reg_lower_gamma(float(k), x)
-        return upper[k]
+        return scalar_poisson_tail(k, x, cfg.tail_tol)
 
     terms = scalar_exact_terms(process, policy, t, cfg)
     if not terms[-1][0] < cfg.tail_tol:
@@ -662,9 +682,12 @@ def scalar_exact_series(process, policy, t, cfg):
     total_int = 0.0
     for p, level, j in terms[:-1]:
         m = scalar_min_jumps(level, 0.0, alpha)
-        acc = (x - m) * tail(m) + x * scalar_poisson_pmf(m - 1, x)
-        for k in range(j, m):
-            acc += tail(k + 1) - scalar_reg_lower_gamma(k + 1.0, lam * (level - alpha * k) / mu)
+        pmf = float(_poisson_pmf(float(m - 1), x)) if lo <= m - 1 <= hi else 0.0
+        acc = (x - m) * tail(m) + x * pmf
+        for k in range(j, min(m, hi)):
+            acc += tail(k + 1) - scalar_poisson_tail(
+                k + 1, lam * (level - alpha * k) / mu, cfg.tail_tol
+            )
         total_r += p
         total_int += acc / lam
     return total_r, total_int
@@ -852,6 +875,138 @@ def test_exact_grid_hitting_n_max_names_its_first_time(ref_process, ref_policy, 
     )
 
 
+def mp_exact_sums(process, policy, t, tail_tol):
+    """Oracle: (E[R_t], E[int_0^t R]) at 30 digits by mpmath, every float
+    input taken exactly, threshold by threshold as the exact form sums
+    them (it stops at the first P(N_t >= j_n) below tail_tol), with each
+    P(k, x) from mpmath's regularized incomplete gamma."""
+    with mpmath.workdps(30):
+        mu, alpha, lam, t = (mpmath.mpf(v) for v in (process.mu, process.alpha, process.lam, t))
+        x = lam * t
+        cdf = lambda k, v: mpmath.gammainc(k, 0, v, regularized=True) if k > 0 else mpmath.mpf(1)
+        total_r = total_int = mpmath.mpf(0)
+        for n in range(1, 10_000):
+            level = mpmath.mpf(policy.threshold(n))
+            j = max(int(mpmath.ceil((level - mu * t) / alpha)), 0)
+            if cdf(j, x) < tail_tol:
+                return total_r, total_int
+            m = int(mpmath.ceil(level / alpha))
+            pmf = mpmath.exp(-x) * x ** (m - 1) / mpmath.factorial(m - 1) if m > 0 else 0
+            acc = (x - m) * cdf(m, x) + x * pmf
+            for k in range(j, m):
+                acc += cdf(k + 1, x) - cdf(k + 1, lam * (level - alpha * k) / mu)
+            total_r += cdf(j, x)
+            total_int += acc / lam
+    raise AssertionError("the oracle reached 10,000 thresholds")
+
+
+# the largest relative error of the exact form's E[R_t] and E[int R]
+# against mpmath, fixed before the first run of the test
+EXACT_REL_ERROR = 1e-12
+
+
+@pytest.mark.parametrize(
+    "mu, alpha, lam", [(5.0, 10.0, 1.0), (5.0, 2.5, 4.0), (1.0, 10.0, 0.2), (20.0, 1.0, 1.0),
+                       (0.5, 10.0, 1.0)],
+)
+def test_exact_sums_match_mpmath(mu, alpha, lam, series_cfg):
+    # five processes, from drift-dominated to jump-dominated, at times
+    # from 2 to 10 and a policy off the jump lattice, so no threshold ties
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    policy = PolicyParams(x0=100.0, a=48.7, Q=51.3)
+    er, ei = exact_renewal_sums(process, policy, np.array([2.0, 5.0, 10.0]), series_cfg)
+    for t, got_r, got_int in zip((2.0, 5.0, 10.0), er.tolist(), ei.tolist()):
+        want_r, want_int = mp_exact_sums(process, policy, t, series_cfg.tail_tol)
+        assert abs(got_r - want_r) <= EXACT_REL_ERROR * want_r, t
+        assert abs(got_int - want_int) <= EXACT_REL_ERROR * want_int, t
+
+
+@pytest.mark.parametrize("s", [4.0, 0.5])
+@pytest.mark.parametrize("mode", list(OrderingMode))
+@pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+def test_exact_form_independent_of_demand_unit(case, mode, s, series_cfg):
+    # demand in units s times smaller: mu, alpha, x0, a and Q times s, c_h
+    # (and c_o per unit) over s.  Every count j_n, m_n and every lam*s_k is
+    # the same, and a power of two scales exactly, so E[R_t], E[int R] and
+    # the total keep their bits and the inventory is s times as large
+    process, policy = EXACT_CASES[case]
+    per_unit = mode is OrderingMode.PER_UNIT_TIMES_Q
+    costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=mode)
+    scaled = CostParams(c_o=5.0 / s if per_unit else 5.0, c_h=1.0 / s, c_so=10.0, ordering_mode=mode)
+    grid = np.array([0.0, 0.5, 2.0, 4.0, 7.0, 10.0, 13.3])
+    base = exact_moments(process, policy, costs, grid, series_cfg)
+    other = exact_moments(
+        ProcessParams(mu=s * process.mu, alpha=s * process.alpha, lam=process.lam),
+        PolicyParams(x0=s * policy.x0, a=s * policy.a, Q=s * policy.Q),
+        scaled,
+        grid,
+        series_cfg,
+    )
+    assert np.array_equal(other.orders, base.orders)
+    assert np.array_equal(other.integrated_orders, base.integrated_orders)
+    assert np.array_equal(other.cost.total, base.cost.total)
+    assert np.array_equal(other.inventory, s * base.inventory)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.5, 8.0),
+    alpha=st.one_of(st.floats(0.5, 15.0), st.integers(1, 15).map(float)),
+    lam=st.floats(0.1, 5.0),
+    policies=st.lists(st.tuples(st.floats(1.0, 80.0), st.floats(1.0, 80.0)), min_size=1, max_size=4),
+    times=st.lists(st.floats(0.0, 15.0), min_size=1, max_size=3),
+)
+def test_exact_policy_rows_match_one_policy_calls(mu, alpha, lam, policies, times, series_cfg):
+    # one table for every policy gives each the bits of its own call
+    process = ProcessParams(mu=mu, alpha=alpha, lam=lam)
+    policies = [PolicyParams(x0=100.0, a=a, Q=q) for a, q in policies]
+    er, ei = exact_policy_sums(process, policies, times, series_cfg)
+    assert er.shape == ei.shape == (len(policies), len(times))
+    for i, policy in enumerate(policies):
+        want_r, want_int = exact_renewal_sums(process, policy, times, series_cfg)
+        assert er[i].tolist() == want_r.tolist()
+        assert ei[i].tolist() == want_int.tolist()
+
+
+# the largest relative error of the exact form's Poisson pmf over its
+# windows against mpmath, for lam*t up to 1000, fixed before the first run
+PMF_REL_ERROR = 1e-13
+
+
+@pytest.mark.parametrize("y", [1e-3, 0.5, 3.7, 10.0, 41.3, 250.0, 1000.0])
+def test_exact_pmf_and_windows_match_mpmath(y):
+    # the window leaves out at most 2^-53 tail_tol of the law on each side,
+    # and the pmf over it keeps its digits
+    tail_tol = 1e-12
+    lo, hi = (int(v[0]) for v in _poisson_windows(np.array([y]), tail_tol))
+    i = np.arange(lo, hi + 1)
+    got = _poisson_pmf(i.astype(np.float64), y)
+    with mpmath.workdps(30):
+        my = mpmath.mpf(y)
+        want = [mpmath.exp(k * mpmath.log(my) - my - mpmath.loggamma(k + 1)) for k in i.tolist()]
+        assert max(abs(g - w) / w for g, w in zip(got.tolist(), want)) <= PMF_REL_ERROR
+        below = mpmath.gammainc(lo, my, mpmath.inf, regularized=True) if lo else 0
+        above = mpmath.gammainc(hi + 1, 0, my, regularized=True)
+        assert below <= 2.0**-53 * tail_tol and above <= 2.0**-53 * tail_tol
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ([1e13], r"Poisson window at lam\*t = 1e\+13 reaches 1e\+13 jumps, more than the budget"),
+        # 500 windows about 72,000 wide
+        (np.full(500, 1e7), r"Poisson tail table would hold 3.59e\+07 values, more than the budget"),
+    ],
+)
+def test_exact_tail_table_is_refused_past_the_budget(
+    t, message, ref_process, ref_policy, ref_costs, series_cfg
+):
+    # the table of Poisson tails is sized from each time's window, about
+    # 23 sqrt(lam*t) wide, and checked before it is allocated
+    with pytest.raises(ParameterError, match=message):
+        exact_moments(ref_process, ref_policy, ref_costs, t, series_cfg)
+
+
 def test_exact_grid_with_a_negative_time_names_it(ref_process, ref_policy, ref_costs, series_cfg):
     with pytest.raises(DomainError, match=r"got -0\.5$"):
         exact_moments(ref_process, ref_policy, ref_costs, [1.0, -0.5, 2.0, -3.0], series_cfg)
@@ -860,9 +1015,10 @@ def test_exact_grid_with_a_negative_time_names_it(ref_process, ref_policy, ref_c
 def test_exact_series_evaluation_count_does_not_grow_with_the_grid(
     monkeypatch, ref_process, ref_policy, ref_costs, series_cfg
 ):
-    # the tails are one matrix per grid and P(k+1, lam*s_k) does not depend
-    # on t, so a 121-point grid makes as many incomplete-gamma and pmf calls
-    # as a 3-point one with the same last time: no call per time
+    # one tail table for the times and one for the breakpoints, whose
+    # P(k+1, lam*s_k) do not depend on t, so a 121-point grid builds as
+    # many tables, with as many pmf calls, as a 3-point one with the same
+    # last time; and no incomplete-gamma kernel runs at all
     calls = []
 
     def counting(fn):
@@ -872,12 +1028,16 @@ def test_exact_series_evaluation_count_does_not_grow_with_the_grid(
 
         return counted
 
-    monkeypatch.setattr(driftinv.cost, "reg_lower_gamma", counting(driftinv.cost.reg_lower_gamma))
-    monkeypatch.setattr(driftinv.cost, "poisson_pmf", counting(driftinv.cost.poisson_pmf))
+    def no_kernel(*args):
+        raise AssertionError("the exact form ran the incomplete-gamma kernel")
+
+    names = ("_tail_table", "_breakpoint_tails", "_poisson_pmf")
+    for name in names:
+        monkeypatch.setattr(driftinv.cost, name, counting(getattr(driftinv.cost, name)))
+    monkeypatch.setattr(driftinv.gammainc, "_pair", no_kernel)
     counts = []
     for grid in ([2.0, 7.0, 12.0], np.linspace(0.0, 12.0, 121)):
         calls.clear()
         exact_moments(ref_process, ref_policy, ref_costs, grid, series_cfg)
-        counts.append((calls.count("reg_lower_gamma"), calls.count("poisson_pmf")))
-    assert counts[0] == counts[1]
-    assert counts[0][1] == 1
+        counts.append([calls.count(name) for name in names])
+    assert counts[0] == counts[1] == [1, 1, 2]

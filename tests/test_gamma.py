@@ -20,9 +20,10 @@ from driftinv import (
 )
 import driftinv.gammainc
 from driftinv.gammainc import (
-    _LOG_SERIES, _STIRLING, _TEMME, _TEMME_A, _TEMME_MU, _logs, _pair, _shape_table, poisson_pmf,
-    reg_lower_gamma,
+    _LOG_SERIES, _STIRLING, _TEMME, _TEMME_A, _TEMME_MU, _logs, _math_map, _pair, _shape_table,
+    _value, reg_lower_gamma,
 )
+from driftinv.renewal import gamma_and_literal_cdfs
 
 import temme_coefficients
 
@@ -134,6 +135,21 @@ def scalar_poisson_pmf(k, x):
     if x <= 0.0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(x) - x - math.lgamma(k + 1.0))
+
+
+def poisson_pmf(k, x):
+    """Oracle: x^k e^-x / Gamma(k+1), P(N = k) for N ~ Poisson(x),
+    elementwise over arrays, from math.lgamma once per distinct k and
+    math.exp of the log, so large k cannot overflow."""
+    k = np.asarray(k, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    distinct, inverse = np.unique(k + 1.0, return_inverse=True)
+    lg = k * _logs(x) - x - _math_map(math.lgamma, distinct)[inverse].reshape(k.shape)
+    out = np.zeros(lg.shape)
+    out[np.broadcast_to(k == 0.0, lg.shape)] = 1.0
+    live = np.broadcast_to(~(x <= 0.0), lg.shape)
+    out[live] = _math_map(math.exp, lg[live])
+    return _value(out)
 
 
 def mixed_pairs(n, seed):
@@ -504,6 +520,25 @@ def test_poisson_pmf_matches_scipy():
         )
     assert poisson_pmf(0, 0.0) == 1.0
     assert poisson_pmf(2, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "shape, rate, t",
+    [
+        # fpt-diag's block: a column of thresholds' shapes against its grid,
+        # at the reference process (x up to 120: series, fraction, Temme)
+        (np.array([[10.0], [20.0], [30.0], [40.0]]), 10.0, np.linspace(0.0, 12.0, 31)),
+        (np.array([0.37, 9.86, 37.3]), 4.2, 2.0),
+        (37.3, 4.2, np.linspace(0.0, 20.0, 101)),
+    ],
+)
+def test_gamma_and_literal_cdfs_match_their_own_calls(shape, rate, t):
+    # one kernel call over the shapes stacked with the shapes + 1 gives
+    # each column the bits of its own call
+    spec = GammaSpec(shape=shape, rate=rate)
+    gcdf, lit = gamma_and_literal_cdfs(spec, t)
+    assert np.array_equal(gcdf, gamma_cdf(spec, t))
+    assert np.array_equal(lit, literal_integrand_cdf(spec, t))
 
 
 @pytest.mark.parametrize("fn", [gamma_cdf, literal_integrand_cdf, truncated_mean])
