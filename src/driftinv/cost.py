@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import JUMP_BUDGET, first_true
+from .demand import check_budget, first_true
 from .errors import ParameterError
 from .gammainc import _STIRLING, _TEMME_A, _horner
 from .params import CostParams, PolicyParams, ProcessParams, _require_no_overflow
@@ -49,6 +49,14 @@ from .renewal import (  # expected_integrated_renewals: a name perfbench/layers.
     expected_renewals,
     policy_renewal_sums,
 )
+
+# the refusal of a table of the exact form that would hold more values
+# than ``demand.JUMP_BUDGET``, named by ``what``
+_TABLE_BUDGET = (
+    "the exact form's {what} would hold {count:.3g} values, more than the budget "
+    "of {budget}; use fewer or shorter times, or a larger order quantity Q"
+)
+
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -187,16 +195,6 @@ def _poisson_windows(y, tail_tol):
         return np.floor(np.maximum(lower, 0.0)), np.where(y > 0.0, np.ceil(upper), 0.0)
 
 
-def _check_budget(values, what: str) -> None:
-    """ParameterError before an array of ``values`` entries is allocated,
-    if that is more than ``demand.JUMP_BUDGET`` (or not a number)."""
-    if not values <= JUMP_BUDGET:
-        raise ParameterError(
-            f"the exact form's {what} would hold {values:.3g} values, more than the budget "
-            f"of {JUMP_BUDGET}; use fewer or shorter times, or a larger order quantity Q"
-        )
-
-
 def _tail_table(y, tail_tol):
     """(lo, hi, tails, pmf) for the 1-D array of means y: the windows of
     ``_poisson_windows`` as int64, and two (rows, width) arrays whose row
@@ -207,14 +205,14 @@ def _tail_table(y, tail_tol):
     floor(y) it is 1 less the pmf summed from lo up to k - 1, above it
     the pmf summed from hi down to k, so no tail exceeds 1."""
     lo, hi = _poisson_windows(y, tail_tol)
-    top = np.max(hi, initial=0.0)
-    if not top <= JUMP_BUDGET:
-        raise ParameterError(
-            f"the exact form's Poisson window at lam*t = {np.max(y):.3g} reaches {top:.3g} jumps, "
-            f"more than the budget of {JUMP_BUDGET}; use shorter times or a smaller lam"
-        )
+    check_budget(
+        np.max(hi, initial=0.0),
+        "the exact form's Poisson window at lam*t = {lam_t:.3g} reaches {count:.3g} jumps, "
+        "more than the budget of {budget}; use shorter times or a smaller lam",
+        lam_t=np.max(y),
+    )
     width = np.max(hi - lo, initial=-1.0) + 2.0
-    _check_budget(y.size * width, "Poisson tail table")
+    check_budget(y.size * width, _TABLE_BUDGET, what="Poisson tail table")
     lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     k = lo[:, None] + np.arange(int(width))
     inside = k <= hi[:, None]
@@ -278,7 +276,7 @@ def exact_policy_sums(params: ProcessParams, policies, t, cfg: RenewalSeriesConf
         count = np.clip(np.floor((reach - a[owner]) / q[owner]) + 1.0, 1.0, cfg.n_max)
     count = count.astype(np.int64)
     width = int(count.max(initial=1))
-    _check_budget(rows.size * width, "table of thresholds")
+    check_budget(rows.size * width, _TABLE_BUDGET, what="table of thresholds")
     n = np.arange(1, width + 1)
     valid = n <= count[:, None]
     level = a[owner, None] + (n - 1) * q[owner, None]
@@ -338,7 +336,7 @@ def _integral_terms(params, tol, x, lo, hi, tails, pmfs, rows, owner, level, j, 
         y = lam * (np.repeat(levels, span) - alpha * ks) / mu
     at_s = _breakpoint_tails(y, ks + 1, tol)
     width = int(span.max(initial=0))
-    _check_budget(elem.size * (width + 1), "table of integral terms")
+    check_budget(elem.size * (width + 1), _TABLE_BUDGET, what="table of integral terms")
     k = first[member, None] + np.arange(width)
     mm = m[member]
     xr = x[r]
@@ -363,7 +361,7 @@ def _breakpoint_tails(y, k, tol):
     # no terms where the window lies past k, or (lo a nan) at y = inf
     count = np.fmax(np.where(upper, hi + 1.0 - k, k - lo), 0.0)
     width = count.max(initial=0.0)
-    _check_budget(k.size * (width + 1.0), "table of breakpoint tails")
+    check_budget(k.size * (width + 1.0), _TABLE_BUDGET, what="table of breakpoint tails")
     steps = np.arange(int(width))
     live = steps < count[:, None]
     i = np.where(upper, hi, lo)[:, None] + np.where(upper, -1.0, 1.0)[:, None] * steps

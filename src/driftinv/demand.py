@@ -56,16 +56,24 @@ ROUND_GAPS = 64
 TIE_BAND = 2.0**-46
 
 
+def check_budget(count, message, **fields):
+    """``count``, or a ParameterError when it is more than JUMP_BUDGET or
+    is not a number: ``message`` formatted with ``count``, ``budget`` (the
+    budget) and ``fields``.  Every count of work or memory that a config
+    can drive is checked here before it is spent."""
+    if not count <= JUMP_BUDGET:
+        raise ParameterError(message.format(count=count, budget=JUMP_BUDGET, **fields))
+    return count
+
+
 def _largest_guess(x):
     """max(x), or a ParameterError when a guess is past the count budget
     (or nan), before an int64 cast would wrap it."""
-    top = float(np.max(x, initial=-np.inf))
-    if not top <= JUMP_BUDGET:
-        raise ParameterError(
-            f"a count of about {top:.3g} jumps or orders is more than the budget of "
-            f"{JUMP_BUDGET}; use a larger jump size alpha or order quantity Q"
-        )
-    return top
+    return check_budget(
+        float(np.max(x, initial=-np.inf)),
+        "a count of about {count:.3g} jumps or orders is more than the budget of "
+        "{budget}; use a larger jump size alpha or order quantity Q",
+    )
 
 
 def first_true(pred, x):
@@ -139,16 +147,6 @@ class SamplePath:
                 raise ParameterError("jump times must lie in [0, horizon)")
 
 
-def _check_jump_budget(lam, horizon, n_paths):
-    expected = n_paths * lam * horizon
-    if expected > JUMP_BUDGET:
-        raise ParameterError(
-            f"{n_paths} paths at jump rate {lam:g} to horizon {horizon:g} need about "
-            f"{expected:.3g} jump times, more than the budget of {JUMP_BUDGET}; "
-            f"use fewer paths or a shorter horizon"
-        )
-
-
 def sample_path(params: ProcessParams, horizon: float, seed: int) -> SamplePath:
     """Sample one path: path 0 of the batch keyed ``seed``, so it is
     bit-reproducible for identical (params, horizon, seed)."""
@@ -209,7 +207,13 @@ def batch_jump_times(
         raise ParameterError(f"horizon must be positive, got {horizon}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
-    _check_jump_budget(params.lam, horizon, n_paths)
+    check_budget(
+        n_paths * params.lam * horizon,
+        "{n_paths} paths at jump rate {lam:g} to horizon {horizon:g} need about "
+        "{count:.3g} jump times, more than the budget of {budget}; "
+        "use fewer paths or a shorter horizon",
+        n_paths=n_paths, lam=params.lam, horizon=horizon,
+    )
     pieces = []
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
     for chunk, p0 in enumerate(range(0, n_paths, CHUNK_PATHS)):

@@ -31,12 +31,13 @@ a and that difference cancels: there it is pref times the series' own
 sum of its terms past the first.
 
 Elements get the arithmetic of the one-element algorithm in its order,
-so a value does not depend on what it is evaluated with.  The
-iterations step all elements not yet converged at once, and each
-element takes the value of the step its own stopping test first
-passes: the continued fraction takes its stopping test at every step,
-the power series once per block of ``_STEPS`` steps.  The elements are
-taken ``_SLICE`` at a time, which bounds the working arrays of one call.
+so a value does not depend on what it is evaluated with.  The power
+series and the continued fraction each take one step per iteration
+over all elements not yet converged, and each element takes the value
+of the step its own stopping test first passes, then drops out.  A call
+evaluates all its elements at once, and its callers bound its size:
+the renewal series sends chunks of at most 8,192 values, and fpt-diag
+at most max(8,192, grid points) values of each of its CDF columns.
 ``reg_lower_gamma`` broadcasts its arguments and tables their distinct
 shapes.  The logs, exponentials, lgamma and erfc are the math module's,
 because numpy's round differently in the last bit.
@@ -55,11 +56,6 @@ import numpy as np
 _MAX_ITER = 20000
 _EPS = 1e-16
 _TINY = 1e-300
-# elements per pass of the iterations, which bounds the working arrays
-# of any one call, and steps of the power series per block between two
-# stopping tests
-_SLICE = 2048
-_STEPS = 8
 # Temme's region: shapes above _TEMME_A, with x within _TEMME_MU * a of a
 _TEMME_A = 20.0
 _TEMME_MU = 0.5
@@ -230,7 +226,7 @@ def _pair(shapes, si, x, logx):
     live = ~(x <= 0.0)
     temme = live & (a > _TEMME_A) & (np.abs(x - a) < _TEMME_MU * a)
     if temme.any():
-        q, pmf = _in_slices(lambda s, v: _temme(shapes, s, v), si[temme], x[temme])
+        q, pmf = _temme(shapes, si[temme], x[temme])
         p[temme] = q = _clip(q)
         p1[temme] = _clip(q - pmf)
         live &= ~temme
@@ -242,7 +238,7 @@ def _pair(shapes, si, x, logx):
     if series.any():
         # P(a,x) = pref * sum_k x^k / (a (a+1) ... (a+k)), and P(a+1,x) the
         # same sum from k = 1
-        total, rest = _in_slices(_series, a[series], x[series])
+        total, rest = _series(a[series], x[series])
         q[series] = np.minimum(pref[series] * total, 1.0)
         q1[series] = np.minimum(pref[series] * rest, 1.0)
     fraction = ~series
@@ -257,7 +253,7 @@ def _pair(shapes, si, x, logx):
     h = fraction & ~one
     if h.any():
         # continued fraction for Q(a,x)
-        q[h] = _clip(1.0 - pref[h] * _in_slices(_fraction, a[h], x[h])[0])
+        q[h] = _clip(1.0 - pref[h] * _fraction(a[h], x[h]))
     q1[fraction] = _clip(q[fraction] - pref[fraction] / a[fraction])
     p[live], p1[live] = q, q1
     return p, p1
@@ -266,12 +262,6 @@ def _pair(shapes, si, x, logx):
 def _clip(p):
     """p with values below 0 set to 0 and above 1 set to 1."""
     return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
-
-
-def _in_slices(fn, *args):
-    """The arrays fn returns for the arrays args, _SLICE elements at a time."""
-    parts = [fn(*(v[i : i + _SLICE] for v in args)) for i in range(0, args[0].size, _SLICE)]
-    return [np.concatenate(part) for part in zip(*parts)]
 
 
 def _horner(coeffs, v):
@@ -299,62 +289,40 @@ def _temme(shapes, si, x):
     # lambda - 1 - ln(lambda), with no difference of nearly equal terms
     f = u * (mu - 2.0 * w * _horner(_LOG_SERIES, w))
     eta = np.copysign(np.sqrt(f + f), mu)
-    coeffs = np.take(shapes[2], si, axis=1)
-    total = coeffs[-1]
+    coeffs = shapes[2]
+    total = coeffs[-1][si]
     for row in coeffs[-2::-1]:
         total *= eta
-        total += row
+        total += row[si]
     e = _math_map(math.exp, -a * f)
     p = 0.5 * _math_map(math.erfc, -(eta * shapes[3][si])) - e * shapes[4][si] * total
     return p, e * shapes[5][si]
 
 
 def _series(a, x):
-    """sum_k x^k / (a (a+1) ... (a+k)) and the same sum from k = 1, each
-    element stopped at its first term below _EPS of the first sum (every
-    term is positive, so this is the test |term| < |total| * _EPS).
-
-    The steps ap += 1, term *= x / ap, total += term, rest += term are
-    taken _STEPS at a time over every element still pending, each as an
-    in-place ufunc that writes one row of a block: the block's ap and
-    then x / ap, one call for all rows, then its terms and sums.  The
-    stopping test is taken once per block; each element takes the sums
-    of its first passing step, and the elements that passed drop out."""
+    """sum_k x^k / (a (a+1) ... (a+k)) and the same sum from k = 1, one
+    step at a time over the elements still pending: ap += 1,
+    term *= x / ap, total += term and rest += term.  An element keeps the
+    sums of its first step with term < total * _EPS (every term is
+    positive, so this is the test |term| < |total| * _EPS) and drops out."""
     out = np.empty((2, a.size))
     idx = np.arange(a.size)
-    ap = a
-    term = total = 1.0 / a
+    ap = a.copy()
+    term = 1.0 / a
+    total = term.copy()
     rest = np.zeros(a.size)
-    terms, totals, rests = np.empty((3, _STEPS, a.size))
-    steps = 0
-    while idx.size and steps < _MAX_ITER:
-        width = min(_STEPS, _MAX_ITER - steps)
-        ts, us, rs = (v[:width, : idx.size] for v in (terms, totals, rests))
-        # the rows of terms hold the block's ap, then x / ap, then its
-        # terms: term (a row of the last block) is copied out first, and
-        # the block's last ap before the division
-        term = term.copy()
-        for t_row in ts:
-            ap = np.add(ap, 1.0, out=t_row)
-        ap = ap.copy()
-        np.divide(x, ts, out=ts)
-        for t_row, u_row, r_row in zip(ts, us, rs):
-            np.multiply(term, t_row, out=t_row)
-            np.add(total, t_row, out=u_row)
-            np.add(rest, t_row, out=r_row)
-            term, total, rest = t_row, u_row, r_row
-        steps += width
-        # x / ap < 1, so no term is larger than the one before it and no
-        # sum smaller: an element that passed the test at a step of the
-        # block passes it at the last one
-        hit = ts[-1] < us[-1] * _EPS
+    for _ in range(_MAX_ITER):
+        if not idx.size:
+            break
+        ap += 1.0
+        term *= x / ap
+        total += term
+        rest += term
+        hit = term < total * _EPS
         if hit.any():
-            cols = np.flatnonzero(hit)
-            first = (ts[:, cols] < us[:, cols] * _EPS).argmax(axis=0)
-            out[:, idx[cols]] = us[first, cols], rs[first, cols]
+            out[:, idx[hit]] = total[hit], rest[hit]
             keep = ~hit
-            idx, x, ap = idx[keep], x[keep], ap[keep]
-            term, total, rest = term[keep], total[keep], rest[keep]
+            idx, x, ap, term, total, rest = (v[keep] for v in (idx, x, ap, term, total, rest))
     out[:, idx] = total, rest
     return out
 
@@ -389,4 +357,4 @@ def _fraction(a, x):
             keep = ~hit
             idx, a, b, c, d, h = (v[keep] for v in (idx, a, b, c, d, h))
     out[idx] = h
-    return (out,)
+    return out

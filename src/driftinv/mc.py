@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import (
-    JUMP_BUDGET, SamplePath, batch_jump_times, first_true_near_ties, path_segments, sample_path,
+    SamplePath, batch_jump_times, check_budget, first_true_near_ties, path_segments, sample_path,
 )
 from .errors import ParameterError
 from .params import CostParams, PolicyParams, ProcessParams, _require_no_overflow
@@ -239,12 +239,12 @@ class Trajectory:
 
 def _check_order_budget(params: ProcessParams, policy: PolicyParams, horizon: float) -> None:
     """ParameterError when a path to ``horizon`` places more than JUMP_BUDGET orders."""
-    expected = params.demand_rate * horizon / policy.Q
-    if not expected <= JUMP_BUDGET:
-        raise ParameterError(
-            f"a path to horizon {horizon:g} at order quantity Q={policy.Q:g} places about "
-            f"{expected:.3g} orders, more than the budget of {JUMP_BUDGET}; use a larger Q"
-        )
+    check_budget(
+        params.demand_rate * horizon / policy.Q,
+        "a path to horizon {horizon:g} at order quantity Q={Q:g} places about "
+        "{count:.3g} orders, more than the budget of {budget}; use a larger Q",
+        horizon=horizon, Q=policy.Q,
+    )
 
 
 def simulate(params: ProcessParams, policy: PolicyParams, horizon: float, seed: int) -> Trajectory:

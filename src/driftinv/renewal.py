@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import demand
-from .demand import JUMP_BUDGET, batch_jump_times, path_segments
+from .demand import batch_jump_times, check_budget, path_segments
 from .errors import DomainError, ParameterError, SeriesNotConvergedError
 from .gammainc import _logs, _pair, _shape_table, reg_lower_gamma
 from .params import PolicyParams, ProcessParams
@@ -359,11 +359,12 @@ def fpt_empirical_cdf(
     grid = np.asarray(t_grid, dtype=np.float64)
     # the passage times are (thresholds x paths) and the CDFs (thresholds x
     # grid points) float64 values: bounded like the jump times they come from
-    if ns.size * max(n_paths, grid.size) > JUMP_BUDGET:
-        raise ParameterError(
-            f"{ns.size} thresholds (fpt.n_values) times max({n_paths} paths, {grid.size} grid "
-            f"points) are more values than the budget of {JUMP_BUDGET}; use fewer thresholds"
-        )
+    check_budget(
+        ns.size * max(n_paths, grid.size),
+        "{thresholds} thresholds (fpt.n_values) times max({n_paths} paths, {points} grid "
+        "points) are more values than the budget of {budget}; use fewer thresholds",
+        thresholds=ns.size, n_paths=n_paths, points=grid.size,
+    )
     levels = [policy.threshold(int(k)) for k in ns]
     # horizon long enough that censoring only affects times beyond the grid
     horizon = max(float(grid.max()), max(levels) / params.mu) + 1.0

@@ -24,6 +24,7 @@ from driftinv.demand import SamplePath, batch_jump_times
 from driftinv.mc import (
     KIND_ORDER,
     batch_stats,
+    path_costs,
     path_stats,
     simulate_events,
     trajectory_from_path,
@@ -754,3 +755,43 @@ def test_one_walk_keeps_the_stretch_end_before_a_crossing_rounded_onto_a_jump():
     assert_bits_equal(got[1], batch_stats(flat[:2], np.array([0, 2]), mu, alpha, x0, a, Q, h))
     assert got[1, 0, 0] == 1
     assert got[1, 0, 4] == x0 - mu * flat[0]
+
+
+def scaled_costs(c_o, c_h, c_so, mode):
+    """CostParams of a changed unit; c_so scaled down can fall below a
+    per-order c_o, which the record warns of."""
+    if c_o <= c_so:
+        return CostParams(c_o=c_o, c_h=c_h, c_so=c_so, ordering_mode=mode)
+    with pytest.warns(UserWarning, match="cost ordering"):
+        return CostParams(c_o=c_o, c_h=c_h, c_so=c_so, ordering_mode=mode)
+
+
+@pytest.mark.parametrize("s", [4.0, 0.5])
+@pytest.mark.parametrize("mode", list(OrderingMode))
+@pytest.mark.parametrize("unit", ["time", "demand"])
+def test_paths_independent_of_unit(unit, mode, s, ref_process, ref_policy):
+    # the same paths in a time unit s times shorter (mu, lam times s,
+    # horizons over s, c_h and c_so per unit of time times s) or a demand
+    # unit s times smaller (mu, alpha, x0, a, Q times s, c_h and c_so over
+    # s, and c_o per unit over s): each path's gaps are its exponentials
+    # over lam, so a power of two s scales every jump time, level and
+    # integral exactly, and every order count and cost keeps its bits
+    p, pol = ref_process, ref_policy
+    horizons = np.array([4.0, 7.0, 10.0])
+    costs = CostParams(c_o=5.0, c_h=1.0, c_so=10.0, ordering_mode=mode)
+    per_unit = mode is OrderingMode.PER_UNIT_TIMES_Q
+    if unit == "time":
+        process, policy = ProcessParams(mu=s * p.mu, alpha=p.alpha, lam=s * p.lam), pol
+        scaled = scaled_costs(5.0, s * 1.0, s * 10.0, mode)
+        times = horizons / s
+    else:
+        process = ProcessParams(mu=s * p.mu, alpha=s * p.alpha, lam=p.lam)
+        policy = PolicyParams(x0=s * pol.x0, a=s * pol.a, Q=s * pol.Q)
+        scaled = scaled_costs(5.0 / s if per_unit else 5.0, 1.0 / s, 10.0 / s, mode)
+        times = horizons
+    base = path_stats(p, pol, horizons, 300, base_seed=5)
+    other = path_stats(process, policy, times, 300, base_seed=5)
+    assert np.array_equal(other["orders"], base["orders"])
+    assert base["orders"].min() < base["orders"].max()
+    for got, want in zip(path_costs(scaled, policy.Q, other), path_costs(costs, pol.Q, base)):
+        assert_bits_equal(got, want)
